@@ -84,6 +84,6 @@ serve:
 # "Chaos replay".
 chaos-serve:
 	$(GO) test -race -count=1 ./internal/serve/chaosproxy/
-	$(GO) test -race -count=1 -run 'TestChaos' ./cmd/wbload/
+	$(GO) test -race -count=10 -run 'TestChaos' ./cmd/wbload/
 
 check: vet build lint race fuzz bench-stream metrics-golden chaos faults-golden serve chaos-serve

@@ -182,8 +182,9 @@ func writeGoldenFiles(spec goldenSpec) error {
 		[]byte(renderGolden(spec, sent, res, dec)), 0o644)
 }
 
-// trimSeries keeps the measurements within [lo, hi). The decoder slices to
-// the frame anyway (frameRange), so trimming does not change the decode.
+// trimSeries keeps the measurements within [lo, hi). The decoder buffers
+// only the frame's measurements anyway, so trimming does not change the
+// decode.
 func trimSeries(s *csi.Series, lo, hi float64) *csi.Series {
 	out := &csi.Series{}
 	for _, m := range s.Measurements {

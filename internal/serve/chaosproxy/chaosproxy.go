@@ -24,7 +24,8 @@
 //	          stay delivered
 //	Corrupt → XOR a drawn mask into ~intensity-scaled bytes
 //	Stall   → pause the stream at a drawn offset (intensity-scaled)
-//	CSIDrop → split a write at drawn offsets (partial-write torture)
+//	CSIDrop → split a client write at drawn offsets (partial-write
+//	          torture); reads have no analogue, so s2c plans none
 //	Fade/Drift have no wire analogue and are ignored here.
 package chaosproxy
 
@@ -87,8 +88,9 @@ func (c Config) stallScale() time.Duration {
 // Stats counts compiled (planned) and applied (executed) events across
 // all lanes. Planned counts depend only on (seed, spec, lane set);
 // executed counts additionally depend on how many bytes actually flowed
-// through each lane, which is per-lane deterministic for a
-// deterministic client.
+// through each lane: per-lane deterministic for a client whose reads
+// stop at protocol boundaries, as serve.Replay's do, so a cut never
+// strands bytes it read ahead.
 type Stats struct {
 	Lanes, Conns                  int64
 	CutsPlanned, CutsExecuted     int64
@@ -311,6 +313,12 @@ func (p *Proxy) compile(laneID, dir int) *dirEngine {
 			}
 			for i := 0; i < n; i++ {
 				pos := stream.Float64()
+				if dir == dirS2C {
+					// A read has no partial-write analogue: draw the
+					// offset (later windows keep their plan) but plan
+					// nothing.
+					continue
+				}
 				e.events = append(e.events, wireEvent{off: at(pos), kind: opSplit, seq: seq})
 				seq++
 				p.splitsPlanned.Add(1)
@@ -347,12 +355,12 @@ func (c *chaosConn) Write(b []byte) (int, error) {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.apply(c.lane.c2s, b, true)
+	return c.apply(c.lane.c2s, b)
 }
 
 // Read applies the s2c engine to bytes already delivered by the
 // upstream: corruption mutates them in place, a cut truncates at the
-// offset and kills the connection, splits and stalls pace the stream.
+// offset and kills the connection, stalls pace the stream.
 func (c *chaosConn) Read(b []byte) (int, error) {
 	if c.cut.Load() {
 		return 0, ErrCut
@@ -376,9 +384,6 @@ func (c *chaosConn) Read(b []byte) (int, error) {
 		case opStall:
 			c.p.stallsExecuted.Add(1)
 			time.Sleep(ev.stall)
-		case opSplit:
-			// No read-side analogue of a partial write; consume it.
-			c.p.splitsExecuted.Add(1)
 		case opCut:
 			kept = k
 			e.next++
@@ -398,7 +403,7 @@ func (c *chaosConn) Read(b []byte) (int, error) {
 }
 
 // apply runs the write path through a direction engine.
-func (c *chaosConn) apply(e *dirEngine, b []byte, countSplits bool) (int, error) {
+func (c *chaosConn) apply(e *dirEngine, b []byte) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	written := 0
@@ -440,9 +445,7 @@ func (c *chaosConn) apply(e *dirEngine, b []byte, countSplits bool) (int, error)
 			if owned {
 				c.wbuf = c.wbuf[k:]
 			}
-			if countSplits {
-				c.p.splitsExecuted.Add(1)
-			}
+			c.p.splitsExecuted.Add(1)
 			e.next++
 		case opStall:
 			n, err := c.Conn.Write(b[:k])

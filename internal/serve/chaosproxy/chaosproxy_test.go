@@ -370,6 +370,12 @@ func TestSplitsAndStallsPaceTheStream(t *testing.T) {
 	if splits == 0 || stalls == 0 {
 		t.Fatalf("compiled %d splits and %d stalls, want both nonzero", splits, stalls)
 	}
+	// A read has no partial-write analogue, so the s2c plan holds none.
+	for _, ev := range lane.s2c.events {
+		if ev.kind == opSplit {
+			t.Fatalf("s2c plan holds a split at offset %d", ev.off)
+		}
+	}
 	span := 2 * DefaultBytesPerSecond
 	payload := make([]byte, int(span))
 	for i := range payload {

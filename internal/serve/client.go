@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -114,7 +115,7 @@ func replayAttempt(conn net.Conn, opt ReplayOptions, st *ReplayStats, token *str
 		st.Cuts++
 		return false, err
 	}
-	line, err := readLine(br)
+	line, err := readAck(conn)
 	if err != nil {
 		st.Cuts++
 		return false, err
@@ -194,6 +195,27 @@ func replayAttempt(conn net.Conn, opt ReplayOptions, st *ReplayStats, token *str
 		default:
 			return true, fmt.Errorf("serve: unexpected response %q", line)
 		}
+	}
+}
+
+// readAck reads the acknowledgment line a byte at a time, never past its
+// newline. The bit lines the server sends next (replayed, or fresh ones
+// racing the measurement upload) then stay in the transport until the
+// response phase, so how much of the server's stream a cut connection
+// had read depends only on the bytes exchanged, not on write scheduling:
+// the chaos proxy's server-to-client offsets, and so its cuts, replay
+// exactly.
+func readAck(conn net.Conn) ([]byte, error) {
+	line := make([]byte, 0, 96)
+	var b [1]byte
+	for {
+		if _, err := io.ReadFull(conn, b[:]); err != nil {
+			return nil, err
+		}
+		if b[0] == '\n' {
+			return line, nil
+		}
+		line = append(line, b[0])
 	}
 }
 

@@ -82,18 +82,7 @@ func TestWatchdogAbortsOnlyStalledSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range series.Measurements {
-		if err := stalled.Push(m); err != nil {
-			t.Fatalf("Push: %v", err)
-		}
-		select {
-		case <-stuck.entered:
-			goto parked
-		default:
-		}
-	}
-	t.Fatal("frame never closed; synthetic capture too short")
-parked:
+	pushUntilParked(t, stalled, series, stuck)
 	// While that worker is parked, healthy sessions stream to completion.
 	for i := 0; i < 2; i++ {
 		sink := newMemSink()

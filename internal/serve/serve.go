@@ -526,6 +526,10 @@ func (srv *Server) Drain() error {
 	if !leaked {
 		finishers.Wait()
 	}
+	// Every session has delivered its final line. Close the transports
+	// whose handlers still wait for input no session will take (a mute
+	// client would otherwise hold its handler, and its socket, forever).
+	srv.closeConns()
 
 	srv.mu.Lock()
 	srv.state = stateClosed
@@ -554,15 +558,22 @@ func (srv *Server) abortRemaining() {
 	for s := range srv.sessions {
 		sessions = append(sessions, s)
 	}
-	conns := make([]closer, 0, len(srv.conns))
-	for c := range srv.conns {
-		conns = append(conns, c)
-	}
 	srv.mu.Unlock()
 	for _, s := range sessions {
 		s.abort()
 		srv.met.abortedSessions.Add(1)
 	}
+	srv.closeConns()
+}
+
+// closeConns closes every registered transport.
+func (srv *Server) closeConns() {
+	srv.mu.Lock()
+	conns := make([]closer, 0, len(srv.conns))
+	for c := range srv.conns {
+		conns = append(conns, c)
+	}
+	srv.mu.Unlock()
 	for _, c := range conns {
 		_ = c.Close()
 	}

@@ -184,6 +184,48 @@ func TestSessionMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestRSSIOnlySessionDecodes pins that an RSSI session declared with zero
+// sub-channels — the RSSI-only shape Validate admits, whose measurements
+// carry no CSI rows — decodes to the same bits as the same trace declared
+// with one sub-channel.
+func TestRSSIOnlySessionDecodes(t *testing.T) {
+	payload := randomPayload(16, 4)
+	full := synthSeries(t, payload, 4)
+	withCSI, rssiOnly := &csi.Series{}, &csi.Series{}
+	for _, m := range full.Measurements {
+		rows := make([][]float64, len(m.CSI))
+		for a := range rows {
+			rows[a] = m.CSI[a][:1]
+		}
+		withCSI.Append(csi.Measurement{Timestamp: m.Timestamp, CSI: rows, RSSI: m.RSSI})
+		rssiOnly.Append(csi.Measurement{Timestamp: m.Timestamp, RSSI: m.RSSI})
+	}
+	decode := func(series *csi.Series, subs int) (*uplink.Result, []uplink.BitDecision) {
+		t.Helper()
+		p := testParams(len(payload))
+		p.Mode, p.Subchannels = uplink.StreamRSSI, subs
+		sink := newMemSink()
+		sess, err := serve.NewServer(serve.Config{}).Open(p, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(t, sess, series)
+		res, err := sess.Result()
+		if err != nil {
+			t.Fatalf("subchannels=%d: %v", subs, err)
+		}
+		return res, sink.bits
+	}
+	wantRes, wantBits := decode(withCSI, 1)
+	gotRes, gotBits := decode(rssiOnly, 0)
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Errorf("RSSI-only result differs:\n  got  %+v\n  want %+v", gotRes, wantRes)
+	}
+	if !reflect.DeepEqual(gotBits, wantBits) {
+		t.Errorf("RSSI-only bits %v, want %v", gotBits, wantBits)
+	}
+}
+
 // TestConcurrentSessionsMatchBatch is the core isolation property under
 // the race detector: many sessions with different captures decode
 // concurrently, and each is byte-identical to its own batch decode.
@@ -306,6 +348,36 @@ func (bs *blockSink) EmitBits(b []uplink.BitDecision) error {
 	return bs.memSink.EmitBits(b)
 }
 
+// pushUntilParked pushes series up to the measurement that closes the
+// session's frame, then waits for the worker to park in sink with the
+// frame's bits. Pushing stops at the frame close, so however small the
+// slot ring is, it cannot fill up behind the parked worker.
+func pushUntilParked(t *testing.T, sess *serve.Session, series *csi.Series, sink *blockSink) {
+	t.Helper()
+	p := sess.Params()
+	dec, err := uplink.NewDecoder(uplink.DefaultConfig(1 / p.BitRate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := dec.NewStream(p.Start, p.PayloadLen, p.Mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range series.Measurements {
+		if err := sess.Push(m); err != nil {
+			t.Fatalf("Push: %v", err)
+		}
+		if m.Timestamp >= sd.End() {
+			break
+		}
+	}
+	select {
+	case <-sink.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("frame never closed; synthetic capture too short")
+	}
+}
+
 // TestTryPushBackpressure pins the bounded-buffer contract: with the
 // worker held still, TryPush fills exactly the slot ring and then fails
 // with ErrBufferFull instead of growing anything.
@@ -319,23 +391,9 @@ func TestTryPushBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stream the whole capture; the frame closes mid-series and the
-	// worker parks inside EmitBits.
-	for _, m := range series.Measurements {
-		if err := sess.Push(m); err != nil {
-			t.Fatalf("Push: %v", err)
-		}
-		select {
-		case <-sink.entered:
-			goto parked
-		default:
-		}
-	}
-	t.Fatal("frame never closed; synthetic capture too short")
-parked:
-	// The parked worker holds no slot, so at most nslots TryPushes fit
-	// (fewer if pushes were still queued when the frame closed) before
-	// the ring rejects instead of growing.
+	pushUntilParked(t, sess, series, sink)
+	// The parked worker holds no slot and nothing is queued, so nslots
+	// TryPushes fit before the ring rejects instead of growing.
 	extra := series.Measurements[series.Len()-1]
 	full := false
 	for i := 0; i < nslots+1; i++ {

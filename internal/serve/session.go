@@ -423,6 +423,8 @@ func (s *Session) finalize() {
 		}
 	}
 	s.sink.EmitResult(res, err)
-	close(s.done)
+	// Deregister before releasing Result waiters: a caller that sees the
+	// session complete must also see it gone from Stats().Active.
 	s.srv.sessionClosed(s)
+	close(s.done)
 }

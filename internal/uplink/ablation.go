@@ -2,17 +2,16 @@ package uplink
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/csi"
-	"repro/internal/dsp"
 )
 
 // This file provides controlled variants of the decoding pipeline so each
 // design choice in §3.2 can be ablated: the combining rule, the decision
-// rule, and the bit-binning rule. The main decoder always uses the paper's
-// choices; Variant selects an alternative for side-by-side comparison.
+// rule, and the bit-binning rule. Each is a stage choice of the one
+// streaming pipeline (StreamDecoder.decode): the main decoder always uses
+// the paper's choices; Variant selects an alternative for side-by-side
+// comparison.
 
 // Combining selects how good sub-channels merge.
 type Combining int
@@ -102,140 +101,39 @@ func (v Variant) String() string {
 	return fmt.Sprintf("%s/%s/%s", v.Combining, v.Decision, v.Binning)
 }
 
-// DecodeVariant decodes a payload with the selected pipeline variant. The
-// PaperVariant is equivalent to DecodeCSI.
+// DecodeVariant decodes a payload with the selected pipeline variant: a
+// push-all-then-flush wrapper over the streaming core with the variant's
+// stage choices, so the PaperVariant is exactly DecodeCSI.
 func (d *Decoder) DecodeVariant(s *csi.Series, start float64, payloadLen int, v Variant) (*Result, error) {
-	if payloadLen <= 0 {
-		return nil, fmt.Errorf("uplink: payload length must be positive, got %d", payloadLen)
+	sd, err := d.batchStream(s, start, payloadLen, 1, StreamCSI)
+	if err != nil {
+		return nil, err
 	}
-	if s.Len() == 0 {
-		return nil, fmt.Errorf("uplink: empty measurement series")
-	}
-	nbits := nFrameBits(payloadLen)
-	ts := s.Timestamps()
-	lo, hi := frameRange(ts, start, start+float64(nbits)*d.cfg.BitDuration)
-	if lo == hi {
-		return nil, fmt.Errorf("uplink: no measurements inside the transmission window")
-	}
-	ts = ts[lo:hi]
-	var bins [][]int
-	switch v.Binning {
-	case BinEqualCount:
-		bins = binEqualCount(ts, start, d.cfg.BitDuration, nbits)
-	default:
-		bins = binByTimestamp(ts, start, d.cfg.BitDuration, nbits)
-	}
-	var stats []channelStats
-	for a := 0; a < s.Antennas(); a++ {
-		for k := 0; k < s.Subchannels(); k++ {
-			raw, err := s.CSIChannel(a, k)
-			if err != nil {
-				return nil, err
-			}
-			stats = append(stats, analyzeChannel(ChannelID{a, k}, raw[lo:hi], ts, bins, d.cfg))
-		}
-	}
-	sort.Slice(stats, func(i, j int) bool {
-		return math.Abs(stats[i].corr) > math.Abs(stats[j].corr)
-	})
-	g := d.cfg.GoodSubchannels
-	if v.Combining == CombineBestSingle {
-		g = 1
-	}
-	if g > len(stats) {
-		g = len(stats)
-	}
-	sel := stats[:g]
-
-	n := len(sel[0].cond)
-	combined := make([]float64, n)
-	for _, st := range sel {
-		w := st.sign / st.variance
-		if v.Combining == CombineEqualGain {
-			w = st.sign
-		}
-		for t, val := range st.cond {
-			combined[t] += w * val
-		}
-	}
-
-	payload := make([]bool, payloadLen)
-	var measured float64
-	switch v.Decision {
-	case DecideBitMean:
-		for b := 0; b < payloadLen; b++ {
-			bin := bins[13+b]
-			var sum float64
-			for _, idx := range bin {
-				sum += combined[idx]
-			}
-			payload[b] = sum > 0
-			measured += float64(len(bin))
-		}
-	case DecidePlainVote:
-		for b := 0; b < payloadLen; b++ {
-			bin := bins[13+b]
-			votes := make([]float64, len(bin))
-			for i, idx := range bin {
-				votes[i] = combined[idx]
-			}
-			payload[b] = dsp.MajorityVote(votes)
-			measured += float64(len(bin))
-		}
-	default:
-		mu := dsp.Mean(combined)
-		sd := dsp.MeanAbsDev(combined)
-		hyst := dsp.NewHysteresis(mu, sd)
-		decisions := make([]float64, n)
-		for t, val := range combined {
-			if hyst.Update(val) {
-				decisions[t] = 1
-			} else {
-				decisions[t] = -1
-			}
-		}
-		for b := 0; b < payloadLen; b++ {
-			bin := bins[13+b]
-			votes := make([]float64, len(bin))
-			for i, idx := range bin {
-				votes[i] = decisions[idx]
-			}
-			payload[b] = dsp.MajorityVote(votes)
-			measured += float64(len(bin))
-		}
-	}
-	res := &Result{
-		Payload:             payload,
-		PreambleCorrelation: math.Abs(sel[0].corr),
-		MeasurementsPerBit:  measured / float64(payloadLen),
-	}
-	for _, st := range sel {
-		res.Good = append(res.Good, st.id)
-	}
-	return res, nil
+	sd.v = v
+	return sd.pushAll(s)
 }
 
 // binEqualCount ignores timestamps: measurements inside the transmission
 // window are split into equal-count bins in arrival order.
 func binEqualCount(ts []float64, start, bitDur float64, nbits int) [][]int {
 	end := start + float64(nbits)*bitDur
-	var inWindow []int
+	inWindow := make([]int, 0, len(ts))
 	for i, t := range ts {
 		if t >= start && t < end {
 			inWindow = append(inWindow, i)
 		}
 	}
 	bins := make([][]int, nbits)
-	if len(inWindow) == 0 {
-		return bins
-	}
 	per := float64(len(inWindow)) / float64(nbits)
-	for j, idx := range inWindow {
-		b := int(float64(j) / per)
-		if b >= nbits {
-			b = nbits - 1
+	// Bin indices never decrease along the window, so each bin is one
+	// contiguous run of inWindow.
+	first := 0
+	for j := range inWindow {
+		b := min(int(float64(j)/per), nbits-1)
+		if bins[b] == nil {
+			first = j
 		}
-		bins[b] = append(bins[b], idx)
+		bins[b] = inWindow[first : j+1 : j+1]
 	}
 	return bins
 }

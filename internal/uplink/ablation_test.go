@@ -1,8 +1,11 @@
 package uplink
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/dsp"
 	"repro/internal/tag"
 )
 
@@ -26,6 +29,72 @@ func ablationTrial(t *testing.T, v Variant, cfg synthConfig, seed int64) int {
 	return countBitErrors(res.Payload, payload)
 }
 
+// allVariants is the paper's pipeline plus the five ablations, each
+// changing one stage choice.
+var allVariants = []Variant{
+	PaperVariant,
+	{Combining: CombineEqualGain},
+	{Combining: CombineBestSingle},
+	{Decision: DecidePlainVote},
+	{Decision: DecideBitMean},
+	{Binning: BinEqualCount},
+}
+
+// sameResult reports whether two decode results are identical: payload,
+// selected channels, and the exact bits of both statistics.
+func sameResult(a, b *Result) bool {
+	return reflect.DeepEqual(a.Payload, b.Payload) && reflect.DeepEqual(a.Good, b.Good) &&
+		math.Float64bits(a.PreambleCorrelation) == math.Float64bits(b.PreambleCorrelation) &&
+		math.Float64bits(a.MeasurementsPerBit) == math.Float64bits(b.MeasurementsPerBit)
+}
+
+// recordingImpairment is a fake fault layer: it kicks every seventh sample
+// of each channel deterministically and records what it was handed.
+type recordingImpairment struct {
+	start, end float64
+	calls      map[ChannelID]int
+	samples    int
+	outside    int // samples handed over from outside [start, end)
+}
+
+func newRecordingImpairment(start, end float64) *recordingImpairment {
+	return &recordingImpairment{start: start, end: end, calls: map[ChannelID]int{}}
+}
+
+func (r *recordingImpairment) ImpairChannel(id ChannelID, ts, raw []float64) {
+	r.calls[id]++
+	r.samples += len(raw)
+	for i, t := range ts {
+		if t < r.start || t >= r.end {
+			r.outside++
+		}
+		if (i+id.Antenna+id.Subchannel)%7 == 0 {
+			raw[i] *= 1.5
+		}
+	}
+}
+
+// check asserts one call per CSI channel, each with in-frame samples only.
+func (r *recordingImpairment) check(t *testing.T, what string, ants, subs int) {
+	t.Helper()
+	if len(r.calls) != ants*subs {
+		t.Errorf("%s: impaired %d channels, want %d", what, len(r.calls), ants*subs)
+	}
+	for a := 0; a < ants; a++ {
+		for k := 0; k < subs; k++ {
+			if n := r.calls[ChannelID{a, k}]; n != 1 {
+				t.Errorf("%s: channel (%d, %d) impaired %d times, want once", what, a, k, n)
+			}
+		}
+	}
+	if r.samples == 0 || r.outside != 0 {
+		t.Errorf("%s: impaired %d samples, %d of them outside the frame", what, r.samples, r.outside)
+	}
+}
+
+// TestPaperVariantMatchesDecodeCSI pins that the paper variant is DecodeCSI
+// exactly — the whole Result, bit for bit — both clean and with a fault
+// layer corrupting every channel.
 func TestPaperVariantMatchesDecodeCSI(t *testing.T) {
 	payload := randomPayload(90, 1)
 	const bitDur = 0.01
@@ -33,20 +102,63 @@ func TestPaperVariantMatchesDecodeCSI(t *testing.T) {
 	cfg := defaultSynth()
 	cfg.duration = mod.End() + 0.5
 	s := synthSeries(cfg, mod, 2)
-	d, _ := NewDecoder(DefaultConfig(bitDur))
-	a, err := d.DecodeCSI(s, mod.Start(), len(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := d.DecodeVariant(s, mod.Start(), len(payload), PaperVariant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Payload {
-		if a.Payload[i] != b.Payload[i] {
-			t.Fatalf("paper variant diverges from DecodeCSI at bit %d", i)
+	var clean *Result
+	for _, impaired := range []bool{false, true} {
+		d, _ := NewDecoder(DefaultConfig(bitDur))
+		if impaired {
+			d.Impair = newRecordingImpairment(mod.Start(), mod.End())
+		}
+		a, err := d.DecodeCSI(s, mod.Start(), len(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := d.DecodeVariant(s, mod.Start(), len(payload), PaperVariant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(a, b) {
+			t.Errorf("impaired=%v: paper variant %+v diverges from DecodeCSI %+v", impaired, b, a)
+		}
+		if !impaired {
+			clean = a
+		} else if sameResult(a, clean) {
+			t.Error("the impairment never reached the decode")
 		}
 	}
+}
+
+// TestImpairmentReachesVariantsAndLongRange pins that the ablations and
+// long range run through the streaming core's impairment seam: every CSI
+// channel is handed to Decoder.Impair exactly once, with in-frame samples.
+func TestImpairmentReachesVariantsAndLongRange(t *testing.T) {
+	cfg := defaultSynth()
+	payload := randomPayload(40, 5)
+	mod, _ := tag.NewModulator(tag.FrameBits(payload), 1.0, 0.01)
+	cfg.duration = mod.End() + 0.5
+	s := synthSeries(cfg, mod, 6)
+	d, _ := NewDecoder(DefaultConfig(0.01))
+	for _, v := range allVariants {
+		rec := newRecordingImpairment(mod.Start(), mod.End())
+		d.Impair = rec
+		if _, err := d.DecodeVariant(s, mod.Start(), len(payload), v); err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		rec.check(t, v.String(), cfg.antennas, cfg.subchannels)
+	}
+
+	code0, code1, _ := dsp.WalshPair(8)
+	chips := tag.ExpandWithCodes(payload[:8], code0, code1)
+	frame := append(append(append([]bool{}, tag.Preamble...), chips...), tag.Postamble...)
+	lmod, _ := tag.NewModulator(frame, 1.0, 0.005)
+	cfg.duration = lmod.End() + 0.5
+	ls := synthSeries(cfg, lmod, 7)
+	ld, _ := NewDecoder(DefaultConfig(0.005))
+	rec := newRecordingImpairment(lmod.Start(), lmod.End())
+	ld.Impair = rec
+	if _, err := ld.DecodeLongRange(ls, lmod.Start(), 8, code0, code1); err != nil {
+		t.Fatal(err)
+	}
+	rec.check(t, "long range", cfg.antennas, cfg.subchannels)
 }
 
 func TestMRCBeatsBestSingleAtWeakDepth(t *testing.T) {

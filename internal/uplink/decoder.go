@@ -1,24 +1,27 @@
 // Package uplink implements the Wi-Fi reader's decoding of tag
 // transmissions from channel measurements — the paper's core contribution
-// (§3). The pipeline is:
+// (§3). The pipeline is one chain of stage functions on StreamDecoder
+// (stream.go):
 //
-//  1. Signal conditioning: subtract a moving average (400 ms window) to
-//     remove environmental drift, then normalize so the two switch states
-//     map to ±1 (§3.2 step 1).
-//  2. Frequency/spatial diversity: bin measurements into tag bits using
-//     per-packet timestamps, correlate each (antenna, sub-channel) pair
-//     with the known Barker preamble, and keep the best G sub-channels
+//  1. Bin: group measurements into tag bits using per-packet timestamps
 //     (§3.2 step 2a).
-//  3. Maximum-ratio combining: weight each good sub-channel by 1/σ², with
-//     σ² estimated from its preamble residual (§3.2 step 2b).
-//  4. Decision: hysteresis thresholds at µ ± σ/2 suppress spurious CSI
+//  2. Condition and score: per channel, subtract a moving average (400 ms
+//     window) to remove environmental drift, normalize so the two switch
+//     states map to ±1 (§3.2 step 1), and correlate the bit means with
+//     the known Barker preamble.
+//  3. Select: keep the best G (antenna, sub-channel) pairs (§3.2 step 2a).
+//  4. Combine: maximum-ratio combining weights each good sub-channel by
+//     1/σ², with σ² estimated from its preamble residual (§3.2 step 2b).
+//  5. Decide: hysteresis thresholds at µ ± σ/2 suppress spurious CSI
 //     jumps, and a majority vote across the measurements of each bit
 //     produces the decoded bit (§3.2 step 3).
 //
-// DecodeRSSI applies the same conditioning/hysteresis/vote machinery to
-// the best single RSSI channel (§3.3). DecodeLongRange implements the
-// orthogonal-code correlation decoder that extends range at the cost of
-// rate (§3.4).
+// Every entry point runs through that chain. DecodeRSSI and
+// DecodeSingleChannel select one channel (§3.3, the Fig. 11 baseline);
+// DecodeVariant swaps the binning, combining or decision rule for the
+// ablations (ablation.go); DecodeLongRange stretches the frame to chip
+// codes and swaps the score and decide stages for the orthogonal-code
+// correlation that extends range at the cost of rate (§3.4, longrange.go).
 package uplink
 
 import (
@@ -88,10 +91,6 @@ type Result struct {
 // preambleLevels is the ±1 template of the tag preamble.
 var preambleLevels = dsp.Barker13
 
-// nFrameBits returns the total on-air bits for a payload length:
-// 13 preamble + payload + 13 postamble.
-func nFrameBits(payloadLen int) int { return 13 + payloadLen + 13 }
-
 // binByTimestamp groups measurement indices into tag-bit bins using the
 // per-packet timestamps (§3.2: "we use the timestamp that is in every
 // Wi-Fi packet header to accurately group Wi-Fi packets belonging to the
@@ -159,15 +158,18 @@ func binMeans(values []float64, bins [][]int) (means []float64, ok []bool) {
 	return means, ok
 }
 
-// channelStats holds one channel's preamble fit. cond comes from the dsp
-// buffer pool; callers release a batch with releaseStats once combining is
-// done.
+// channelStats holds one channel's conditioned series and preamble fit.
+// cond comes from the dsp buffer pool; callers release a batch with
+// releaseStats once combining is done.
 type channelStats struct {
 	id       ChannelID
 	corr     float64 // signed preamble correlation
 	sign     float64 // polarity (+1/-1)
 	variance float64 // per-measurement residual variance during preamble
+	score    float64 // selection rank key, higher is better
 	cond     []float64
+	means    []float64 // per-bin means of cond (0 where !ok)
+	ok       []bool    // whether each bin held any measurement
 }
 
 // releaseStats returns the pooled conditioned series held by stats.
@@ -183,9 +185,9 @@ func releaseStats(stats []channelStats) {
 // of identical bits subtracts the tag's own modulation, which matters for
 // slow links such as beacon-only decoding (Fig. 16) — so it is floored at
 // 24 bits (the paper's 400 ms is 40 bits at its usual 100 bps). Because
-// decoding slices the measurement series to the frame (see frameRange),
-// the window may exceed the frame without the idle-level bias that
-// out-of-frame samples would introduce.
+// decoding conditions only the frame's measurements (the stream buffers
+// nothing else), the window may exceed the frame without the idle-level
+// bias that out-of-frame samples would introduce.
 func (c Config) windowFor(frameBits int) float64 {
 	w := c.ConditionWindow
 	if min := 24 * c.BitDuration; w < min {
@@ -208,7 +210,7 @@ func frameRange(ts []float64, start, end float64) (lo, hi int) {
 }
 
 // analyzeChannel conditions one raw series and scores it against the
-// preamble.
+// preamble; the score is the correlation's magnitude.
 func analyzeChannel(id ChannelID, raw []float64, ts []float64, bins [][]int, cfg Config) channelStats {
 	cond := dsp.GetSlice(len(raw))
 	dsp.ConditionTwoPassInto(cond, raw, windowSamples(ts, cfg.windowFor(len(bins))))
@@ -223,14 +225,15 @@ func analyzeChannel(id ChannelID, raw []float64, ts []float64, bins [][]int, cfg
 		mm += means[j] * means[j]
 		pp += preambleLevels[j] * preambleLevels[j]
 	}
-	//wblint:ignore PH003 ownership transfers to the caller inside channelStats; released in a batch by releaseStats (or the DecodeSingleChannel defer) after combining
-	st := channelStats{id: id, cond: cond, sign: 1}
+	//wblint:ignore PH003 ownership transfers to the caller inside channelStats; released in a batch by releaseStats after combining
+	st := channelStats{id: id, cond: cond, means: means, ok: ok, sign: 1}
 	if mm > 0 && pp > 0 {
 		st.corr = dot / math.Sqrt(mm*pp)
 	}
 	if st.corr < 0 {
 		st.sign = -1
 	}
+	st.score = math.Abs(st.corr)
 	// Per-measurement residual variance over the preamble bins, with the
 	// template sign applied.
 	var res, n float64
@@ -341,24 +344,31 @@ func (d *Decoder) Config() Config { return d.cfg }
 // only decode implementation, and its output is byte-identical however the
 // same series is chunked into pushes.
 func (d *Decoder) DecodeCSI(s *csi.Series, start float64, payloadLen int) (*Result, error) {
-	if payloadLen <= 0 {
-		return nil, fmt.Errorf("uplink: payload length must be positive, got %d", payloadLen)
-	}
-	if s.Len() == 0 {
-		return nil, fmt.Errorf("uplink: empty measurement series")
-	}
-	if err := s.CheckShape(); err != nil {
+	sd, err := d.batchStream(s, start, payloadLen, 1, StreamCSI)
+	if err != nil {
 		return nil, err
 	}
-	return d.pushAll(s, start, payloadLen, StreamCSI, false, 0, 0)
+	return sd.pushAll(s)
 }
 
 // DecodeRSSI decodes using only RSSI: the antenna with the best preamble
 // correlation is selected (§3.3) and decoded alone. Like DecodeCSI it is a
 // thin wrapper over the streaming core.
 func (d *Decoder) DecodeRSSI(s *csi.Series, start float64, payloadLen int) (*Result, error) {
-	if payloadLen <= 0 {
-		return nil, fmt.Errorf("uplink: payload length must be positive, got %d", payloadLen)
+	sd, err := d.batchStream(s, start, payloadLen, 1, StreamRSSI)
+	if err != nil {
+		return nil, err
+	}
+	return sd.pushAll(s)
+}
+
+// batchStream validates a whole series for a push-all-then-flush wrapper
+// and opens the stream that will decode it, with chips frame bins per
+// payload bit.
+func (d *Decoder) batchStream(s *csi.Series, start float64, payloadLen, chips int, mode StreamMode) (*StreamDecoder, error) {
+	sd, err := d.newStream(start, payloadLen, chips, mode)
+	if err != nil {
+		return nil, err
 	}
 	if s.Len() == 0 {
 		return nil, fmt.Errorf("uplink: empty measurement series")
@@ -366,119 +376,7 @@ func (d *Decoder) DecodeRSSI(s *csi.Series, start float64, payloadLen int) (*Res
 	if err := s.CheckShape(); err != nil {
 		return nil, err
 	}
-	return d.pushAll(s, start, payloadLen, StreamRSSI, false, 0, 0)
-}
-
-// pushAll drives the streaming core over a whole series: push every
-// measurement, then flush. Push and the batch wrappers share one
-// timestamp contract — non-decreasing, equal timestamps legal — matching
-// what csi.Series.Append documents for the capture side.
-func (d *Decoder) pushAll(s *csi.Series, start float64, payloadLen int, mode StreamMode, single bool, antenna, subchannel int) (*Result, error) {
-	sd, err := d.newStream(start, payloadLen, mode, single, antenna, subchannel)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range s.Measurements {
-		if _, err := sd.Push(m); err != nil {
-			return nil, err
-		}
-	}
-	return sd.Flush()
-}
-
-// combineAndDecide ranks channels by |preamble correlation|, keeps the top
-// G, and decides bits.
-func (d *Decoder) combineAndDecide(stats []channelStats, bins [][]int, payloadLen int) (*Result, error) {
-	//wblint:ignore HP002 the comparator runs once per frame close, not per push; sort.Slice's unstable tie order is pinned by the golden traces
-	sort.Slice(stats, func(i, j int) bool { //wblint:ignore HP001 boxing the slice header is once per frame close, not per push; see the HP002 reason above
-		return math.Abs(stats[i].corr) > math.Abs(stats[j].corr)
-	})
-	g := d.cfg.GoodSubchannels
-	if g > len(stats) {
-		g = len(stats)
-	}
-	d.met.channelsRejected.Add(int64(len(stats) - g))
-	return d.combineSelected(stats[:g], bins, payloadLen)
-}
-
-// combineSelected performs MRC over the selected channels and decodes the
-// payload bits with hysteresis + majority voting.
-func (d *Decoder) combineSelected(sel []channelStats, bins [][]int, payloadLen int) (*Result, error) {
-	if len(sel) == 0 {
-		return nil, fmt.Errorf("uplink: no channels to combine")
-	}
-	d.met.decodes.Inc()
-	d.met.channelsSelected.Add(int64(len(sel)))
-	n := len(sel[0].cond)
-	// Per-measurement MRC: y_t = Σ sign_i · c_i(t) / σ_i².
-	combined := dsp.GetSlice(n)
-	defer dsp.PutSlice(combined)
-	for _, st := range sel {
-		w := st.sign / st.variance
-		for t, v := range st.cond {
-			combined[t] += w * v
-		}
-	}
-	// Hysteresis thresholds from the combined series statistics
-	// (µ ± σ/2, §3.2). The scale estimator is the mean absolute
-	// deviation: for the bimodal ±A series it gives ~A (a dead zone of
-	// ±A/2, as intended), it stays centered between the lobes even for
-	// unbalanced payloads (unlike the median), and heavy-tailed spurious
-	// CSI jumps inflate it only linearly (unlike the standard
-	// deviation).
-	mu := dsp.Mean(combined)
-	sd := dsp.MeanAbsDev(combined)
-	hyst := dsp.NewHysteresis(mu, sd)
-	decisions := dsp.GetSlice(n)
-	defer dsp.PutSlice(decisions)
-	var flips int64
-	prev := 0
-	for t, v := range combined {
-		cur := -1
-		if hyst.Update(v) {
-			cur = 1
-		}
-		decisions[t] = float64(cur)
-		if t > 0 && cur != prev {
-			flips++
-		}
-		prev = cur
-	}
-	d.met.bitsFlipped.Add(flips)
-	// Majority vote per payload bit. Decisions are ±1, so counting the
-	// positive ones in place is exactly dsp.MajorityVote without the
-	// per-bit vote slice.
-	payload := make([]bool, payloadLen)
-	var measured float64
-	var empty int64
-	for b := 0; b < payloadLen; b++ {
-		bin := bins[13+b]
-		if len(bin) == 0 {
-			empty++
-		}
-		pos := 0
-		for _, idx := range bin {
-			if decisions[idx] > 0 {
-				pos++
-			}
-		}
-		payload[b] = pos*2 > len(bin)
-		measured += float64(len(bin))
-	}
-	res := &Result{
-		Payload:             payload,
-		PreambleCorrelation: math.Abs(sel[0].corr),
-		MeasurementsPerBit:  measured / float64(payloadLen),
-		Good:                make([]ChannelID, 0, len(sel)),
-	}
-	d.met.bitsDecoded.Add(int64(payloadLen))
-	d.met.emptyBins.Add(empty)
-	d.met.corr.Observe(res.PreambleCorrelation)
-	d.met.measPerBit.Observe(res.MeasurementsPerBit)
-	for _, st := range sel {
-		res.Good = append(res.Good, st.id)
-	}
-	return res, nil
+	return sd, nil
 }
 
 // Detected reports whether the result's preamble correlation clears the
@@ -504,14 +402,13 @@ func (d *Decoder) NormalizedChannel(s *csi.Series, antenna, subchannel int) ([]f
 // the "Random-Subchannel" baseline of Fig. 11 and the per-sub-channel BER
 // probe of Fig. 5. It too wraps the streaming core.
 func (d *Decoder) DecodeSingleChannel(s *csi.Series, start float64, payloadLen, antenna, subchannel int) (*Result, error) {
-	if payloadLen <= 0 {
-		return nil, fmt.Errorf("uplink: payload length must be positive, got %d", payloadLen)
-	}
-	if err := s.CheckShape(); err != nil {
+	sd, err := d.batchStream(s, start, payloadLen, 1, StreamCSI)
+	if err != nil {
 		return nil, err
 	}
 	if err := s.ValidateCSIChannel(antenna, subchannel); err != nil {
 		return nil, err
 	}
-	return d.pushAll(s, start, payloadLen, StreamCSI, true, antenna, subchannel)
+	sd.single, sd.antenna, sd.subchannel = true, antenna, subchannel
+	return sd.pushAll(s)
 }

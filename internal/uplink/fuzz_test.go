@@ -115,6 +115,13 @@ func FuzzDecodeCSI(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{10, 1, 23, 0}, 128), uint8(3), uint8(30), 0.0, uint8(16))
 	// Alternating zero-antenna and jagged single-antenna rows.
 	f.Add(bytes.Repeat([]byte{10, 1, 23, 0, 10, 1, 23, 1, 120, 80}, 64), uint8(2), uint8(4), 0.0, uint8(8))
+	// One antenna whose every row is cut to zero sub-channels (29 trips the
+	// jagged-column branch, the following 0 sets cols = 0): a well-shaped
+	// series with no CSI channels at all.
+	f.Add(bytes.Repeat([]byte{10, 1, 1, 29, 0, 120}, 128), uint8(0), uint8(4), 0.0, uint8(8))
+	// Two sub-channels, then every other row cut to one: jagged rows that
+	// an unchecked per-channel extraction indexes out of range.
+	f.Add(bytes.Repeat([]byte{10, 1, 1, 1, 120, 80, 90, 10, 1, 1, 29, 1, 80, 90}, 64), uint8(0), uint8(1), 0.0, uint8(8))
 	f.Fuzz(func(t *testing.T, data []byte, antsRaw, subsRaw uint8, start float64, payloadRaw uint8) {
 		ants := 1 + int(antsRaw)%4
 		subs := 1 + int(subsRaw)%32
@@ -124,8 +131,26 @@ func FuzzDecodeCSI(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res, err := d.DecodeCSI(s, start, payloadLen); err == nil && len(res.Payload) != payloadLen {
-			t.Errorf("DecodeCSI returned %d payload bits, want %d", len(res.Payload), payloadLen)
+		csiRes, csiErr := d.DecodeCSI(s, start, payloadLen)
+		if csiErr == nil && len(csiRes.Payload) != payloadLen {
+			t.Errorf("DecodeCSI returned %d payload bits, want %d", len(csiRes.Payload), payloadLen)
+		}
+		for _, v := range allVariants {
+			res, err := d.DecodeVariant(s, start, payloadLen, v)
+			if (res == nil) == (err == nil) {
+				t.Fatalf("DecodeVariant(%v) returned result %v and error %v; want exactly one", v, res, err)
+			}
+			if err == nil && len(res.Payload) != payloadLen {
+				t.Errorf("DecodeVariant(%v) returned %d payload bits, want %d", v, len(res.Payload), payloadLen)
+			}
+			if v != PaperVariant {
+				continue
+			}
+			if (err == nil) != (csiErr == nil) {
+				t.Errorf("paper variant error %v, DecodeCSI error %v", err, csiErr)
+			} else if err == nil && !sameResult(res, csiRes) {
+				t.Errorf("paper variant %+v diverges from DecodeCSI %+v", res, csiRes)
+			}
 		}
 		if res, err := d.DecodeRSSI(s, start, payloadLen); err == nil && len(res.Payload) != payloadLen {
 			t.Errorf("DecodeRSSI returned %d payload bits, want %d", len(res.Payload), payloadLen)

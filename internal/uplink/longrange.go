@@ -3,10 +3,8 @@ package uplink
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/csi"
-	"repro/internal/dsp"
 )
 
 // Long-range decoding (§3.4): at distances where the two channel levels are
@@ -16,6 +14,11 @@ import (
 // the larger correlation. Correlation over L chips buys an SNR gain
 // proportional to L, extending range (Fig. 20); the tag's power draw is
 // unchanged because it still just toggles its switch.
+//
+// It is the streaming pipeline with two stages swapped: channels are
+// scored by code discriminability (codeScore) instead of preamble
+// correlation, and bits are decided by code correlation (decideCodes)
+// instead of combining and voting.
 
 // LongRangeResult is a decoded long-range transmission.
 type LongRangeResult struct {
@@ -31,114 +34,72 @@ type LongRangeResult struct {
 // DecodeLongRange decodes payloadLen bits that were transmitted as chip
 // codes code0/code1 (equal length L) starting at time start. Chips have the
 // decoder's configured BitDuration, and the frame layout is
-// preamble + payloadLen·L chips + postamble.
+// preamble + payloadLen·L chips + postamble. Like DecodeCSI it is a
+// push-all-then-flush wrapper over the streaming core.
 //
 // The decision metric compares |corr(code1)| against |corr(code0)|, which
 // is polarity-free: code orthogonality guarantees the wrong code correlates
 // only with noise regardless of the channel's sign.
 func (d *Decoder) DecodeLongRange(s *csi.Series, start float64, payloadLen int, code0, code1 []float64) (*LongRangeResult, error) {
-	if payloadLen <= 0 {
-		return nil, fmt.Errorf("uplink: payload length must be positive, got %d", payloadLen)
-	}
 	if len(code0) == 0 || len(code0) != len(code1) {
 		return nil, fmt.Errorf("uplink: code lengths must match and be positive (%d, %d)",
 			len(code0), len(code1))
 	}
-	if s.Len() == 0 {
-		return nil, fmt.Errorf("uplink: empty measurement series")
-	}
-	if err := s.CheckShape(); err != nil {
+	sd, err := d.batchStream(s, start, payloadLen, len(code0), StreamCSI)
+	if err != nil {
 		return nil, err
 	}
-	L := len(code0)
-	nChips := 13 + payloadLen*L + 13
-	ts := s.Timestamps()
-	lo, hi := frameRange(ts, start, start+float64(nChips)*d.cfg.BitDuration)
-	if lo == hi {
-		return nil, fmt.Errorf("uplink: no measurements inside the transmission window")
+	sd.code0, sd.code1 = code0, code1
+	res, err := sd.pushAll(s)
+	if err != nil {
+		return nil, err
 	}
-	ts = ts[lo:hi]
-	bins := binByTimestamp(ts, start, d.cfg.BitDuration, nChips)
+	return &LongRangeResult{Payload: res.Payload, Margins: sd.margins, Good: res.Good}, nil
+}
 
-	// Condition every channel and compute per-chip means.
-	type chipChannel struct {
-		id    ChannelID
-		means []float64
-		ok    []bool
-		score float64
-	}
-	// Pooled extraction and conditioning buffers are reused across the
-	// channel scan; only the per-chip means survive the loop.
-	raw := dsp.GetSlice(s.Len())
-	defer func() { dsp.PutSlice(raw) }()
-	cond := dsp.GetSlice(hi - lo)
-	defer dsp.PutSlice(cond)
-	channels := make([]chipChannel, 0, s.Antennas()*s.Subchannels())
-	for a := 0; a < s.Antennas(); a++ {
-		for k := 0; k < s.Subchannels(); k++ {
-			var err error
-			raw, err = s.CSIChannelInto(raw, a, k)
-			if err != nil {
-				return nil, err
-			}
-			dsp.ConditionTwoPassInto(cond, raw[lo:hi], windowSamples(ts, d.cfg.windowFor(nChips)))
-			means, ok := binMeans(cond, bins)
-			channels = append(channels, chipChannel{id: ChannelID{a, k}, means: means, ok: ok})
+// codeCorr correlates a channel's chip means across payload bit b with
+// code.
+func codeCorr(st *channelStats, b int, code []float64) float64 {
+	base := 13 + b*len(code)
+	var sum float64
+	for j, c := range code {
+		if st.ok[base+j] {
+			sum += st.means[base+j] * c
 		}
 	}
+	return sum
+}
 
-	// Per-channel, per-bit code correlations.
-	corr := func(ch *chipChannel, bit int, code []float64) float64 {
-		base := 13 + bit*L
-		var sum float64
-		for j := 0; j < L; j++ {
-			if !ch.ok[base+j] {
-				continue
-			}
-			sum += ch.means[base+j] * code[j]
-		}
-		return sum
+// codeScore is long range's score stage: a channel's total
+// discriminability across bits, so selection "picks the Wi-Fi
+// sub-channels that provide the maximum correlation peaks".
+func (sd *StreamDecoder) codeScore(st *channelStats) float64 {
+	var score float64
+	for b := 0; b < sd.payloadLen; b++ {
+		c1 := math.Abs(codeCorr(st, b, sd.code1))
+		c0 := math.Abs(codeCorr(st, b, sd.code0))
+		score += math.Abs(c1 - c0)
 	}
-	// Score channels by total discriminability across bits, then keep
-	// the top G ("picks the Wi-Fi sub-channels that provide the maximum
-	// correlation peaks").
-	for i := range channels {
-		ch := &channels[i]
-		for b := 0; b < payloadLen; b++ {
-			c1 := math.Abs(corr(ch, b, code1))
-			c0 := math.Abs(corr(ch, b, code0))
-			ch.score += math.Abs(c1 - c0)
-		}
-	}
-	if len(channels) == 0 {
-		return nil, fmt.Errorf("uplink: series has no CSI channels")
-	}
-	sort.Slice(channels, func(i, j int) bool { return channels[i].score > channels[j].score })
-	g := d.cfg.GoodSubchannels
-	if g > len(channels) {
-		g = len(channels)
-	}
-	sel := channels[:g]
+	return score
+}
 
-	res := &LongRangeResult{
-		Payload: make([]bool, payloadLen),
-		Margins: make([]float64, payloadLen),
-	}
-	for _, ch := range sel {
-		res.Good = append(res.Good, ch.id)
-	}
-	for b := 0; b < payloadLen; b++ {
+// decideCodes is long range's decide stage: each bit goes to the code
+// with the larger summed |correlation| over the selected channels.
+func (sd *StreamDecoder) decideCodes(sel []channelStats, bins [][]int) *Result {
+	payload := make([]bool, sd.payloadLen)
+	sd.margins = make([]float64, sd.payloadLen)
+	for b := range payload {
 		var metric, energy float64
 		for i := range sel {
-			c1 := math.Abs(corr(&sel[i], b, code1))
-			c0 := math.Abs(corr(&sel[i], b, code0))
+			c1 := math.Abs(codeCorr(&sel[i], b, sd.code1))
+			c0 := math.Abs(codeCorr(&sel[i], b, sd.code0))
 			metric += c1 - c0
 			energy += c1 + c0
 		}
-		res.Payload[b] = metric > 0
+		payload[b] = metric > 0
 		if energy > 0 {
-			res.Margins[b] = math.Abs(metric) / energy
+			sd.margins[b] = math.Abs(metric) / energy
 		}
 	}
-	return res, nil
+	return sd.result(payload, sel, bins)
 }

@@ -1,9 +1,10 @@
 package uplink
 
-// This file is the incremental streaming core of the decoder. Every batch
-// entry point (DecodeCSI, DecodeRSSI, DecodeSingleChannel) is a thin
-// push-all-then-flush wrapper over StreamDecoder, so there is exactly one
-// decode implementation; see DESIGN.md §10 for the architecture and the
+// This file is the incremental streaming core of the decoder and the one
+// implementation of its pipeline. Every batch entry point — DecodeCSI,
+// DecodeRSSI, DecodeSingleChannel, the DecodeVariant ablations and
+// DecodeLongRange — is a thin push-all-then-flush wrapper over
+// StreamDecoder; see DESIGN.md §10 for the architecture and the
 // equivalence argument.
 //
 // The memory contract: a StreamDecoder buffers only the measurements that
@@ -84,13 +85,23 @@ type StreamDecoder struct {
 	single              bool
 	antenna, subchannel int
 
+	// Stage choices. The zero Variant is the paper's pipeline; the
+	// ablations swap its binning, combining or decision rule. A code pair
+	// swaps the score and decide stages for §3.4 code correlation, whose
+	// decide stage leaves its per-bit margins in margins.
+	v            Variant
+	code0, code1 []float64
+	margins      []float64
+
 	start, end float64
 	payloadLen int
-	nbits      int
+	chips      int // frame bins per payload bit: 1, or the code length
+	nbits      int // frame bins: 13 + payloadLen·chips + 13
 
-	// Shape, learned from the first push.
-	shaped     bool
-	ants, subs int
+	// Shape, learned from the first push. rows is the CSI row count every
+	// push carries: ants, or 0 for an RSSI stream without CSI.
+	shaped           bool
+	ants, subs, rows int
 
 	pushes  int
 	last    float64
@@ -118,7 +129,7 @@ func (d *Decoder) NewStream(start float64, payloadLen int, mode StreamMode) (*St
 	if mode != StreamCSI && mode != StreamRSSI {
 		return nil, fmt.Errorf("uplink: unknown stream mode %d", int(mode))
 	}
-	return d.newStream(start, payloadLen, mode, false, 0, 0)
+	return d.newStream(start, payloadLen, 1, mode)
 }
 
 // NewSingleChannelStream is NewStream restricted to exactly one CSI
@@ -127,18 +138,25 @@ func (d *Decoder) NewSingleChannelStream(start float64, payloadLen, antenna, sub
 	if antenna < 0 || subchannel < 0 {
 		return nil, fmt.Errorf("uplink: stream channel (%d, %d) out of range", antenna, subchannel)
 	}
-	return d.newStream(start, payloadLen, StreamCSI, true, antenna, subchannel)
+	sd, err := d.newStream(start, payloadLen, 1, StreamCSI)
+	if err != nil {
+		return nil, err
+	}
+	sd.single, sd.antenna, sd.subchannel = true, antenna, subchannel
+	return sd, nil
 }
 
-func (d *Decoder) newStream(start float64, payloadLen int, mode StreamMode, single bool, antenna, subchannel int) (*StreamDecoder, error) {
+// newStream sizes the frame: a 13-bit preamble, chips bins per payload
+// bit, and a 13-bit postamble.
+func (d *Decoder) newStream(start float64, payloadLen, chips int, mode StreamMode) (*StreamDecoder, error) {
 	if payloadLen <= 0 {
 		return nil, fmt.Errorf("uplink: payload length must be positive, got %d", payloadLen)
 	}
-	nbits := nFrameBits(payloadLen)
+	nbits := 13 + payloadLen*chips + 13
 	return &StreamDecoder{
-		d: d, mode: mode, single: single, antenna: antenna, subchannel: subchannel,
+		d: d, mode: mode,
 		start: start, end: start + float64(nbits)*d.cfg.BitDuration,
-		payloadLen: payloadLen, nbits: nbits,
+		payloadLen: payloadLen, chips: chips, nbits: nbits,
 	}, nil
 }
 
@@ -189,9 +207,9 @@ func (sd *StreamDecoder) Push(m csi.Measurement) ([]BitDecision, error) {
 	sd.last, sd.hasLast = t, true
 	sd.pushes++
 	sd.d.met.streamPushes.Inc()
-	// In-frame membership mirrors the batch frameRange slice: t in
-	// [start, end). Anything else is dropped after validation, which is
-	// what bounds the arena.
+	// In-frame membership is t in [start, end), the set frameRange
+	// selects from a sorted series. Anything else is dropped after
+	// validation, which is what bounds the arena.
 	if t >= sd.start && t < sd.end {
 		sd.store(m)
 		sd.d.met.streamHighwater.Set(float64(sd.n))
@@ -229,6 +247,19 @@ func (sd *StreamDecoder) Flush() (*Result, error) {
 	return sd.res, nil
 }
 
+// pushAll drives the stream over a whole series: push every measurement,
+// then flush. Push and the batch wrappers share one timestamp contract —
+// non-decreasing, equal timestamps legal — matching what
+// csi.Series.Append documents for the capture side.
+func (sd *StreamDecoder) pushAll(s *csi.Series) (*Result, error) {
+	for _, m := range s.Measurements {
+		if _, err := sd.Push(m); err != nil {
+			return nil, err
+		}
+	}
+	return sd.Flush()
+}
+
 // fail poisons the stream and releases the arena.
 func (sd *StreamDecoder) fail(err error) error {
 	sd.err = err
@@ -237,17 +268,22 @@ func (sd *StreamDecoder) fail(err error) error {
 }
 
 // checkShape validates a measurement against the stream's shape (learned
-// from the first push), so store can never index out of range.
+// from the first push), so store can never index out of range. An RSSI
+// stream learns its antennas from the RSSI entries, so a capture that
+// carries no CSI rows at all decodes the same as one that does.
 func (sd *StreamDecoder) checkShape(m csi.Measurement) error {
 	if !sd.shaped {
-		sd.ants = len(m.CSI)
-		if sd.ants > 0 {
+		sd.ants, sd.rows = len(m.CSI), len(m.CSI)
+		if sd.mode == StreamRSSI && sd.rows == 0 {
+			sd.ants = len(m.RSSI)
+		}
+		if sd.rows > 0 {
 			sd.subs = len(m.CSI[0])
 		}
 	}
-	if len(m.CSI) != sd.ants || len(m.RSSI) != sd.ants {
-		return fmt.Errorf("uplink: push %d has %d CSI rows and %d RSSI entries, want %d of each",
-			sd.pushes, len(m.CSI), len(m.RSSI), sd.ants)
+	if len(m.CSI) != sd.rows || len(m.RSSI) != sd.ants {
+		return fmt.Errorf("uplink: push %d has %d CSI rows and %d RSSI entries, want %d and %d",
+			sd.pushes, len(m.CSI), len(m.RSSI), sd.rows, sd.ants)
 	}
 	for a, row := range m.CSI {
 		if len(row) != sd.subs {
@@ -274,6 +310,18 @@ func (sd *StreamDecoder) nchan() int {
 		return sd.ants
 	default:
 		return sd.ants * sd.subs
+	}
+}
+
+// laneID names channel lane i.
+func (sd *StreamDecoder) laneID(i int) ChannelID {
+	switch {
+	case sd.single:
+		return ChannelID{sd.antenna, sd.subchannel}
+	case sd.mode == StreamRSSI:
+		return ChannelID{i, -1}
+	default:
+		return ChannelID{i / sd.subs, i % sd.subs}
 	}
 }
 
@@ -343,67 +391,34 @@ func (sd *StreamDecoder) release() {
 	sd.n, sd.arena = 0, 0
 }
 
-// decode runs the paper's pipeline over the buffered frame — the single
-// implementation behind every entry point. The numerics and the metric
-// increments are exactly the historical batch decode's: bin by timestamp,
-// impair + condition + score each channel in scan order, select, MRC,
-// hysteresis, vote.
+// decode runs the pipeline over the buffered frame, once per stream. It
+// is the only decode implementation in the package; every entry point
+// reaches it, and it runs the same five stages for all of them:
+//
+//	bin → condition+score each lane → select top-G → combine → decide
+//
+// The stream's stage choices (Variant, code pair) swap the rule inside a
+// stage, never the order of the float operations: the paper variant is
+// DecodeCSI bit for bit, and the golden traces and pinned benchmark
+// digests hold every other entry point to fixed bits.
 func (sd *StreamDecoder) decode(atFlush bool) error {
 	sd.decoded = true
-	d := sd.d
-	ts := sd.ts[:sd.n]
-	bins := binByTimestamp(ts, sd.start, d.cfg.BitDuration, sd.nbits)
+	bins := sd.bin()
+	stats := sd.scoreLanes(bins)
+	sel, err := sd.selectTop(stats)
 	var res *Result
-	var err error
 	switch {
-	case sd.single:
-		id := ChannelID{sd.antenna, sd.subchannel}
-		raw := sd.chans[0][:sd.n]
-		if d.Impair != nil {
-			d.Impair.ImpairChannel(id, ts, raw)
-		}
-		st := analyzeChannel(id, raw, ts, bins, d.cfg)
-		d.met.channelsAnalyzed.Inc()
-		res, err = d.combineSelected([]channelStats{st}, bins, sd.payloadLen)
-		dsp.PutSlice(st.cond)
-	case sd.mode == StreamRSSI:
-		stats := make([]channelStats, 0, sd.ants)
-		for a := 0; a < sd.ants; a++ {
-			raw := sd.chans[a][:sd.n]
-			if d.Impair != nil {
-				d.Impair.ImpairChannel(ChannelID{a, -1}, ts, raw)
-			}
-			stats = append(stats, analyzeChannel(ChannelID{a, -1}, raw, ts, bins, d.cfg))
-			d.met.channelsAnalyzed.Inc()
-		}
-		if len(stats) == 0 {
-			err = fmt.Errorf("uplink: series has no antennas")
-		} else {
-			// RSSI mode uses the single best channel.
-			//wblint:ignore HP002 the comparator runs once per frame close, not per push; sort.Slice's unstable tie order is pinned by the golden traces
-			sort.Slice(stats, func(i, j int) bool { //wblint:ignore HP001 boxing the slice header is once per frame close, not per push; see the HP002 reason above
-				return math.Abs(stats[i].corr) > math.Abs(stats[j].corr)
-			})
-			d.met.channelsRejected.Add(int64(len(stats) - 1))
-			res, err = d.combineSelected(stats[:1], bins, sd.payloadLen)
-		}
-		releaseStats(stats)
+	case err != nil:
+	case sd.code0 != nil:
+		// Code correlation decides from per-chip means; nothing to combine.
+		res = sd.decideCodes(sel, bins)
 	default:
-		stats := make([]channelStats, 0, sd.ants*sd.subs)
-		for a := 0; a < sd.ants; a++ {
-			for k := 0; k < sd.subs; k++ {
-				id := ChannelID{a, k}
-				raw := sd.chans[a*sd.subs+k][:sd.n]
-				if d.Impair != nil {
-					d.Impair.ImpairChannel(id, ts, raw)
-				}
-				stats = append(stats, analyzeChannel(id, raw, ts, bins, d.cfg))
-				d.met.channelsAnalyzed.Inc()
-			}
-		}
-		res, err = d.combineAndDecide(stats, bins, sd.payloadLen)
-		releaseStats(stats)
+		combined := dsp.GetSlice(sd.n)
+		sd.combine(combined, sel)
+		res = sd.decide(combined, sel, bins)
+		dsp.PutSlice(combined)
 	}
+	releaseStats(stats)
 	sd.release()
 	if err != nil {
 		return err
@@ -411,11 +426,174 @@ func (sd *StreamDecoder) decode(atFlush bool) error {
 	sd.res = res
 	sd.emitted = make([]BitDecision, len(res.Payload))
 	for i, bit := range res.Payload {
-		sd.emitted[i] = BitDecision{Index: i, Bit: bit, Measurements: len(bins[13+i])}
+		sd.emitted[i] = BitDecision{Index: i, Bit: bit, Measurements: sd.bitMeasurements(bins, i)}
 	}
-	d.met.streamBitsEmitted.Add(int64(len(sd.emitted)))
+	sd.d.met.streamBitsEmitted.Add(int64(len(sd.emitted)))
 	if atFlush {
-		d.met.streamFlushBits.Add(int64(len(sd.emitted)))
+		sd.d.met.streamFlushBits.Add(int64(len(sd.emitted)))
 	}
 	return nil
+}
+
+// bin is the first stage: it groups the frame's measurements into frame
+// bins by timestamp (§3.2), or by arrival count for the equal-count
+// ablation.
+func (sd *StreamDecoder) bin() [][]int {
+	ts := sd.ts[:sd.n]
+	if sd.v.Binning == BinEqualCount {
+		return binEqualCount(ts, sd.start, sd.d.cfg.BitDuration, sd.nbits)
+	}
+	return binByTimestamp(ts, sd.start, sd.d.cfg.BitDuration, sd.nbits)
+}
+
+// scoreLanes impairs, conditions and scores every channel lane in scan
+// order. The score is the magnitude of the preamble correlation, or for
+// long range the code discriminability.
+func (sd *StreamDecoder) scoreLanes(bins [][]int) []channelStats {
+	d := sd.d
+	ts := sd.ts[:sd.n]
+	stats := make([]channelStats, len(sd.chans))
+	for i, lane := range sd.chans {
+		id := sd.laneID(i)
+		raw := lane[:sd.n]
+		if d.Impair != nil {
+			d.Impair.ImpairChannel(id, ts, raw)
+		}
+		stats[i] = analyzeChannel(id, raw, ts, bins, d.cfg)
+		if sd.code0 != nil {
+			stats[i].score = sd.codeScore(&stats[i])
+		}
+		d.met.channelsAnalyzed.Inc()
+	}
+	return stats
+}
+
+// selectTop ranks the lanes by score, best first, and keeps the top G
+// (§3.2 step 2a): GoodSubchannels of them, or just the best one for RSSI
+// (§3.3), a single-channel stream, and the best-single ablation.
+func (sd *StreamDecoder) selectTop(stats []channelStats) ([]channelStats, error) {
+	if len(stats) == 0 {
+		return nil, fmt.Errorf("uplink: no channels to combine")
+	}
+	//wblint:ignore HP002 the comparator runs once per frame close, not per push; sort.Slice's unstable tie order is pinned by the golden traces
+	sort.Slice(stats, func(i, j int) bool { //wblint:ignore HP001 boxing the slice header is once per frame close, not per push; see the HP002 reason above
+		return stats[i].score > stats[j].score
+	})
+	g := sd.d.cfg.GoodSubchannels
+	if sd.mode == StreamRSSI || sd.v.Combining == CombineBestSingle {
+		g = 1
+	}
+	g = min(g, len(stats))
+	sd.d.met.channelsRejected.Add(int64(len(stats) - g))
+	return stats[:g], nil
+}
+
+// combine adds the selected channels into dst: y_t = Σ w_i·c_i(t), with
+// the MRC weight w_i = sign_i/σ_i² (§3.2 step 2b), or sign_i alone for
+// the equal-gain ablation.
+func (sd *StreamDecoder) combine(dst []float64, sel []channelStats) {
+	for _, st := range sel {
+		w := st.sign / st.variance
+		if sd.v.Combining == CombineEqualGain {
+			w = st.sign
+		}
+		for t, v := range st.cond {
+			dst[t] += w * v
+		}
+	}
+}
+
+// decide turns the combined series into payload bits: hysteresis then a
+// majority vote per bit (§3.2 step 3), a plain majority vote of the
+// combined samples' signs, or the sign of each bit's mean.
+func (sd *StreamDecoder) decide(combined []float64, sel []channelStats, bins [][]int) *Result {
+	mean := sd.v.Decision == DecideBitMean
+	if !mean && sd.v.Decision != DecidePlainVote {
+		sd.hysteresis(combined)
+	}
+	payload := make([]bool, sd.payloadLen)
+	for b := range payload {
+		bin := bins[13+b]
+		if mean {
+			var sum float64
+			for _, idx := range bin {
+				sum += combined[idx]
+			}
+			payload[b] = sum > 0
+			continue
+		}
+		pos := 0
+		for _, idx := range bin {
+			if combined[idx] > 0 {
+				pos++
+			}
+		}
+		payload[b] = pos*2 > len(bin)
+	}
+	return sd.result(payload, sel, bins)
+}
+
+// hysteresis replaces each combined sample with its ±1 comparator
+// decision. The thresholds are µ ± σ/2 of the combined series (§3.2). The
+// scale estimator is the mean absolute deviation: for the bimodal ±A
+// series it gives ~A (a dead zone of ±A/2, as intended), it stays
+// centered between the lobes even for unbalanced payloads (unlike the
+// median), and heavy-tailed spurious CSI jumps inflate it only linearly
+// (unlike the standard deviation).
+func (sd *StreamDecoder) hysteresis(combined []float64) {
+	hyst := dsp.NewHysteresis(dsp.Mean(combined), dsp.MeanAbsDev(combined))
+	var flips int64
+	prev := 0
+	for t, v := range combined {
+		cur := -1
+		if hyst.Update(v) {
+			cur = 1
+		}
+		if t > 0 && cur != prev {
+			flips++
+		}
+		combined[t] = float64(cur)
+		prev = cur
+	}
+	sd.d.met.bitsFlipped.Add(flips)
+}
+
+// result wraps a decided payload in a Result and ticks the per-decode
+// metrics; every decide stage ends here.
+func (sd *StreamDecoder) result(payload []bool, sel []channelStats, bins [][]int) *Result {
+	var measured float64
+	var empty int64
+	for b := range payload {
+		n := sd.bitMeasurements(bins, b)
+		if n == 0 {
+			empty++
+		}
+		measured += float64(n)
+	}
+	res := &Result{
+		Payload:             payload,
+		Good:                make([]ChannelID, 0, len(sel)),
+		PreambleCorrelation: math.Abs(sel[0].corr),
+		MeasurementsPerBit:  measured / float64(len(payload)),
+	}
+	for _, st := range sel {
+		res.Good = append(res.Good, st.id)
+	}
+	m := &sd.d.met
+	m.decodes.Inc()
+	m.channelsSelected.Add(int64(len(sel)))
+	m.bitsDecoded.Add(int64(len(payload)))
+	m.emptyBins.Add(empty)
+	m.corr.Observe(res.PreambleCorrelation)
+	m.measPerBit.Observe(res.MeasurementsPerBit)
+	return res
+}
+
+// bitMeasurements counts the measurements in payload bit b's bins.
+func (sd *StreamDecoder) bitMeasurements(bins [][]int, b int) int {
+	n := 0
+	for _, bin := range bins[13+b*sd.chips : 13+(b+1)*sd.chips] {
+		n += len(bin)
+	}
+	return n
 }
