@@ -1,12 +1,13 @@
 # Development gate for this repository. `make check` is the tier-1+ gate a
 # change must pass before merging: vet, build, the project's own static
 # analyzers (wblint), the full test suite under the race detector (which
-# also exercises the serial-vs-parallel equivalence properties), and a
-# short fuzz smoke over the decoder and message-framing fuzz targets.
+# also exercises the serial-vs-parallel equivalence properties), a short
+# fuzz smoke over the decoder and message-framing fuzz targets, and a
+# one-pass run of the scheduling stress matrix.
 
 GO ?= go
 
-.PHONY: all build vet test lint race fuzz bench bench-stream metrics-golden chaos faults-golden serve chaos-serve check
+.PHONY: all build vet test lint race fuzz bench bench-stream metrics-golden chaos faults-golden serve chaos-serve stress check
 
 all: check
 
@@ -19,9 +20,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# Project-specific static analysis (determinism, pool hygiene, float
-# comparisons, unit discipline). `wblint -json ./...` emits the findings
-# machine-readably; see README "Static gates" for the codes.
+# Project-specific static analysis: determinism, pool hygiene, float
+# comparisons, unit discipline, stream-state bounds and hot-path
+# allocations, each followed across function boundaries where it matters.
+# `wblint -json ./...` emits the findings machine-readably; see README
+# "Static gates" for the codes.
 lint:
 	$(GO) run ./cmd/wblint ./...
 
@@ -86,4 +89,15 @@ chaos-serve:
 	$(GO) test -race -count=1 ./internal/serve/chaosproxy/
 	$(GO) test -race -count=10 -run 'TestChaos' ./cmd/wbload/
 
+# Scheduling stress gate: the serving stack and the eval worker-invariance
+# properties under -race -count=$(STRESS_COUNT) at GOMAXPROCS 1, 2 and 8,
+# with -v off and on. Every run executes; the failures are listed together
+# at the end and fail the target. `make check` runs one pass
+# (STRESS_COUNT=1); run it longer with e.g. `make stress STRESS_COUNT=50`.
+STRESS_COUNT = 10
+
+stress:
+	sh scripts/stress.sh $(STRESS_COUNT) $(GO)
+
 check: vet build lint race fuzz bench-stream metrics-golden chaos faults-golden serve chaos-serve
+	$(MAKE) stress STRESS_COUNT=1

@@ -1,8 +1,8 @@
 // Command wblint runs the project's static-analysis suite (see
-// internal/analysis): the intra-package analyzers (determinism,
-// poolhygiene, floatsafe, unitcheck, streamhygiene) plus the
-// interprocedural module analyzers (taint, poolescape, hotpath), which
-// follow values across every function boundary in the load set. It parses
+// internal/analysis): six analyzers — determinism, poolhygiene, floatsafe,
+// unitcheck, streamhygiene, hotpath — each run once over every package in
+// the load set and the call graph between them, so determinism, pool and
+// hot-path findings follow values across function boundaries. It parses
 // and typechecks packages itself with the standard library, so it works
 // offline with no module dependencies.
 //

@@ -10,15 +10,22 @@
 //   - determinism: seeded trials must be bit-identical across runs and
 //     worker counts, so wall-clock time and unseeded randomness are banned
 //     from everything that feeds a result, and map iteration must never
-//     order user-visible output;
+//     order user-visible output — at the read and through any call chain;
 //   - poolhygiene: scratch buffers from the internal/dsp sync.Pool must be
-//     returned on every control-flow path and never retained past the Put;
+//     returned on every control-flow path and never retained past the Put,
+//     whether acquired here or handed over by a callee;
 //   - floatsafe: DSP decisions ride on conditioned float series, where ==
 //     on two computed values is almost always a latent bug;
 //   - unitcheck: power/gain/frequency/distance quantities must move through
-//     the internal/units API, not raw casts or bare literals.
+//     the internal/units API, not raw casts or bare literals;
+//   - streamhygiene: stream-stage receiver state must not grow unbounded;
+//   - hotpath: everything reachable from the streaming decode roots must
+//     not allocate per call.
 //
-// Each analyzer reports diagnostics with stable codes (DT001, PH002, ...).
+// Every analyzer runs once over a Module: the loaded packages plus their
+// call graph (callgraph.go). Each reports diagnostics with stable codes
+// (DT001, PH002, ...); a DT or PH message names the call chain a finding
+// travelled, or says "0 hops" when source and sink share a function.
 // A finding can be suppressed with an in-source directive that must carry a
 // written reason (see ignore.go); unexplained or unused directives are
 // themselves diagnostics.
@@ -33,7 +40,9 @@ import (
 	"strings"
 )
 
-// Analyzer is one named analysis pass over a typechecked package.
+// Analyzer is one named analysis pass. Every analyzer runs once over the
+// whole module: per-package checks iterate Module.Pkgs, and the
+// interprocedural rules follow facts along Module.Graph.
 type Analyzer struct {
 	// Name identifies the analyzer in output and documentation.
 	Name string
@@ -41,7 +50,7 @@ type Analyzer struct {
 	Doc string
 	// Codes documents every diagnostic code the analyzer can emit.
 	Codes []CodeDoc
-	// Run inspects the package and reports diagnostics through the pass.
+	// Run inspects the module and reports diagnostics through the pass.
 	Run func(*Pass)
 }
 
@@ -65,14 +74,11 @@ func (d Diagnostic) String() string {
 		d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Code, d.Message, d.Analyzer)
 }
 
-// Pass carries one package through one analyzer.
+// Pass carries the module through one analyzer.
 type Pass struct {
 	Analyzer *Analyzer
 	Config   *Config
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
+	Module   *Module
 
 	diags *[]Diagnostic
 }
@@ -82,7 +88,7 @@ func (p *Pass) Reportf(pos token.Pos, code, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Code:     code,
-		Pos:      p.Fset.Position(pos),
+		Pos:      p.Module.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -103,11 +109,11 @@ type Config struct {
 	// FloatScope lists package-path prefixes where floatsafe applies (the
 	// DSP/decoder/eval code operating on measurement series).
 	FloatScope []string
-	// StreamScope lists package paths where streamhygiene applies (the
-	// stream-stage packages whose per-push state must stay bounded).
+	// StreamScope lists package-path prefixes where streamhygiene applies
+	// (the stream-stage packages whose per-push state must stay bounded).
 	StreamScope []string
-	// RngRootDeny lists packages forbidden from minting rng root streams
-	// (rng.New, rng.TrialStream). These packages must be handed a
+	// RngRootDeny lists package-path prefixes forbidden from minting rng
+	// root streams (rng.New, rng.TrialStream). These packages must be handed a
 	// *rng.Stream by the composition root — core derives the fault
 	// injector's stream from TrialSeed(seed, salt) so it can never collide
 	// with or perturb the draws other subsystems consume; a locally minted
@@ -190,14 +196,15 @@ func DefaultConfig() *Config {
 	}
 }
 
-// inFloatScope reports whether floatsafe applies to a package path.
-// Fixture packages (under a testdata directory) are always in scope so the
-// analyzers can be exercised by tests.
-func (c *Config) inFloatScope(pkgPath string) bool {
+// inScope reports whether a package path falls under one of the scope
+// prefixes (FloatScope, StreamScope, RngRootDeny). Fixture packages (under
+// a testdata directory) are always in scope so the analyzers can be
+// exercised by tests.
+func inScope(pkgPath string, scope []string) bool {
 	if strings.Contains(pkgPath, "/testdata/") {
 		return true
 	}
-	for _, p := range c.FloatScope {
+	for _, p := range scope {
 		if pkgPath == p || strings.HasPrefix(pkgPath, p+"/") {
 			return true
 		}
@@ -205,37 +212,7 @@ func (c *Config) inFloatScope(pkgPath string) bool {
 	return false
 }
 
-// inStreamScope reports whether streamhygiene applies to a package path.
-// Fixture packages (under a testdata directory) are always in scope so the
-// analyzer can be exercised by tests, mirroring inFloatScope.
-func (c *Config) inStreamScope(pkgPath string) bool {
-	if strings.Contains(pkgPath, "/testdata/") {
-		return true
-	}
-	for _, p := range c.StreamScope {
-		if pkgPath == p || strings.HasPrefix(pkgPath, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-// rngRootDenied reports whether DT004 applies to a package path. Fixture
-// packages (under a testdata directory) are always denied so the check can
-// be exercised by tests, mirroring inFloatScope.
-func (c *Config) rngRootDenied(pkgPath string) bool {
-	if strings.Contains(pkgPath, "/testdata/") {
-		return true
-	}
-	for _, p := range c.RngRootDeny {
-		if pkgPath == p {
-			return true
-		}
-	}
-	return false
-}
-
-// Analyzers returns the intra-package suite in stable order.
+// Analyzers returns the suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
@@ -243,16 +220,6 @@ func Analyzers() []*Analyzer {
 		FloatSafeAnalyzer,
 		UnitCheckAnalyzer,
 		StreamHygieneAnalyzer,
-	}
-}
-
-// ModuleAnalyzers returns the interprocedural suite in stable order. These
-// run once over the whole module (see callgraph.go) after the per-package
-// analyzers.
-func ModuleAnalyzers() []*ModuleAnalyzer {
-	return []*ModuleAnalyzer{
-		TaintAnalyzer,
-		PoolEscapeAnalyzer,
 		HotPathAnalyzer,
 	}
 }
@@ -264,17 +231,12 @@ type CatalogEntry struct {
 	Analyzer string
 }
 
-// Catalog returns every diagnostic code the suite can emit — intra-package
-// analyzers, module analyzers, and the directive checker — sorted by code.
+// Catalog returns every diagnostic code the suite can emit — the analyzers
+// and the directive checker — sorted by code.
 // cmd/wblint prints it for -codes, and tests hold the README against it.
 func Catalog() []CatalogEntry {
 	var out []CatalogEntry
 	for _, a := range Analyzers() {
-		for _, c := range a.Codes {
-			out = append(out, CatalogEntry{c.Code, c.Summary, a.Name})
-		}
-	}
-	for _, a := range ModuleAnalyzers() {
 		for _, c := range a.Codes {
 			out = append(out, CatalogEntry{c.Code, c.Summary, a.Name})
 		}
@@ -287,39 +249,24 @@ func Catalog() []CatalogEntry {
 	return out
 }
 
-// RunAnalyzers applies every analyzer in the list to pkg and returns the
-// raw (unsuppressed) diagnostics in source order.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
+// RunAnalyzers applies every analyzer in the list to m and returns the raw
+// (unsuppressed) diagnostics in source order.
+func RunAnalyzers(m *Module, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			Config:   cfg,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			diags:    &diags,
-		}
-		a.Run(pass)
+		a.Run(&Pass{Analyzer: a, Config: m.Config, Module: m, diags: &diags})
 	}
 	SortDiagnostics(diags)
 	return diags
 }
 
-// Check loads and analyzes pkg directories, applies the suppression
-// directives, and returns the surviving diagnostics in source order. It is
-// the one-call entry point used by cmd/wblint and the repo-clean test.
-//
-// The run has two layers: every package goes through the intra-package
-// analyzers on its own, then the loaded packages together form a Module
-// (call graph + summaries) for the interprocedural analyzers. Suppression
-// directives apply uniformly to both layers.
+// Check loads pkg directories, builds the Module (call graph included) once,
+// runs the suite over it, applies the suppression directives, and returns
+// the surviving diagnostics in source order. It is the one-call entry point
+// used by cmd/wblint and the repo-clean test.
 func Check(l *Loader, dirs []string, cfg *Config) ([]Diagnostic, error) {
-	var raw []Diagnostic
 	var pkgs []*Package
 	seen := map[string]bool{}
-	analyzers := Analyzers()
 	for _, dir := range dirs {
 		pkg, err := l.LoadDir(dir)
 		if err != nil {
@@ -330,11 +277,8 @@ func Check(l *Loader, dirs []string, cfg *Config) ([]Diagnostic, error) {
 		}
 		seen[pkg.Path] = true
 		pkgs = append(pkgs, pkg)
-		raw = append(raw, RunAnalyzers(pkg, analyzers, cfg)...)
 	}
-	m := NewModule(pkgs, cfg)
-	raw = append(raw, RunModuleAnalyzers(m, ModuleAnalyzers())...)
-	diags := applyIgnores(pkgs, raw)
+	diags := applyIgnores(pkgs, RunAnalyzers(NewModule(pkgs, cfg), Analyzers()))
 	SortDiagnostics(diags)
 	return diags, nil
 }
@@ -357,22 +301,6 @@ func SortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// funcKey names a function the way Config.WallClockAllow keys it:
-// "pkgpath.Func" for functions, "pkgpath.Recv.Func" for methods (pointer
-// receivers use the element type name).
-func funcKey(pkgPath string, decl *ast.FuncDecl) string {
-	if decl.Recv != nil && len(decl.Recv.List) == 1 {
-		t := decl.Recv.List[0].Type
-		if star, ok := t.(*ast.StarExpr); ok {
-			t = star.X
-		}
-		if id, ok := t.(*ast.Ident); ok {
-			return pkgPath + "." + id.Name + "." + decl.Name.Name
-		}
-	}
-	return pkgPath + "." + decl.Name.Name
-}
-
 // calleeFunc resolves the called function object of a call expression, or
 // nil when the callee is not a statically known *types.Func (interface
 // method values still resolve; dynamic calls of function variables do not).
@@ -388,4 +316,23 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
+}
+
+// objOf resolves an identifier to the object it defines or uses.
+func objOf(info *types.Info, id *ast.Ident) types.Object {
+	if o := info.Uses[id]; o != nil {
+		return o
+	}
+	return info.Defs[id]
+}
+
+// isBuiltinCall reports whether call invokes the named builtin (append,
+// len, ...), not a user function that shadows the name.
+func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, isB := info.Uses[id].(*types.Builtin)
+	return isB
 }

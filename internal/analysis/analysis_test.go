@@ -101,87 +101,100 @@ func matchWants(t *testing.T, fixture string, pkg *Package, diags []Diagnostic) 
 	}
 }
 
-// checkFixture runs intra-package analyzers over a fixture and matches
-// diagnostics against its want comments.
-func checkFixture(t *testing.T, fixture string, analyzers []*Analyzer) {
+// fixtureModule typechecks one fixture as a one-package module (the
+// fixture's call graph is self-contained).
+func fixtureModule(t *testing.T, fixture string) (*Package, *Module) {
 	t.Helper()
 	pkg := loadFixture(t, fixture)
-	matchWants(t, fixture, pkg, RunAnalyzers(pkg, analyzers, DefaultConfig()))
+	return pkg, NewModule([]*Package{pkg}, DefaultConfig())
 }
 
-// checkModuleFixture runs interprocedural analyzers over a fixture treated
-// as a one-package module (the fixture's call graph is self-contained).
-func checkModuleFixture(t *testing.T, fixture string, analyzers []*ModuleAnalyzer) {
+// checkFixture runs analyzers over a fixture and matches diagnostics
+// against its want comments.
+func checkFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 	t.Helper()
-	pkg := loadFixture(t, fixture)
-	m := NewModule([]*Package{pkg}, DefaultConfig())
-	matchWants(t, fixture, pkg, RunModuleAnalyzers(m, analyzers))
+	pkg, m := fixtureModule(t, fixture)
+	matchWants(t, fixture, pkg, RunAnalyzers(m, analyzers))
 }
 
 func TestDeterminismFixture(t *testing.T) {
-	checkFixture(t, "determinism", []*Analyzer{DeterminismAnalyzer})
+	checkFixture(t, "determinism", DeterminismAnalyzer)
 }
 
 func TestPoolHygieneFixture(t *testing.T) {
-	checkFixture(t, "poolhygiene", []*Analyzer{PoolHygieneAnalyzer})
+	checkFixture(t, "poolhygiene", PoolHygieneAnalyzer)
 }
 
 func TestFloatSafeFixture(t *testing.T) {
-	checkFixture(t, "floatsafe", []*Analyzer{FloatSafeAnalyzer})
+	checkFixture(t, "floatsafe", FloatSafeAnalyzer)
 }
 
 func TestUnitCheckFixture(t *testing.T) {
-	checkFixture(t, "unitcheck", []*Analyzer{UnitCheckAnalyzer})
+	checkFixture(t, "unitcheck", UnitCheckAnalyzer)
 }
 
 func TestStreamHygieneFixture(t *testing.T) {
-	checkFixture(t, "streamhygiene", []*Analyzer{StreamHygieneAnalyzer})
+	checkFixture(t, "streamhygiene", StreamHygieneAnalyzer)
 }
 
 func TestTaintFixture(t *testing.T) {
-	checkModuleFixture(t, "taint", []*ModuleAnalyzer{TaintAnalyzer})
+	checkFixture(t, "taint", DeterminismAnalyzer)
 }
 
 func TestPoolEscapeFixture(t *testing.T) {
-	checkModuleFixture(t, "poolescape", []*ModuleAnalyzer{PoolEscapeAnalyzer})
+	checkFixture(t, "poolescape", PoolHygieneAnalyzer)
 }
 
 func TestHotPathFixture(t *testing.T) {
-	checkModuleFixture(t, "hotpath", []*ModuleAnalyzer{HotPathAnalyzer})
+	checkFixture(t, "hotpath", HotPathAnalyzer)
 }
 
-// TestMultiHopBeyondIntraprocedural pins the acceptance property of the
-// interprocedural layer: the taint and hotpath fixtures contain violations
-// whose sink is two calls from the source, reported by the module
-// analyzers and invisible to the whole intra-package suite.
-func TestMultiHopBeyondIntraprocedural(t *testing.T) {
+// TestHopCounts pins how the DT and PH rules split by distance from the
+// source: the direct case carries its 0-hop code and says "0 hops", the
+// chained case carries the interprocedural code and names its call chain,
+// and no line carries both.
+func TestHopCounts(t *testing.T) {
 	cases := []struct {
 		fixture string
-		code    string
-		chain   string // a two-hop chain the diagnostic message must name
+		direct  string // code of the 0-hop finding
+		chained string // code of the multi-hop finding
+		chain   string // a chain some chained finding must name
 	}{
-		{"taint", "DT005", "deriveSeed → clockSeed → time.Now"},
-		{"hotpath", "HP003", "process → stage1 → stage2"},
+		{"taint", "DT001", "DT005", "deriveSeed → clockSeed → time.Now"},
+		{"taint", "DT003", "DT007", "unsortedKeys → map range"},
+		{"poolescape", "PH003", "PH004", "wrap → alloc → dsp.GetSlice"},
+		{"poolescape", "PH003", "PH005", "alloc → dsp.GetSlice"},
+		{"hotpath", "", "HP003", "process → stage1 → stage2"},
 	}
 	for _, tc := range cases {
-		pkg := loadFixture(t, tc.fixture)
-		m := NewModule([]*Package{pkg}, DefaultConfig())
-		inter := RunModuleAnalyzers(m, ModuleAnalyzers())
-		var hit *Diagnostic
-		for i, d := range inter {
-			if d.Code == tc.code && strings.Contains(d.Message, tc.chain) {
-				hit = &inter[i]
-				break
+		_, m := fixtureModule(t, tc.fixture)
+		diags := RunAnalyzers(m, Analyzers())
+		codesAt := map[int]map[string]bool{}
+		var direct, chained bool
+		for _, d := range diags {
+			if codesAt[d.Pos.Line] == nil {
+				codesAt[d.Pos.Line] = map[string]bool{}
+			}
+			codesAt[d.Pos.Line][d.Code] = true
+			switch {
+			case d.Code == tc.direct:
+				direct = true
+				if !strings.Contains(d.Message, "0 hops") {
+					t.Errorf("%s: %s does not say 0 hops: %v", tc.fixture, d.Code, d)
+				}
+			case d.Code == tc.chained && strings.Contains(d.Message, tc.chain):
+				chained = true
 			}
 		}
-		if hit == nil {
-			t.Errorf("fixture %s: no %s naming the chain %q (got %v)", tc.fixture, tc.code, tc.chain, inter)
-			continue
+		if tc.direct != "" && !direct {
+			t.Errorf("%s: no %s finding", tc.fixture, tc.direct)
 		}
-		for _, d := range RunAnalyzers(pkg, Analyzers(), DefaultConfig()) {
-			if d.Pos.Filename == hit.Pos.Filename && d.Pos.Line == hit.Pos.Line {
-				t.Errorf("fixture %s: intra-procedural %s on the multi-hop line %d — the case is not beyond the old suite",
-					tc.fixture, d.Code, d.Pos.Line)
+		if !chained {
+			t.Errorf("%s: no %s naming the chain %q (got %v)", tc.fixture, tc.chained, tc.chain, diags)
+		}
+		for line, codes := range codesAt {
+			if codes[tc.direct] && codes[tc.chained] {
+				t.Errorf("%s:%d carries both %s and %s", tc.fixture, line, tc.direct, tc.chained)
 			}
 		}
 	}
@@ -212,11 +225,11 @@ func TestBuildConstraints(t *testing.T) {
 func TestAnalyzerDisabledWouldFail(t *testing.T) {
 	for _, fixture := range []string{"determinism", "poolhygiene", "floatsafe", "unitcheck", "streamhygiene",
 		"taint", "poolescape", "hotpath"} {
-		pkg := loadFixture(t, fixture)
+		pkg, m := fixtureModule(t, fixture)
 		if n := len(fixtureWants(pkg)); n == 0 {
 			t.Errorf("fixture %s has no want comments; a disabled analyzer would go unnoticed", fixture)
 		}
-		if diags := RunAnalyzers(pkg, nil, DefaultConfig()); len(diags) != 0 {
+		if diags := RunAnalyzers(m, nil); len(diags) != 0 {
 			t.Errorf("fixture %s: no analyzers should mean no diagnostics", fixture)
 		}
 	}
@@ -226,8 +239,8 @@ func TestAnalyzerDisabledWouldFail(t *testing.T) {
 // fixture: explained directives suppress, bare ones earn IG001 without
 // suppressing, stale ones earn IG002, and file-ignore covers a whole file.
 func TestIgnoreDirectives(t *testing.T) {
-	pkg := loadFixture(t, "ignore")
-	diags := ApplyIgnores(pkg, RunAnalyzers(pkg, []*Analyzer{DeterminismAnalyzer}, DefaultConfig()))
+	pkg, m := fixtureModule(t, "ignore")
+	diags := applyIgnores([]*Package{pkg}, RunAnalyzers(m, []*Analyzer{DeterminismAnalyzer}))
 
 	counts := map[string]int{}
 	for _, d := range diags {
@@ -256,8 +269,8 @@ func TestIgnoreDirectives(t *testing.T) {
 // TestSuppressionRange pins the directive's reach: its own line and the
 // line below, not further.
 func TestSuppressionRange(t *testing.T) {
-	pkg := loadFixture(t, "ignore")
-	raw := RunAnalyzers(pkg, []*Analyzer{DeterminismAnalyzer}, DefaultConfig())
+	pkg, m := fixtureModule(t, "ignore")
+	raw := RunAnalyzers(m, []*Analyzer{DeterminismAnalyzer})
 	// The fixture's suppressed() function places the directive on the line
 	// above its time.Now: that finding must be absent after filtering.
 	var suppressedLine int
@@ -273,7 +286,7 @@ func TestSuppressionRange(t *testing.T) {
 	if suppressedLine == 0 {
 		t.Fatal("fixture directive not found")
 	}
-	for _, d := range ApplyIgnores(pkg, raw) {
+	for _, d := range applyIgnores([]*Package{pkg}, raw) {
 		if d.Code == "DT001" && d.Pos.Line == suppressedLine+1 {
 			t.Errorf("directive on line %d failed to suppress %v", suppressedLine, d)
 		}
@@ -282,8 +295,8 @@ func TestSuppressionRange(t *testing.T) {
 
 // TestDiagnosticOrder pins the stable sort the -json contract relies on.
 func TestDiagnosticOrder(t *testing.T) {
-	pkg := loadFixture(t, "determinism")
-	diags := RunAnalyzers(pkg, Analyzers(), DefaultConfig())
+	_, m := fixtureModule(t, "determinism")
+	diags := RunAnalyzers(m, Analyzers())
 	for i := 1; i < len(diags); i++ {
 		a, b := diags[i-1], diags[i]
 		if a.Pos.Filename > b.Pos.Filename ||

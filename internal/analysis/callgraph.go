@@ -9,7 +9,7 @@ import (
 )
 
 // This file builds the module-wide static call graph the interprocedural
-// analyzers (taint, poolescape, hotpath) run on. The graph is assembled
+// rules (determinism, poolhygiene, hotpath) run on. The graph is assembled
 // from every package handed to NewModule — for a `wblint ./...` run that is
 // the whole module — and resolves three kinds of call sites:
 //
@@ -28,8 +28,8 @@ import (
 // function: for the invariants wblint protects (what a call chain can
 // reach), a closure's body is part of its creator.
 
-// Module is the whole-module view the interprocedural analyzers operate on:
-// every loaded package plus the call graph over their declared functions.
+// Module is the view every analyzer operates on: every loaded package plus
+// the call graph over their declared functions.
 type Module struct {
 	Fset   *token.FileSet
 	Pkgs   []*Package
@@ -84,8 +84,7 @@ func NewModule(pkgs []*Package, cfg *Config) *Module {
 
 // FuncKey names a function the way wblint's config keys it:
 // "pkgpath.Func" for functions, "pkgpath.Recv.Func" for methods (pointer
-// receivers use the element type name). It is the *types.Func counterpart
-// of funcKey (which works on the AST declaration).
+// receivers use the element type name).
 func FuncKey(fn *types.Func) string {
 	if fn.Pkg() == nil {
 		return fn.Name()
@@ -120,6 +119,34 @@ func FuncDisplay(fn *types.Func, from *types.Package) string {
 		return fn.Pkg().Name() + "." + fn.Name()
 	}
 	return fn.Name()
+}
+
+// The interprocedural rules follow a bottom-up summary discipline: a local
+// pass computes, for each function, a small fact about its boundary
+// behavior (does its return value carry wall-clock taint? does it hand out
+// a pooled buffer?), and Fixpoint propagates those facts along the call
+// graph until they stabilize — which handles recursion and mutual
+// recursion without special cases. Diagnostics are only emitted in a second
+// pass, once every summary is final, so a finding can name the whole chain
+// it travelled ("deriveSeed → clockSeed → time.Now").
+
+// Fixpoint applies step to every call-graph node, in deterministic order,
+// repeatedly until a full sweep reports no change. step returns true when
+// it changed the summary it maintains for the node. The iteration count is
+// bounded by (lattice height × nodes); the summaries are small bit
+// vectors, so a handful of sweeps settles the whole module.
+func (m *Module) Fixpoint(step func(*CallNode) bool) {
+	for {
+		changed := false
+		m.Graph.ForEachNode(func(n *CallNode) {
+			if step(n) {
+				changed = true
+			}
+		})
+		if !changed {
+			return
+		}
+	}
 }
 
 // NodeByKey finds a node by its FuncKey, or nil.

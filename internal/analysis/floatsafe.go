@@ -27,39 +27,41 @@ var FloatSafeAnalyzer = &Analyzer{
 }
 
 func runFloatSafe(p *Pass) {
-	if !p.Config.inFloatScope(p.Pkg.Path()) {
-		return
-	}
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			bin, ok := n.(*ast.BinaryExpr)
-			if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
+	for _, pkg := range p.Module.Pkgs {
+		if !inScope(pkg.Path, p.Config.FloatScope) {
+			continue
+		}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				bin, ok := n.(*ast.BinaryExpr)
+				if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
+					return true
+				}
+				if !isFloat(pkg.Info, bin.X) || !isFloat(pkg.Info, bin.Y) {
+					return true
+				}
+				xc, yc := constKind(pkg.Info, bin.X), constKind(pkg.Info, bin.Y)
+				switch {
+				case xc == constZero || yc == constZero:
+					// Exact-zero guard (division guards, degenerate-input
+					// checks): allowed.
+				case xc == constNonZero || yc == constNonZero:
+					p.Reportf(bin.Pos(), "FS002",
+						"exact %s against a float constant; compare with dsp.ApproxEqual and a stated tolerance", bin.Op)
+				default:
+					p.Reportf(bin.Pos(), "FS001",
+						"exact %s between computed float values; use dsp.ApproxEqual (or compare a quantized representation)", bin.Op)
+				}
 				return true
-			}
-			if !p.isFloat(bin.X) || !p.isFloat(bin.Y) {
-				return true
-			}
-			xc, yc := p.constKind(bin.X), p.constKind(bin.Y)
-			switch {
-			case xc == constZero || yc == constZero:
-				// Exact-zero guard (division guards, degenerate-input
-				// checks): allowed.
-			case xc == constNonZero || yc == constNonZero:
-				p.Reportf(bin.Pos(), "FS002",
-					"exact %s against a float constant; compare with dsp.ApproxEqual and a stated tolerance", bin.Op)
-			default:
-				p.Reportf(bin.Pos(), "FS001",
-					"exact %s between computed float values; use dsp.ApproxEqual (or compare a quantized representation)", bin.Op)
-			}
-			return true
-		})
+			})
+		}
 	}
 }
 
 // isFloat reports whether the expression has floating-point (or complex)
 // type.
-func (p *Pass) isFloat(e ast.Expr) bool {
-	tv, ok := p.Info.Types[e]
+func isFloat(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -77,8 +79,8 @@ const (
 
 // constKind classifies an operand as the constant zero, another constant,
 // or a computed value.
-func (p *Pass) constKind(e ast.Expr) constClass {
-	tv, ok := p.Info.Types[e]
+func constKind(info *types.Info, e ast.Expr) constClass {
+	tv, ok := info.Types[e]
 	if !ok || tv.Value == nil {
 		return constNone
 	}

@@ -31,7 +31,7 @@ import (
 //
 // Every diagnostic names the call chain from the root, so a violation two
 // calls below Push reads as "Push → decode → binByTimestamp".
-var HotPathAnalyzer = &ModuleAnalyzer{
+var HotPathAnalyzer = &Analyzer{
 	Name: "hotpath",
 	Doc:  "functions reachable from the streaming decode roots must not allocate per call",
 	Codes: []CodeDoc{
@@ -46,7 +46,7 @@ var HotPathAnalyzer = &ModuleAnalyzer{
 // packages (and fixtures) outside the configured root list.
 const hotPathRootDirective = "//wblint:hotpath-root"
 
-func runHotPath(p *ModulePass) {
+func runHotPath(p *Pass) {
 	roots := hotPathRoots(p)
 	if len(roots) == 0 {
 		return
@@ -64,7 +64,7 @@ func runHotPath(p *ModulePass) {
 
 // hotPathRoots resolves the configured root keys plus in-source
 // //wblint:hotpath-root directives.
-func hotPathRoots(p *ModulePass) []*types.Func {
+func hotPathRoots(p *Pass) []*types.Func {
 	var roots []*types.Func
 	seen := map[*types.Func]bool{}
 	add := func(fn *types.Func) {
@@ -92,7 +92,7 @@ func hotPathRoots(p *ModulePass) []*types.Func {
 }
 
 // hotScanFunc checks one reached function's body.
-func hotScanFunc(p *ModulePass, node *CallNode, chain string) {
+func hotScanFunc(p *Pass, node *CallNode, chain string) {
 	loops := loopRanges(node.Decl.Body)
 
 	// Literals that are exempt from HP002: immediately invoked, or the
@@ -128,7 +128,7 @@ func hotScanFunc(p *ModulePass, node *CallNode, chain string) {
 
 // hotCheckBoxing flags concrete non-pointer arguments passed to
 // interface-typed parameters.
-func hotCheckBoxing(p *ModulePass, node *CallNode, call *ast.CallExpr, chain string) {
+func hotCheckBoxing(p *Pass, node *CallNode, call *ast.CallExpr, chain string) {
 	info := node.Pkg.Info
 	fn := calleeFunc(info, call)
 	if fn == nil || p.Config.HotPathBoxAllow[fn.FullName()] {
@@ -184,23 +184,13 @@ func hotCheckBoxing(p *ModulePass, node *CallNode, call *ast.CallExpr, chain str
 
 // hotCheckAppend flags x = append(x, ...) inside a loop when the function
 // never visibly establishes capacity for x.
-func hotCheckAppend(p *ModulePass, node *CallNode, assign *ast.AssignStmt, loops []posRange, chain string) {
+func hotCheckAppend(p *Pass, node *CallNode, assign *ast.AssignStmt, loops []posRange, chain string) {
 	if len(assign.Lhs) != len(assign.Rhs) {
 		return
 	}
 	for i, rhs := range assign.Rhs {
 		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || id.Name != "append" {
-			continue
-		}
-		if _, isB := node.Pkg.Info.Uses[id].(*types.Builtin); !isB {
-			continue
-		}
-		if len(call.Args) == 0 {
+		if !ok || !isBuiltinCall(node.Pkg.Info, call, "append") || len(call.Args) == 0 {
 			continue
 		}
 		path := exprPath(assign.Lhs[i])

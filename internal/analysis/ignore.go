@@ -68,20 +68,12 @@ func parseIgnores(fset *token.FileSet, file *ast.File) []*ignoreDirective {
 	return dirs
 }
 
-// ApplyIgnores filters diags through the suppression directives of pkg,
+// applyIgnores filters diags through the suppression directives of pkgs,
 // returning the surviving diagnostics plus any directive-hygiene findings
 // (missing reason, unused directive). Directive-hygiene findings cannot be
-// suppressed.
-func ApplyIgnores(pkg *Package, diags []Diagnostic) []Diagnostic {
-	return applyIgnores([]*Package{pkg}, diags)
-}
-
-// applyIgnores is ApplyIgnores over a set of packages: one directive pool,
-// one pass. Directive matching is filename-scoped and every file belongs to
-// exactly one package, so the result is identical to applying each
-// package's directives separately — except that module-wide diagnostics
-// (taint, poolescape, hotpath), which can land in any package, are also
-// covered, and directives suppressing only those do not read as stale.
+// suppressed. Directive matching is filename-scoped, so one directive pool
+// serves every package — and interprocedural findings, which can land in
+// any package, are covered like any other.
 func applyIgnores(pkgs []*Package, diags []Diagnostic) []Diagnostic {
 	var dirs []*ignoreDirective
 	for _, pkg := range pkgs {

@@ -29,51 +29,51 @@ var StreamHygieneAnalyzer = &Analyzer{
 }
 
 func runStreamHygiene(p *Pass) {
-	if !p.Config.inStreamScope(p.Pkg.Path()) {
-		return
-	}
-	for _, file := range p.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || fn.Recv == nil || len(fn.Recv.List) != 1 {
-				continue
+	for _, pkg := range p.Module.Pkgs {
+		if !inScope(pkg.Path, p.Config.StreamScope) {
+			continue
+		}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil || fn.Recv == nil || len(fn.Recv.List) != 1 {
+					continue
+				}
+				if recv := recvVar(pkg.Info, fn); recv != nil {
+					checkStreamFunc(p, pkg.Info, fn, recv)
+				}
 			}
-			recv := recvVar(p, fn)
-			if recv == nil {
-				continue
-			}
-			checkStreamFunc(p, fn, recv)
 		}
 	}
 }
 
 // recvVar resolves the method's receiver variable, or nil when unnamed.
-func recvVar(p *Pass, fn *ast.FuncDecl) *types.Var {
+func recvVar(info *types.Info, fn *ast.FuncDecl) *types.Var {
 	names := fn.Recv.List[0].Names
 	if len(names) != 1 {
 		return nil
 	}
-	v, _ := p.Info.Defs[names[0]].(*types.Var)
+	v, _ := info.Defs[names[0]].(*types.Var)
 	return v
 }
 
 // checkStreamFunc flags every `recv.f = append(recv.f, ...)` in the body.
-func checkStreamFunc(p *Pass, fn *ast.FuncDecl, recv *types.Var) {
+func checkStreamFunc(p *Pass, info *types.Info, fn *ast.FuncDecl, recv *types.Var) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
 		if !ok || len(assign.Lhs) != len(assign.Rhs) {
 			return true
 		}
 		for i, lhs := range assign.Lhs {
-			field := receiverField(p, lhs, recv)
+			field := receiverField(info, lhs, recv)
 			if field == nil {
 				continue
 			}
 			call, ok := ast.Unparen(assign.Rhs[i]).(*ast.CallExpr)
-			if !ok || !isBuiltinAppend(p, call) || len(call.Args) == 0 {
+			if !ok || !isBuiltinCall(info, call, "append") || len(call.Args) == 0 {
 				continue
 			}
-			if receiverField(p, call.Args[0], recv) != field {
+			if receiverField(info, call.Args[0], recv) != field {
 				continue // rebinding from elsewhere, not self-accumulation
 			}
 			p.Reportf(assign.Pos(), "SH001",
@@ -85,28 +85,18 @@ func checkStreamFunc(p *Pass, fn *ast.FuncDecl, recv *types.Var) {
 }
 
 // receiverField returns the field object when expr is `recv.f`, else nil.
-func receiverField(p *Pass, expr ast.Expr, recv *types.Var) *types.Var {
+func receiverField(info *types.Info, expr ast.Expr, recv *types.Var) *types.Var {
 	sel, ok := ast.Unparen(expr).(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
 	base, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok || p.Info.Uses[base] != types.Object(recv) {
+	if !ok || info.Uses[base] != types.Object(recv) {
 		return nil
 	}
-	field, _ := p.Info.Uses[sel.Sel].(*types.Var)
+	field, _ := info.Uses[sel.Sel].(*types.Var)
 	if field == nil || !field.IsField() {
 		return nil
 	}
 	return field
-}
-
-// isBuiltinAppend reports whether call invokes the append builtin.
-func isBuiltinAppend(p *Pass, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isBuiltin := p.Info.Uses[id].(*types.Builtin)
-	return isBuiltin && id.Name == "append"
 }

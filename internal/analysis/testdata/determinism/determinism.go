@@ -70,3 +70,22 @@ func mapAccumulate(counts map[string]int) int {
 	}
 	return total
 }
+
+// started reads the clock in a package-level initializer, which is not a
+// call-graph node: the initializer walk must still see it.
+var started = time.Now() // want "DT001"
+
+// stamp reads the clock inside a function literal bound at package level.
+var stamp = func() int64 { return time.Now().UnixNano() } // want "DT001"
+
+// formattedKeys formats inside a map range but only collects, and sorts
+// before anything is emitted: clean. fmt.Sprint builds a value; it is not
+// output.
+func formattedKeys(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, fmt.Sprint(k))
+	}
+	sort.Strings(keys)
+	return keys
+}

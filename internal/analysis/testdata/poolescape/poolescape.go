@@ -1,16 +1,15 @@
-// Package poolescape exercises the interprocedural pool-escape analyzer
-// (PH004–PH005). Every reported case involves a buffer whose GetSlice
-// happened in a callee: the intra-procedural poolhygiene pass sees nothing
-// wrong in these functions, because the acquisition is out of its sight.
+// Package poolescape exercises the poolhygiene escape scan by distance. A
+// buffer escaping the function whose GetSlice produced it is PH003, at 0
+// hops; every other reported case involves a buffer whose GetSlice
+// happened in a callee (PH004–PH005), and the finding names the chain.
 package poolescape
 
 import "repro/internal/dsp"
 
-// alloc hands its caller a pooled buffer. The direct return of a GetSlice
-// is PH003 (poolhygiene's finding, not exercised here); poolescape's job
-// starts in alloc's callers.
+// alloc hands its caller a pooled buffer: the direct return of a GetSlice
+// is PH003, at 0 hops.
 func alloc(n int) []float64 {
-	return dsp.GetSlice(n)
+	return dsp.GetSlice(n) // want "PH003"
 }
 
 // wrap returns a transitively-acquired buffer onward: PH005, one hop from
@@ -68,8 +67,8 @@ func scratchUse(n int) float64 {
 	return s
 }
 
-// directUse acquires and releases directly: entirely poolhygiene's
-// territory, nothing for poolescape.
+// directUse acquires and releases directly without letting the buffer
+// escape: clean.
 func directUse(n int) float64 {
 	buf := dsp.GetSlice(n)
 	defer dsp.PutSlice(buf)

@@ -91,3 +91,19 @@ func straightLine(n int) float64 {
 	dsp.PutSlice(buf)
 	return v
 }
+
+// aliasLocal copies the pooled buffer into a second local, which defeats
+// per-variable release tracking.
+func aliasLocal(n int) float64 {
+	buf := dsp.GetSlice(n)
+	alias := buf // want "PH003"
+	return alias[0]
+}
+
+// deferredReturn releases the buffer on exit and hands it to the caller,
+// who then reads memory that is already back in the pool.
+func deferredReturn(n int) []float64 {
+	buf := dsp.GetSlice(n)
+	defer dsp.PutSlice(buf)
+	return buf // want "PH003"
+}

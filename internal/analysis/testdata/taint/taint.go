@@ -1,13 +1,12 @@
-// Package taint exercises the interprocedural determinism-taint analyzer
-// (DT005–DT007). The point of every case here is distance: the source
-// (time.Now, rand.Float64, a map range) sits in one function and the
-// violation surfaces in another, one or two calls away — exactly the
-// shapes the intra-procedural determinism analyzer cannot see.
+// Package taint exercises the determinism analyzer by distance. Each source
+// (time.Now, rand.Float64, a map range) is reported at 0 hops where it sits
+// (DT001, DT002, DT003) and by its interprocedural code (DT005–DT007) where
+// its value surfaces one or two calls away.
 package taint
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand" // want "DT002"
 	"sort"
 	"time"
 
@@ -16,10 +15,10 @@ import (
 
 // --- wall-clock chain: source → one hop → two hops ---------------------
 
-// clockSeed returns a wall-clock-derived value. (The read itself is DT001,
-// the intra-procedural analyzer's finding; taint tracks where it goes.)
+// clockSeed returns a wall-clock-derived value: the read itself is DT001,
+// at 0 hops.
 func clockSeed() int64 {
-	return time.Now().UnixNano()
+	return time.Now().UnixNano() // want "DT001"
 }
 
 // deriveSeed is one call from the source.
@@ -28,8 +27,8 @@ func deriveSeed(offset int64) int64 {
 	return s + offset
 }
 
-// trialOutcome is two calls from the source: the sink an intra-procedural
-// pass can never connect to the time.Now in clockSeed.
+// trialOutcome is two calls from the source: the finding names the whole
+// chain back to the time.Now in clockSeed.
 func trialOutcome() int64 {
 	return deriveSeed(7) // want "DT005"
 }
@@ -50,6 +49,13 @@ func perturb(x float64) float64 {
 }
 
 // --- map-iteration-order chain ----------------------------------------
+
+// emitDirect prints inside the map range itself: DT003, at 0 hops.
+func emitDirect(m map[string]int) {
+	for k := range m { // want "DT003"
+		fmt.Println(k)
+	}
+}
 
 // unsortedKeys accumulates in map-walk order; holding such a slice is
 // legal, so nothing is reported here.

@@ -32,32 +32,35 @@ var UnitCheckAnalyzer = &Analyzer{
 
 func runUnitCheck(p *Pass) {
 	unitsPath := p.Config.ModulePath + "/internal/units"
-	if p.Pkg.Path() == unitsPath {
-		// The units package itself implements the conversions.
-		return
-	}
-	u := &unitCheck{pass: p, unitsPath: unitsPath}
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				u.checkCall(n)
-			case *ast.BinaryExpr:
-				u.checkBinary(n)
-			case *ast.CompositeLit:
-				u.checkCompositeLit(n)
-			case *ast.ValueSpec:
-				u.checkValueSpec(n)
-			case *ast.AssignStmt:
-				u.checkAssign(n)
-			}
-			return true
-		})
+	for _, pkg := range p.Module.Pkgs {
+		if pkg.Path == unitsPath {
+			// The units package itself implements the conversions.
+			continue
+		}
+		u := &unitCheck{pass: p, info: pkg.Info, unitsPath: unitsPath}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					u.checkCall(n)
+				case *ast.BinaryExpr:
+					u.checkBinary(n)
+				case *ast.CompositeLit:
+					u.checkCompositeLit(n)
+				case *ast.ValueSpec:
+					u.checkValueSpec(n)
+				case *ast.AssignStmt:
+					u.checkAssign(n)
+				}
+				return true
+			})
+		}
 	}
 }
 
 type unitCheck struct {
 	pass      *Pass
+	info      *types.Info
 	unitsPath string
 }
 
@@ -78,15 +81,12 @@ func (u *unitCheck) unitType(t types.Type) *types.Named {
 }
 
 func (u *unitCheck) typeOf(e ast.Expr) types.Type {
-	if tv, ok := u.pass.Info.Types[e]; ok {
+	if tv, ok := u.info.Types[e]; ok {
 		return tv.Type
 	}
 	// Assignment targets are recorded in Uses/Defs, not always in Types.
 	if id, ok := e.(*ast.Ident); ok {
-		if obj := u.pass.Info.Uses[id]; obj != nil {
-			return obj.Type()
-		}
-		if obj := u.pass.Info.Defs[id]; obj != nil {
+		if obj := objOf(u.info, id); obj != nil {
 			return obj.Type()
 		}
 	}
@@ -96,7 +96,7 @@ func (u *unitCheck) typeOf(e ast.Expr) types.Type {
 // checkCall handles both conversions (UC001) and calls with unit-typed
 // parameters receiving bare literals (UC003).
 func (u *unitCheck) checkCall(call *ast.CallExpr) {
-	if tv, ok := u.pass.Info.Types[call.Fun]; ok && tv.IsType() {
+	if tv, ok := u.info.Types[call.Fun]; ok && tv.IsType() {
 		// Conversion T(x): flag when x itself has a different unit type.
 		dst := u.unitType(tv.Type)
 		if dst == nil || len(call.Args) != 1 {
