@@ -41,16 +41,20 @@ fuzz:
 	$(GO) test -fuzz=FuzzScheduleCodec -fuzztime=10s ./internal/faults/
 	$(GO) test -fuzz=FuzzStreamPush -fuzztime=10s ./internal/uplink/
 	$(GO) test -fuzz=FuzzWireProtocol -fuzztime=10s ./internal/serve/
+	$(GO) test -fuzz=FuzzConditionTwoPass -fuzztime=10s ./internal/dsp/
 
 bench:
 	$(GO) test -bench=. -benchmem
 
 # Streaming decode contract: BenchmarkStream* report the per-push and
-# per-frame cost with -benchmem, and the same package run re-asserts
-# TestStreamPushSteadyStateAllocs (steady-state Push must not allocate —
-# the test is skipped under -race, so this plain-build run is the gate).
+# per-stream cost and BenchmarkFrameClose the frame-closing push alone
+# (CSI and long range) with -benchmem, and the same package run
+# re-asserts TestStreamPushSteadyStateAllocs (steady-state Push must not
+# allocate) and TestFrameCloseAllocs (the frame close's allocation count
+# must not grow with the channel count). Both tests are skipped under
+# -race, so this plain-build run is the gate.
 bench-stream:
-	$(GO) test -bench 'BenchmarkStream' -benchmem -run TestStreamPushSteadyStateAllocs ./internal/uplink/
+	$(GO) test -bench 'BenchmarkStream|BenchmarkFrameClose' -benchmem -run 'TestStreamPushSteadyStateAllocs|TestFrameCloseAllocs' ./internal/uplink/
 
 # Pins the observability contract: the aggregated pipeline metrics from an
 # instrumented sweep must match testdata/metrics_golden.json byte for byte

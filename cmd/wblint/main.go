@@ -18,7 +18,7 @@
 //
 // Suppress a finding in source with an explained directive:
 //
-//	//wblint:ignore PH003 released by releaseStats once combining is done
+//	//wblint:ignore PH003 the frame arena is released by StreamDecoder.release on every exit path
 //
 // or for a whole file with //wblint:file-ignore. Directives without a
 // reason, and directives that no longer match a finding, are themselves

@@ -2,16 +2,23 @@ package dsp
 
 import "sync"
 
-// The decode hot path conditions ~90 channel series per trial, each needing
-// several same-length scratch slices (prefix sums, baselines, modulation
-// estimates). Allocating those per call dominated the allocation profile of
-// parallel sweeps, so scratch buffers come from a shared sync.Pool instead.
-// Only buffers that never escape their function (or that callers explicitly
-// return with PutSlice) are pooled; results handed to callers remain
-// freshly allocated unless the caller opted into an Into variant.
+// The decode hot path conditions ~90 channel series per frame, each
+// needing one same-length prefix-sum buffer, and the streaming decoder's
+// frame arena is built from the same buffers. Allocating those per call
+// dominated the allocation profile of parallel sweeps, so scratch buffers
+// come from a shared sync.Pool instead. Only buffers that never escape
+// their function (or that callers explicitly return with PutSlice) are
+// pooled; results handed to callers remain freshly allocated unless the
+// caller opted into an Into variant.
+//
+// A round trip through the pool allocates nothing in steady state: the
+// pool stores *[]float64 boxes, and the box GetSlice empties is recycled
+// for the next PutSlice instead of becoming garbage, so the conditioning
+// kernel's per-channel Get/Put pair costs no heap allocation.
 
-// slicePool recycles float64 scratch buffers as *[]float64.
-var slicePool sync.Pool
+// slicePool recycles float64 scratch buffers as *[]float64; boxPool
+// recycles the emptied boxes.
+var slicePool, boxPool sync.Pool
 
 // GetSlice returns a zeroed slice of length n, reusing a pooled buffer
 // when one with enough capacity is available. Return it with PutSlice
@@ -19,12 +26,13 @@ var slicePool sync.Pool
 // reuse.
 func GetSlice(n int) []float64 {
 	if v := slicePool.Get(); v != nil {
-		s := *(v.(*[]float64))
+		box := v.(*[]float64)
+		s := *box
+		*box = nil
+		boxPool.Put(box)
 		if cap(s) >= n {
 			s = s[:n]
-			for i := range s {
-				s[i] = 0
-			}
+			clear(s)
 			return s
 		}
 	}
@@ -37,6 +45,10 @@ func PutSlice(s []float64) {
 	if cap(s) == 0 {
 		return
 	}
-	s = s[:0]
-	slicePool.Put(&s)
+	box, _ := boxPool.Get().(*[]float64)
+	if box == nil {
+		box = new([]float64)
+	}
+	*box = s[:0]
+	slicePool.Put(box)
 }

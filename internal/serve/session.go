@@ -392,11 +392,7 @@ func (s *Session) loop() {
 			s.progress.Add(1)
 			continue
 		}
-		s.srv.met.bitsServed.Add(int64(len(bits)))
-		if err := s.sink.EmitBits(bits); err != nil {
-			if s.setErr(err) {
-				s.srv.met.poisoned.Add(1)
-			}
+		if s.emitBits(bits) != nil {
 			poisoned = true
 		}
 		s.busy.Store(0)
@@ -406,13 +402,33 @@ func (s *Session) loop() {
 	s.finalize()
 }
 
+// emitBits delivers a decoded frame's bits on the sink; a sink error
+// poisons the session.
+func (s *Session) emitBits(bits []uplink.BitDecision) error {
+	s.srv.met.bitsServed.Add(int64(len(bits)))
+	err := s.sink.EmitBits(bits)
+	if err != nil && s.setErr(err) {
+		s.srv.met.poisoned.Add(1)
+	}
+	return err
+}
+
 // finalize flushes the stream (unless poisoned), delivers the final
-// outcome on the sink, and retires the session.
+// outcome on the sink, and retires the session. When the input ended
+// inside the frame, Flush is what decodes it, so its bits go out here,
+// ahead of the result, exactly as a frame closed by a push would have
+// sent them (and a resumable session checkpoints them the same way).
 func (s *Session) finalize() {
 	err := s.Err()
 	var res *uplink.Result
 	if err == nil {
+		closed := s.sd.Done()
 		res, err = s.sd.Flush()
+		if err == nil && !closed {
+			if err = s.emitBits(s.sd.Bits()); err != nil {
+				res = nil
+			}
+		}
 		if err != nil {
 			s.setErr(err)
 		} else {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -176,6 +177,57 @@ func TestTCPSessionsMatchBatch64(t *testing.T) {
 	}
 	if st.BitsServed != int64(n*payloadLen) {
 		t.Errorf("BitsServed = %d, want %d", st.BitsServed, n*payloadLen)
+	}
+}
+
+// TestTCPFlushClosedFrameStreamsBits pins that a frame decoded by flush —
+// the client's last line falls inside the frame — streams every bit line
+// before the done line, the same bits a stream over the same lines emits
+// and the payload batch DecodeCSI decodes from them.
+func TestTCPFlushClosedFrameStreamsBits(t *testing.T) {
+	const payloadLen = 12
+	series := synthSeries(t, randomPayload(payloadLen, 41), 41)
+	dec, err := uplink.NewDecoder(uplink.DefaultConfig(testBitDur))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := dec.NewStream(testStart, payloadLen, uplink.StreamCSI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := &csi.Series{}
+	for _, m := range series.Measurements {
+		if m.Timestamp >= sd.End()-3*testBitDur {
+			break
+		}
+		cut.Append(m)
+	}
+	for _, m := range cut.Measurements {
+		if _, err := sd.Push(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sd.Done() {
+		t.Fatal("cut series closes the frame at a push; the test needs it to close at flush")
+	}
+	if _, err := sd.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := batchDecode(t, cut, payloadLen)
+
+	srv, addr := startTCP(t, serve.Config{})
+	got, err := runClient(t, addr, testParams(payloadLen), cut, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.done.Kind != serve.RespDone || got.done.Bits != payloadString(want) {
+		t.Fatalf("final line %+v, want done with batch bits %s", got.done, payloadString(want))
+	}
+	if !reflect.DeepEqual(got.bits, sd.Bits()) {
+		t.Errorf("bit lines %v, want the stream's %v", got.bits, sd.Bits())
+	}
+	if st := srv.Stats(); st.BitsServed != payloadLen {
+		t.Errorf("BitsServed = %d, want %d", st.BitsServed, payloadLen)
 	}
 }
 

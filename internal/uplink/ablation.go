@@ -114,26 +114,20 @@ func (d *Decoder) DecodeVariant(s *csi.Series, start float64, payloadLen int, v 
 }
 
 // binEqualCount ignores timestamps: measurements inside the transmission
-// window are split into equal-count bins in arrival order.
-func binEqualCount(ts []float64, start, bitDur float64, nbits int) [][]int {
-	end := start + float64(nbits)*bitDur
-	inWindow := make([]int, 0, len(ts))
-	for i, t := range ts {
-		if t >= start && t < end {
-			inWindow = append(inWindow, i)
+// window are split into equal-count bins in arrival order. Like
+// binByTimestamp it writes nbits+1 boundaries into off; ts is
+// non-decreasing, so the in-window measurements are one index range and
+// bin indices never decrease along it.
+func binEqualCount(off []int, ts []float64, start, bitDur float64) {
+	nbits := len(off) - 1
+	lo, hi := frameRange(ts, start, start+float64(nbits)*bitDur)
+	per := float64(hi-lo) / float64(nbits)
+	j := 0
+	for b := 0; b < nbits; b++ {
+		for j < hi-lo && min(int(float64(j)/per), nbits-1) < b {
+			j++
 		}
+		off[b] = lo + j
 	}
-	bins := make([][]int, nbits)
-	per := float64(len(inWindow)) / float64(nbits)
-	// Bin indices never decrease along the window, so each bin is one
-	// contiguous run of inWindow.
-	first := 0
-	for j := range inWindow {
-		b := min(int(float64(j)/per), nbits-1)
-		if bins[b] == nil {
-			first = j
-		}
-		bins[b] = inWindow[first : j+1 : j+1]
-	}
-	return bins
+	off[nbits] = hi
 }

@@ -267,12 +267,13 @@ func TestDecodeVariantValidation(t *testing.T) {
 func TestBinEqualCount(t *testing.T) {
 	ts := []float64{0.1, 1.1, 1.2, 1.3, 1.4, 5.0}
 	// Window [1.0, 1.4): three in-window samples split 2/1.
-	bins := binEqualCount(ts, 1.0, 0.2, 2)
-	if len(bins[0]) != 2 || len(bins[1]) != 1 {
-		t.Errorf("equal-count bins = %v", bins)
+	off := make([]int, 3)
+	binEqualCount(off, ts, 1.0, 0.2)
+	if off[1]-off[0] != 2 || off[2]-off[1] != 1 || off[0] != 1 {
+		t.Errorf("equal-count bin boundaries = %v, want [1 3 4]", off)
 	}
-	empty := binEqualCount(ts, 100, 0.2, 2)
-	if len(empty[0]) != 0 || len(empty[1]) != 0 {
-		t.Errorf("out-of-window bins should be empty: %v", empty)
+	binEqualCount(off, ts, 100, 0.2)
+	if off[1] != off[0] || off[2] != off[1] {
+		t.Errorf("out-of-window bins should be empty: %v", off)
 	}
 }

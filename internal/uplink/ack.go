@@ -40,7 +40,11 @@ func (d *Decoder) DetectAck(s *csi.Series, start float64) (bool, float64, error)
 		return false, 0, nil
 	}
 	ts = ts[lo:hi]
-	bins := binByTimestamp(ts, start, d.cfg.BitDuration, nbits)
+	// One lane of frame scratch, reused by every channel in turn.
+	fs := getScratch(1, hi-lo, nbits)
+	defer putScratch(fs)
+	binByTimestamp(fs.off, ts, start, d.cfg.BitDuration)
+	window := windowSamples(ts, d.cfg.windowFor())
 	best := 0.0
 	var corrs []float64
 	for a := 0; a < s.Antennas(); a++ {
@@ -49,7 +53,7 @@ func (d *Decoder) DetectAck(s *csi.Series, start float64) (bool, float64, error)
 			if err != nil {
 				return false, 0, err
 			}
-			st := analyzeChannel(ChannelID{a, k}, raw[lo:hi], ts, bins, d.cfg)
+			st := analyzeChannel(ChannelID{a, k}, raw[lo:hi], fs.cond, fs.off, window, fs.means, fs.ok)
 			corrs = append(corrs, math.Abs(st.corr))
 		}
 	}

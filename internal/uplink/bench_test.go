@@ -44,15 +44,21 @@ func BenchmarkDecodeRSSI(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeLongRange(b *testing.B) {
+// longRangeBenchSeries builds one reusable 16-bit long-range transmission
+// with length-20 Walsh codes (5 ms chips).
+func longRangeBenchSeries() (s *csi.Series, mod *tag.Modulator, code0, code1 []float64) {
 	payload := randomPayload(16, 3)
-	code0, code1, _ := dsp.WalshPair(20)
+	code0, code1, _ = dsp.WalshPair(20)
 	chips := tag.ExpandWithCodes(payload, code0, code1)
 	frame := append(append(append([]bool{}, tag.Preamble...), chips...), tag.Postamble...)
-	mod, _ := tag.NewModulator(frame, 1.0, 0.005)
+	mod, _ = tag.NewModulator(frame, 1.0, 0.005)
 	cfg := defaultSynth()
 	cfg.duration = mod.End() + 0.5
-	s := synthSeries(cfg, mod, 4)
+	return synthSeries(cfg, mod, 4), mod, code0, code1
+}
+
+func BenchmarkDecodeLongRange(b *testing.B) {
+	s, mod, code0, code1 := longRangeBenchSeries()
 	d, _ := NewDecoder(DefaultConfig(0.005))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -138,6 +144,77 @@ func BenchmarkStreamPush(b *testing.B) {
 	}
 	b.StopTimer()
 	sd.Flush()
+}
+
+// BenchmarkFrameClose times the one Push that closes a frame — the
+// frame-global decode every bit waits for — with the pushes that fill a
+// fresh stream kept off the clock. Run with -benchmem: allocs/op is the
+// frame close's own count, which TestFrameCloseAllocs holds independent of
+// the channel count.
+func BenchmarkFrameClose(b *testing.B) {
+	b.Run("csi", func(b *testing.B) {
+		s, mod, _ := benchSeries(b)
+		d, _ := NewDecoder(DefaultConfig(0.01))
+		benchFrameClose(b, s, func() (*StreamDecoder, error) {
+			return d.NewStream(mod.Start(), 90, StreamCSI)
+		})
+	})
+	b.Run("longrange", func(b *testing.B) {
+		s, mod, code0, code1 := longRangeBenchSeries()
+		d, _ := NewDecoder(DefaultConfig(0.005))
+		benchFrameClose(b, s, func() (*StreamDecoder, error) {
+			sd, err := d.newStream(mod.Start(), 16, len(code0), StreamCSI)
+			if err == nil {
+				sd.code0, sd.code1 = code0, code1
+			}
+			return sd, err
+		})
+	})
+}
+
+// splitAtClose returns the in-frame measurements of s for a stream over
+// [start, end) and the first measurement at or past end, whose push closes
+// the frame.
+func splitAtClose(s *csi.Series, start, end float64) (fill []csi.Measurement, closing csi.Measurement, ok bool) {
+	for _, m := range s.Measurements {
+		if m.Timestamp >= end {
+			return fill, m, true
+		}
+		if m.Timestamp >= start {
+			fill = append(fill, m)
+		}
+	}
+	return fill, closing, false
+}
+
+// benchFrameClose measures the closing Push of streams from open.
+func benchFrameClose(b *testing.B, s *csi.Series, open func() (*StreamDecoder, error)) {
+	sd, err := open()
+	if err != nil {
+		b.Fatal(err)
+	}
+	fill, closing, ok := splitAtClose(s, sd.Start(), sd.End())
+	if !ok {
+		b.Fatal("series ends inside the frame")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if sd, err = open(); err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range fill {
+			if _, err := sd.Push(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		bits, err := sd.Push(closing)
+		if err != nil || len(bits) == 0 {
+			b.Fatalf("closing push returned %d bits, error %v", len(bits), err)
+		}
+	}
 }
 
 func BenchmarkDetectAck(b *testing.B) {

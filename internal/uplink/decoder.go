@@ -4,11 +4,12 @@
 // (stream.go):
 //
 //  1. Bin: group measurements into tag bits using per-packet timestamps
-//     (§3.2 step 2a).
-//  2. Condition and score: per channel, subtract a moving average (400 ms
-//     window) to remove environmental drift, normalize so the two switch
-//     states map to ±1 (§3.2 step 1), and correlate the bit means with
-//     the known Barker preamble.
+//     (§3.2 step 2a). Timestamps are non-decreasing, so each bin is a
+//     contiguous index range and the binning is nbits+1 boundary offsets.
+//  2. Condition and score: per channel, in one fused pass, subtract a
+//     moving average (400 ms window) to remove environmental drift,
+//     normalize so the two switch states map to ±1 (§3.2 step 1), and
+//     correlate the bit means with the known Barker preamble.
 //  3. Select: keep the best G (antenna, sub-channel) pairs (§3.2 step 2a).
 //  4. Combine: maximum-ratio combining weights each good sub-channel by
 //     1/σ², with σ² estimated from its preamble residual (§3.2 step 2b).
@@ -16,7 +17,9 @@
 //     jumps, and a majority vote across the measurements of each bit
 //     produces the decoded bit (§3.2 step 3).
 //
-// Every entry point runs through that chain. DecodeRSSI and
+// The frame close runs in one pooled frame scratch (stream.go), so it
+// allocates only the Result and bits it returns, whatever the channel
+// count. Every entry point runs through that chain. DecodeRSSI and
 // DecodeSingleChannel select one channel (§3.3, the Fig. 11 baseline);
 // DecodeVariant swaps the binning, combining or decision rule for the
 // ablations (ablation.go); DecodeLongRange stretches the frame to chip
@@ -91,35 +94,21 @@ type Result struct {
 // preambleLevels is the ±1 template of the tag preamble.
 var preambleLevels = dsp.Barker13
 
-// binByTimestamp groups measurement indices into tag-bit bins using the
+// binByTimestamp groups measurements into tag-bit bins using the
 // per-packet timestamps (§3.2: "we use the timestamp that is in every
 // Wi-Fi packet header to accurately group Wi-Fi packets belonging to the
-// same bit transmission").
-func binByTimestamp(ts []float64, start, bitDur float64, nbits int) [][]int {
-	bins := make([][]int, nbits)
-	// Two passes: count, size each bin exactly, then fill. One allocation
-	// per occupied bin instead of O(log n) append regrowths, and bins with
-	// no packets stay nil exactly as before.
-	counts := make([]int, nbits)
-	for _, t := range ts {
-		j := int(math.Floor((t - start) / bitDur))
-		if j >= 0 && j < nbits {
-			counts[j]++
+// same bit transmission"). ts is non-decreasing, so bin j — the samples
+// with floor((t−start)/bitDur) == j — is one contiguous index range
+// [off[j], off[j+1]); off has one entry per bin plus one, and samples
+// before off[0] or from off[len(off)-1] on fall outside the frame.
+func binByTimestamp(off []int, ts []float64, start, bitDur float64) {
+	i := 0
+	for j := range off {
+		for i < len(ts) && int(math.Floor((ts[i]-start)/bitDur)) < j {
+			i++
 		}
+		off[j] = i
 	}
-	for j, c := range counts {
-		if c > 0 {
-			bins[j] = make([]int, 0, c)
-		}
-	}
-	for i, t := range ts {
-		j := int(math.Floor((t - start) / bitDur))
-		if j < 0 || j >= nbits {
-			continue
-		}
-		bins[j] = append(bins[j], i)
-	}
-	return bins
 }
 
 // windowSamples converts the conditioning window from seconds to a sample
@@ -140,27 +129,8 @@ func windowSamples(ts []float64, window float64) int {
 	return n
 }
 
-// binMeans averages values per bin; empty bins yield 0 with ok=false.
-func binMeans(values []float64, bins [][]int) (means []float64, ok []bool) {
-	means = make([]float64, len(bins))
-	ok = make([]bool, len(bins))
-	for j, idx := range bins {
-		if len(idx) == 0 {
-			continue
-		}
-		var sum float64
-		for _, i := range idx {
-			sum += values[i]
-		}
-		means[j] = sum / float64(len(idx))
-		ok[j] = true
-	}
-	return means, ok
-}
-
 // channelStats holds one channel's conditioned series and preamble fit.
-// cond comes from the dsp buffer pool; callers release a batch with
-// releaseStats once combining is done.
+// cond, means and ok are views into the decode's frameScratch.
 type channelStats struct {
 	id       ChannelID
 	corr     float64 // signed preamble correlation
@@ -172,14 +142,6 @@ type channelStats struct {
 	ok       []bool    // whether each bin held any measurement
 }
 
-// releaseStats returns the pooled conditioned series held by stats.
-func releaseStats(stats []channelStats) {
-	for i := range stats {
-		dsp.PutSlice(stats[i].cond)
-		stats[i].cond = nil
-	}
-}
-
 // windowFor returns the conditioning window in seconds. The configured
 // 400 ms window must span many bit periods — a window comparable to a run
 // of identical bits subtracts the tag's own modulation, which matters for
@@ -188,7 +150,7 @@ func releaseStats(stats []channelStats) {
 // decoding conditions only the frame's measurements (the stream buffers
 // nothing else), the window may exceed the frame without the idle-level
 // bias that out-of-frame samples would introduce.
-func (c Config) windowFor(frameBits int) float64 {
+func (c Config) windowFor() float64 {
 	w := c.ConditionWindow
 	if min := 24 * c.BitDuration; w < min {
 		w = min
@@ -209,23 +171,34 @@ func frameRange(ts []float64, start, end float64) (lo, hi int) {
 	return lo, hi
 }
 
-// analyzeChannel conditions one raw series and scores it against the
-// preamble; the score is the correlation's magnitude.
-func analyzeChannel(id ChannelID, raw []float64, ts []float64, bins [][]int, cfg Config) channelStats {
-	cond := dsp.GetSlice(len(raw))
-	dsp.ConditionTwoPassInto(cond, raw, windowSamples(ts, cfg.windowFor(len(bins))))
-	means, ok := binMeans(cond, bins)
-	// Preamble correlation over the first 13 bit bins.
+// analyzeChannel is the fused condition → bin-mean → preamble-score pass
+// for one channel: it conditions raw into cond (window in samples), then
+// walks the bins once, writing each bin's mean of cond into means (and
+// whether it held a measurement into ok) and accumulating the preamble
+// dot products alongside. The score is the correlation's magnitude. A
+// second pass over the 13 preamble bins alone estimates the residual
+// variance MRC weights by.
+func analyzeChannel(id ChannelID, raw, cond []float64, off []int, window int, means []float64, ok []bool) channelStats {
+	dsp.ConditionTwoPassInto(cond, raw, window)
 	var dot, mm, pp float64
-	for j := 0; j < len(preambleLevels) && j < len(means); j++ {
-		if !ok[j] {
+	for j := range means {
+		lo, hi := off[j], off[j+1]
+		if lo == hi {
+			means[j], ok[j] = 0, false
 			continue
 		}
-		dot += means[j] * preambleLevels[j]
-		mm += means[j] * means[j]
-		pp += preambleLevels[j] * preambleLevels[j]
+		var sum float64
+		for _, v := range cond[lo:hi] {
+			sum += v
+		}
+		m := sum / float64(hi-lo)
+		means[j], ok[j] = m, true
+		if j < len(preambleLevels) {
+			dot += m * preambleLevels[j]
+			mm += m * m
+			pp += preambleLevels[j] * preambleLevels[j]
+		}
 	}
-	//wblint:ignore PH003 ownership transfers to the caller inside channelStats; released in a batch by releaseStats after combining
 	st := channelStats{id: id, cond: cond, means: means, ok: ok, sign: 1}
 	if mm > 0 && pp > 0 {
 		st.corr = dot / math.Sqrt(mm*pp)
@@ -237,9 +210,9 @@ func analyzeChannel(id ChannelID, raw []float64, ts []float64, bins [][]int, cfg
 	// Per-measurement residual variance over the preamble bins, with the
 	// template sign applied.
 	var res, n float64
-	for j := 0; j < len(preambleLevels) && j < len(bins); j++ {
-		for _, i := range bins[j] {
-			d := st.sign*cond[i] - preambleLevels[j]
+	for j := 0; j < len(preambleLevels) && j < len(means); j++ {
+		for _, v := range cond[off[j]:off[j+1]] {
+			d := st.sign*v - preambleLevels[j]
 			res += d * d
 			n++
 		}

@@ -309,24 +309,16 @@ func TestDecodeValidation(t *testing.T) {
 
 func TestBinByTimestamp(t *testing.T) {
 	ts := []float64{0.5, 1.005, 1.015, 1.025, 1.095, 2.5}
-	bins := binByTimestamp(ts, 1.0, 0.01, 10)
-	if len(bins[0]) != 1 || bins[0][0] != 1 {
-		t.Errorf("bin 0 = %v", bins[0])
+	off := make([]int, 11)
+	binByTimestamp(off, ts, 1.0, 0.01)
+	// Bins 0, 1, 2 and 9 hold samples 1, 2, 3 and 4; 3..8 are empty.
+	want := []int{1, 2, 3, 4, 4, 4, 4, 4, 4, 4, 5}
+	for j := range want {
+		if off[j] != want[j] {
+			t.Fatalf("bin boundaries = %v, want %v", off, want)
+		}
 	}
-	if len(bins[1]) != 1 || bins[1][0] != 2 {
-		t.Errorf("bin 1 = %v", bins[1])
-	}
-	if len(bins[2]) != 1 || bins[2][0] != 3 {
-		t.Errorf("bin 2 = %v", bins[2])
-	}
-	if len(bins[9]) != 1 || bins[9][0] != 4 {
-		t.Errorf("bin 9 = %v", bins[9])
-	}
-	total := 0
-	for _, b := range bins {
-		total += len(b)
-	}
-	if total != 4 {
+	if total := off[10] - off[0]; total != 4 {
 		t.Errorf("out-of-window samples leaked into bins: %d", total)
 	}
 }

@@ -85,7 +85,7 @@ func (sd *StreamDecoder) codeScore(st *channelStats) float64 {
 
 // decideCodes is long range's decide stage: each bit goes to the code
 // with the larger summed |correlation| over the selected channels.
-func (sd *StreamDecoder) decideCodes(sel []channelStats, bins [][]int) *Result {
+func (sd *StreamDecoder) decideCodes(sel []channelStats, off []int) *Result {
 	payload := make([]bool, sd.payloadLen)
 	sd.margins = make([]float64, sd.payloadLen)
 	for b := range payload {
@@ -101,5 +101,5 @@ func (sd *StreamDecoder) decideCodes(sel []channelStats, bins [][]int) *Result {
 			sd.margins[b] = math.Abs(metric) / energy
 		}
 	}
-	return sd.result(payload, sel, bins)
+	return sd.result(payload, sel, off)
 }

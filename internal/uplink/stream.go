@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/csi"
 	"repro/internal/dsp"
@@ -400,25 +401,28 @@ func (sd *StreamDecoder) release() {
 // The stream's stage choices (Variant, code pair) swap the rule inside a
 // stage, never the order of the float operations: the paper variant is
 // DecodeCSI bit for bit, and the golden traces and pinned benchmark
-// digests hold every other entry point to fixed bits.
+// digests hold every other entry point to fixed bits. The stages work in
+// one pooled frameScratch, so the frame close allocates only what it
+// hands back: the Result with its Payload and Good, the emitted bits, and
+// the ranking sort's closure.
 func (sd *StreamDecoder) decode(atFlush bool) error {
 	sd.decoded = true
-	bins := sd.bin()
-	stats := sd.scoreLanes(bins)
+	fs := getScratch(len(sd.chans), sd.n, sd.nbits)
+	defer putScratch(fs)
+	sd.bin(fs.off)
+	stats := sd.scoreLanes(fs)
 	sel, err := sd.selectTop(stats)
 	var res *Result
 	switch {
 	case err != nil:
 	case sd.code0 != nil:
 		// Code correlation decides from per-chip means; nothing to combine.
-		res = sd.decideCodes(sel, bins)
+		res = sd.decideCodes(sel, fs.off)
 	default:
-		combined := dsp.GetSlice(sd.n)
-		sd.combine(combined, sel)
-		res = sd.decide(combined, sel, bins)
-		dsp.PutSlice(combined)
+		clear(fs.combined)
+		sd.combine(fs.combined, sel)
+		res = sd.decide(fs.combined, sel, fs.off)
 	}
-	releaseStats(stats)
 	sd.release()
 	if err != nil {
 		return err
@@ -426,7 +430,7 @@ func (sd *StreamDecoder) decode(atFlush bool) error {
 	sd.res = res
 	sd.emitted = make([]BitDecision, len(res.Payload))
 	for i, bit := range res.Payload {
-		sd.emitted[i] = BitDecision{Index: i, Bit: bit, Measurements: sd.bitMeasurements(bins, i)}
+		sd.emitted[i] = BitDecision{Index: i, Bit: bit, Measurements: sd.bitMeasurements(fs.off, i)}
 	}
 	sd.d.met.streamBitsEmitted.Add(int64(len(sd.emitted)))
 	if atFlush {
@@ -435,37 +439,88 @@ func (sd *StreamDecoder) decode(atFlush bool) error {
 	return nil
 }
 
-// bin is the first stage: it groups the frame's measurements into frame
+// frameScratch is the frame close's working memory, taken from
+// scratchPool for one decode: the bin boundaries, every lane's
+// conditioned series, the per-lane bin means and occupancy, the lane
+// stats the ranking sorts, and the combined series. The lanes' cond,
+// means and ok are slices of one block each, so a frame close costs the
+// same handful of allocations whatever its channel count.
+type frameScratch struct {
+	off      []int     // bin j is samples [off[j], off[j+1])
+	cond     []float64 // lane i at [i·n, (i+1)·n)
+	means    []float64 // lane i at [i·nbits, (i+1)·nbits)
+	ok       []bool    // laid out like means
+	stats    []channelStats
+	combined []float64
+}
+
+// scratchPool recycles frameScratch across decodes and streams.
+var scratchPool = sync.Pool{New: func() any { return new(frameScratch) }}
+
+// getScratch returns a frame scratch sized for nchan lanes of n samples
+// over nbits bins. Contents are stale: every stage overwrites what it
+// reads (decode clears combined before summing into it).
+func getScratch(nchan, n, nbits int) *frameScratch {
+	fs := scratchPool.Get().(*frameScratch)
+	fs.off = resize(fs.off, nbits+1)
+	fs.cond = resize(fs.cond, nchan*n)
+	fs.means = resize(fs.means, nchan*nbits)
+	fs.ok = resize(fs.ok, nchan*nbits)
+	fs.stats = resize(fs.stats, nchan)
+	fs.combined = resize(fs.combined, n)
+	return fs
+}
+
+// putScratch returns fs to the pool, dropping the stats' views so a
+// scratch that later regrows does not pin its old blocks.
+func putScratch(fs *frameScratch) {
+	clear(fs.stats)
+	scratchPool.Put(fs)
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// bin is the first stage: it splits the frame's measurements into frame
 // bins by timestamp (§3.2), or by arrival count for the equal-count
-// ablation.
-func (sd *StreamDecoder) bin() [][]int {
+// ablation, writing the nbits+1 bin boundaries into off.
+func (sd *StreamDecoder) bin(off []int) {
 	ts := sd.ts[:sd.n]
 	if sd.v.Binning == BinEqualCount {
-		return binEqualCount(ts, sd.start, sd.d.cfg.BitDuration, sd.nbits)
+		binEqualCount(off, ts, sd.start, sd.d.cfg.BitDuration)
+		return
 	}
-	return binByTimestamp(ts, sd.start, sd.d.cfg.BitDuration, sd.nbits)
+	binByTimestamp(off, ts, sd.start, sd.d.cfg.BitDuration)
 }
 
 // scoreLanes impairs, conditions and scores every channel lane in scan
 // order. The score is the magnitude of the preamble correlation, or for
 // long range the code discriminability.
-func (sd *StreamDecoder) scoreLanes(bins [][]int) []channelStats {
+func (sd *StreamDecoder) scoreLanes(fs *frameScratch) []channelStats {
 	d := sd.d
-	ts := sd.ts[:sd.n]
-	stats := make([]channelStats, len(sd.chans))
+	n, nbits := sd.n, sd.nbits
+	ts := sd.ts[:n]
+	window := windowSamples(ts, d.cfg.windowFor())
 	for i, lane := range sd.chans {
 		id := sd.laneID(i)
-		raw := lane[:sd.n]
+		raw := lane[:n]
 		if d.Impair != nil {
 			d.Impair.ImpairChannel(id, ts, raw)
 		}
-		stats[i] = analyzeChannel(id, raw, ts, bins, d.cfg)
+		fs.stats[i] = analyzeChannel(id, raw, fs.cond[i*n:(i+1)*n], fs.off, window,
+			fs.means[i*nbits:(i+1)*nbits], fs.ok[i*nbits:(i+1)*nbits])
 		if sd.code0 != nil {
-			stats[i].score = sd.codeScore(&stats[i])
+			fs.stats[i].score = sd.codeScore(&fs.stats[i])
 		}
 		d.met.channelsAnalyzed.Inc()
 	}
-	return stats
+	return fs.stats
 }
 
 // selectTop ranks the lanes by score, best first, and keeps the top G
@@ -506,31 +561,31 @@ func (sd *StreamDecoder) combine(dst []float64, sel []channelStats) {
 // decide turns the combined series into payload bits: hysteresis then a
 // majority vote per bit (§3.2 step 3), a plain majority vote of the
 // combined samples' signs, or the sign of each bit's mean.
-func (sd *StreamDecoder) decide(combined []float64, sel []channelStats, bins [][]int) *Result {
+func (sd *StreamDecoder) decide(combined []float64, sel []channelStats, off []int) *Result {
 	mean := sd.v.Decision == DecideBitMean
 	if !mean && sd.v.Decision != DecidePlainVote {
 		sd.hysteresis(combined)
 	}
 	payload := make([]bool, sd.payloadLen)
 	for b := range payload {
-		bin := bins[13+b]
+		bin := combined[off[13+b]:off[14+b]]
 		if mean {
 			var sum float64
-			for _, idx := range bin {
-				sum += combined[idx]
+			for _, v := range bin {
+				sum += v
 			}
 			payload[b] = sum > 0
 			continue
 		}
 		pos := 0
-		for _, idx := range bin {
-			if combined[idx] > 0 {
+		for _, v := range bin {
+			if v > 0 {
 				pos++
 			}
 		}
 		payload[b] = pos*2 > len(bin)
 	}
-	return sd.result(payload, sel, bins)
+	return sd.result(payload, sel, off)
 }
 
 // hysteresis replaces each combined sample with its ±1 comparator
@@ -560,11 +615,11 @@ func (sd *StreamDecoder) hysteresis(combined []float64) {
 
 // result wraps a decided payload in a Result and ticks the per-decode
 // metrics; every decide stage ends here.
-func (sd *StreamDecoder) result(payload []bool, sel []channelStats, bins [][]int) *Result {
+func (sd *StreamDecoder) result(payload []bool, sel []channelStats, off []int) *Result {
 	var measured float64
 	var empty int64
 	for b := range payload {
-		n := sd.bitMeasurements(bins, b)
+		n := sd.bitMeasurements(off, b)
 		if n == 0 {
 			empty++
 		}
@@ -590,10 +645,6 @@ func (sd *StreamDecoder) result(payload []bool, sel []channelStats, bins [][]int
 }
 
 // bitMeasurements counts the measurements in payload bit b's bins.
-func (sd *StreamDecoder) bitMeasurements(bins [][]int, b int) int {
-	n := 0
-	for _, bin := range bins[13+b*sd.chips : 13+(b+1)*sd.chips] {
-		n += len(bin)
-	}
-	return n
+func (sd *StreamDecoder) bitMeasurements(off []int, b int) int {
+	return off[13+(b+1)*sd.chips] - off[13+b*sd.chips]
 }

@@ -7,6 +7,7 @@
 package uplink
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/csi"
@@ -68,4 +69,64 @@ func TestStreamPushSteadyStateAllocs(t *testing.T) {
 	if sd.Buffered() != len(inFrame) {
 		t.Fatalf("buffered %d, want %d", sd.Buffered(), len(inFrame))
 	}
+}
+
+// TestFrameCloseAllocs pins the frame close's allocations to what it hands
+// back — the Result with its Payload and Good, the emitted bits, and the
+// ranking sort — by holding the closing Push of a 3×30 CSI stream to no
+// more allocations than the same push on a 3×1 stream: nothing the frame
+// close allocates may scale with the channel count.
+func TestFrameCloseAllocs(t *testing.T) {
+	wide := frameCloseAllocs(t, 3, 30)
+	narrow := frameCloseAllocs(t, 3, 1)
+	t.Logf("frame-closing Push: %d allocations at 3×30, %d at 3×1", wide, narrow)
+	if wide > narrow {
+		t.Errorf("frame-closing Push allocates %d times at 3×30 but %d at 3×1; per-channel allocations are back", wide, narrow)
+	}
+}
+
+// frameCloseAllocs returns the fewest heap allocations the frame-closing
+// Push of an ants×subs CSI stream made over several warmed-up frames. The
+// minimum discards a frame whose pools a garbage collection emptied.
+func frameCloseAllocs(t *testing.T, ants, subs int) uint64 {
+	t.Helper()
+	payload := randomPayload(45, 11)
+	mod, err := tag.NewModulator(tag.FrameBits(payload), 1.0, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := defaultSynth()
+	cfg.antennas, cfg.subchannels = ants, subs
+	cfg.duration = mod.End() + 0.5
+	s := synthSeries(cfg, mod, 12)
+	d, _ := NewDecoder(DefaultConfig(0.01))
+	fill, closing, ok := splitAtClose(s, mod.Start(), mod.End())
+	if !ok {
+		t.Fatal("series ends inside the frame")
+	}
+	best := ^uint64(0)
+	var ms runtime.MemStats
+	for run := 0; run < 8; run++ {
+		sd, err := d.NewStream(mod.Start(), len(payload), StreamCSI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range fill {
+			if _, err := sd.Push(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		bits, err := sd.Push(closing)
+		runtime.ReadMemStats(&ms)
+		if err != nil || len(bits) != len(payload) {
+			t.Fatalf("closing push returned %d bits, error %v", len(bits), err)
+		}
+		// The first two frames warm the buffer pools.
+		if run >= 2 {
+			best = min(best, ms.Mallocs-before)
+		}
+	}
+	return best
 }

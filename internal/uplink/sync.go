@@ -41,13 +41,13 @@ func (d *Decoder) FindTransmission(s *csi.Series, from, to float64) (start float
 	ts := s.Timestamps()
 	// Condition every channel once over the scan region (with margin for
 	// the moving-average window).
-	margin := d.cfg.windowFor(len(preambleLevels))
+	margin := d.cfg.windowFor()
 	lo, hi := frameRange(ts, from-margin, to+preambleDur+margin)
 	if hi-lo < len(preambleLevels) {
 		return 0, false, nil
 	}
 	tsR := ts[lo:hi]
-	window := windowSamples(tsR, d.cfg.windowFor(len(preambleLevels)))
+	window := windowSamples(tsR, margin)
 	type condChannel struct {
 		cond []float64
 	}
@@ -85,10 +85,11 @@ func (d *Decoder) FindTransmission(s *csi.Series, from, to float64) (start float
 	bestStart := 0.0
 	step := bitDur / 4
 	corrs := make([]float64, len(channels))
+	off := make([]int, len(preambleLevels)+1)
 	for cand := from; cand < to; cand += step {
-		bins := binByTimestamp(tsR, cand, bitDur, len(preambleLevels))
+		binByTimestamp(off, tsR, cand, bitDur)
 		for ci := range channels {
-			corrs[ci] = math.Abs(preambleCorr(channels[ci].cond, bins))
+			corrs[ci] = math.Abs(preambleCorr(channels[ci].cond, off))
 		}
 		sort.Sort(sort.Reverse(sort.Float64Slice(corrs)))
 		rank := syncChannelRank
@@ -104,18 +105,19 @@ func (d *Decoder) FindTransmission(s *csi.Series, from, to float64) (start float
 }
 
 // preambleCorr computes the normalized correlation of per-bin means
-// against the Barker template.
-func preambleCorr(cond []float64, bins [][]int) float64 {
+// against the Barker template, over the bins whose boundaries are off.
+func preambleCorr(cond []float64, off []int) float64 {
 	var dot, mm, pp float64
-	for j := 0; j < len(preambleLevels) && j < len(bins); j++ {
-		if len(bins[j]) == 0 {
+	for j := 0; j < len(preambleLevels) && j+1 < len(off); j++ {
+		bin := cond[off[j]:off[j+1]]
+		if len(bin) == 0 {
 			continue
 		}
 		var sum float64
-		for _, idx := range bins[j] {
-			sum += cond[idx]
+		for _, v := range bin {
+			sum += v
 		}
-		mean := sum / float64(len(bins[j]))
+		mean := sum / float64(len(bin))
 		dot += mean * preambleLevels[j]
 		mm += mean * mean
 		pp += preambleLevels[j] * preambleLevels[j]
