@@ -2,12 +2,13 @@
 # change must pass before merging: vet, build, the project's own static
 # analyzers (wblint), the full test suite under the race detector (which
 # also exercises the serial-vs-parallel equivalence properties), a short
-# fuzz smoke over the decoder and message-framing fuzz targets, and a
-# one-pass run of the scheduling stress matrix.
+# fuzz smoke over the decoder and message-framing fuzz targets, the
+# benchmark module's vet and tests, and a one-pass run of the scheduling
+# stress matrix.
 
 GO ?= go
 
-.PHONY: all build vet test lint race fuzz bench bench-stream metrics-golden chaos faults-golden serve chaos-serve stress check
+.PHONY: all build vet test lint race fuzz bench bench-stream metrics-golden chaos faults-golden serve chaos-serve bench-module stress check
 
 all: check
 
@@ -93,6 +94,12 @@ chaos-serve:
 	$(GO) test -race -count=1 ./internal/serve/chaosproxy/
 	$(GO) test -race -count=10 -run 'TestChaos' ./cmd/wbload/
 
+# The benchmark harness (bench/wbperf) is its own module, so the root
+# `go test ./...` skips it; vet and test it here so a library API change
+# that breaks it fails the gate instead of the next benchmark run.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Scheduling stress gate: the serving stack and the eval worker-invariance
 # properties under -race -count=$(STRESS_COUNT) at GOMAXPROCS 1, 2 and 8,
 # with -v off and on. Every run executes; the failures are listed together
@@ -103,5 +110,5 @@ STRESS_COUNT = 10
 stress:
 	sh scripts/stress.sh $(STRESS_COUNT) $(GO)
 
-check: vet build lint race fuzz bench-stream metrics-golden chaos faults-golden serve chaos-serve
+check: vet build lint race fuzz bench-stream metrics-golden chaos faults-golden serve chaos-serve bench-module
 	$(MAKE) stress STRESS_COUNT=1

@@ -15,10 +15,10 @@
 //	wbload -addr 127.0.0.1:4711 -n 64 -rate 100 -start 1.0 -payload 20 trace.csv
 //
 // Resilience knobs (DESIGN.md §13): -resume-ttl bounds how long a cut
-// client's parked checkpoint survives (a background sweeper evicts
-// stale ones), -stall arms the stuck-stream watchdog, and
-// -shed-threshold turns on adaptive load shedding below the hard
-// session cap.
+// client's parked checkpoint survives (the server's maintenance loop
+// evicts stale ones), -stall arms the stuck-stream watchdog, and
+// -shed-threshold, a pressure in [0,1], turns on adaptive load shedding
+// below the hard session cap; any other value is a usage error.
 //
 // With -metrics the daemon writes an internal/obs JSON snapshot of the
 // serving counters (sessions accepted/rejected/poisoned, bits served,
@@ -33,7 +33,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -51,9 +50,14 @@ func main() {
 	resumeTTL := flag.Duration("resume-ttl", serve.DefaultResumeTTL, "how long a parked resume checkpoint survives")
 	maxParked := flag.Int("max-parked", serve.DefaultMaxParked, "parked resume checkpoint cap (oldest evicted beyond it)")
 	stall := flag.Duration("stall", 0, "stuck-stream watchdog deadline (0 disables the watchdog)")
-	shedThreshold := flag.Float64("shed-threshold", 0, "pressure in (0,1] above which low-priority streams are shed (0 = hard cap only)")
+	shedThreshold := flag.Float64("shed-threshold", 0, "pressure in [0,1] from which low-priority streams are shed (0 = hard cap only)")
 	metrics := flag.String("metrics", "", "write a metrics JSON snapshot to this file after draining")
 	flag.Parse()
+	if err := checkShedThreshold(*shedThreshold); err != nil {
+		fmt.Fprintln(os.Stderr, "wbserved:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := serve.Config{
 		MaxSessions:   *maxSessions,
@@ -80,6 +84,16 @@ func main() {
 	}
 }
 
+// checkShedThreshold rejects a -shed-threshold that is not a pressure.
+// The server reads any value outside (0,1] as "hard cap only", so a typo
+// like 80 for 80% would silently turn early shedding off.
+func checkShedThreshold(v float64) error {
+	if !(v >= 0 && v <= 1) {
+		return fmt.Errorf("-shed-threshold must be a pressure in [0,1], got %v", v)
+	}
+	return nil
+}
+
 // run serves on l until a stop signal arrives, then drains and (when
 // asked) snapshots the metrics. The accept loop ending for any reason
 // other than a stop signal — an accept error, or the listener closing
@@ -88,11 +102,11 @@ func main() {
 // listener and signal channel.
 func run(cfg serve.Config, l net.Listener, metricsPath string, logw io.Writer, stop <-chan os.Signal) error {
 	srv := serve.NewServer(cfg)
+	eff := srv.Config()
 	fmt.Fprintf(logw, "wbserved: listening on %s (max %d sessions, buffer %d)\n",
-		l.Addr(), cfg.MaxSessions, cfg.SessionBuffer)
+		l.Addr(), eff.MaxSessions, eff.SessionBuffer)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ServeTCP(l) }()
-	sweepStop := startResumeSweeper(srv, cfg.ResumeTTL, cfg.Now)
 
 	var serveErr error
 	select {
@@ -112,7 +126,6 @@ func run(cfg serve.Config, l net.Listener, metricsPath string, logw io.Writer, s
 		}
 		fmt.Fprintf(logw, "wbserved: %v: draining\n", serveErr)
 	}
-	sweepStop()
 	drainErr := srv.Drain()
 	st := srv.Stats()
 	fmt.Fprintf(logw, "wbserved: drained in %.3fs: %d sessions completed, %d poisoned, %d aborted, %d bits served\n",
@@ -126,45 +139,6 @@ func run(cfg serve.Config, l net.Listener, metricsPath string, logw io.Writer, s
 		return serveErr
 	}
 	return drainErr
-}
-
-// startResumeSweeper evicts expired resume checkpoints on a ticker at a
-// quarter of the TTL. Neither the server nor this loop reads a clock of
-// its own: now is the same injected clock the serve.Config carries, so a
-// nil clock (deterministic tests) disables TTL eviction entirely —
-// checkpoints parked without timestamps could never age out anyway. The
-// returned function stops the sweeper and waits for it.
-func startResumeSweeper(srv *serve.Server, ttl time.Duration, now func() time.Time) func() {
-	if now == nil {
-		return func() {}
-	}
-	if ttl <= 0 {
-		ttl = serve.DefaultResumeTTL
-	}
-	interval := ttl / 4
-	if interval < 250*time.Millisecond {
-		interval = 250 * time.Millisecond
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				srv.SweepResume(now())
-			}
-		}
-	}()
-	return func() {
-		close(stop)
-		wg.Wait()
-	}
 }
 
 // writeMetrics publishes the server counters into a fresh obs registry

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -131,5 +133,50 @@ func TestRunListenerDeath(t *testing.T) {
 				t.Errorf("log missing the drain notice: %q", logw.String())
 			}
 		})
+	}
+}
+
+// TestRunLogsEffectiveConfig pins the startup line to the server's
+// resolved configuration: a zero -max-sessions or -buffer logs the
+// defaults the server actually runs with, not 0.
+func TestRunLogsEffectiveConfig(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan os.Signal, 1)
+	stop <- os.Interrupt
+	var logw strings.Builder
+	if err := run(serve.Config{Now: time.Now}, l, "", &logw, stop); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	want := fmt.Sprintf("(max %d sessions, buffer %d)", serve.DefaultMaxSessions, serve.DefaultSessionBuffer)
+	if !strings.Contains(logw.String(), want) {
+		t.Errorf("startup line does not report %q: %q", want, logw.String())
+	}
+}
+
+// TestCheckShedThreshold pins the -shed-threshold usage check: a
+// pressure in [0,1] passes (0 keeps the hard cap only), anything else —
+// including a percentage typed for a fraction — is refused.
+func TestCheckShedThreshold(t *testing.T) {
+	for _, tc := range []struct {
+		v  float64
+		ok bool
+	}{
+		{0, true},
+		{0.005, true},
+		{0.8, true},
+		{1, true},
+		{80, false},
+		{1.0001, false},
+		{-0.1, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+	} {
+		if err := checkShedThreshold(tc.v); (err == nil) != tc.ok {
+			t.Errorf("checkShedThreshold(%v) = %v, want ok=%v", tc.v, err, tc.ok)
+		}
 	}
 }

@@ -41,11 +41,10 @@ type metrics struct {
 	watchdogScans  atomic.Int64
 	watchdogStalls atomic.Int64
 
-	// Shed accounting.
+	// Shed accounting. Shed rejections and retry hints are derived in
+	// stats: every overload rejection is the shed policy's, and
+	// retryErr's only callers count rejectedOverload or bufferFull.
 	shedPreempted atomic.Int64
-	shedRejected  atomic.Int64
-	retryHints    atomic.Int64
-	strainBits    atomic.Uint64 // float64 bits: decaying failure rate
 }
 
 // Stats is a point-in-time snapshot of the serving counters.
@@ -96,9 +95,11 @@ type Stats struct {
 	WatchdogStalls int64
 	// ShedPreempted counts sessions preempted for higher-priority opens.
 	ShedPreempted int64
-	// ShedRejected counts opens refused by the shed policy.
+	// ShedRejected counts opens refused by the shed policy (every
+	// overload rejection, so it equals RejectedOverload).
 	ShedRejected int64
-	// RetryHints counts rejections that carried a retry-after hint.
+	// RetryHints counts rejections that carried a retry-after hint
+	// (RejectedOverload plus BufferFull).
 	RetryHints int64
 }
 
@@ -120,34 +121,6 @@ func maxInt64(a *atomic.Int64, v int64) {
 	}
 }
 
-// noteStrain bumps the decaying failure-rate term of the pressure
-// signal by one event (abort, poison, stall, shed).
-func (m *metrics) noteStrain() {
-	for {
-		old := m.strainBits.Load()
-		v := math.Float64frombits(old) + 1
-		if m.strainBits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// decayStrain ages the failure-rate term; called on every accepted
-// admission so strain measures failures per unit of offered load.
-func (m *metrics) decayStrain() {
-	for {
-		old := m.strainBits.Load()
-		v := math.Float64frombits(old) * 0.9375
-		if m.strainBits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-func (m *metrics) strain() float64 {
-	return math.Float64frombits(m.strainBits.Load())
-}
-
 func (m *metrics) setDrainSeconds(s float64) {
 	m.drainSecondsBits.Store(math.Float64bits(s))
 }
@@ -157,15 +130,16 @@ func (m *metrics) drainSeconds() float64 {
 }
 
 func (m *metrics) stats() Stats {
+	overload, full := m.rejectedOverload.Load(), m.bufferFull.Load()
 	return Stats{
 		Accepted:         m.accepted.Load(),
-		RejectedOverload: m.rejectedOverload.Load(),
+		RejectedOverload: overload,
 		RejectedDraining: m.rejectedDraining.Load(),
 		RejectedBad:      m.rejectedBad.Load(),
 		Completed:        m.completed.Load(),
 		Poisoned:         m.poisoned.Load(),
 		Aborted:          m.abortedSessions.Load(),
-		BufferFull:       m.bufferFull.Load(),
+		BufferFull:       full,
 		Measurements:     m.measurements.Load(),
 		BitsServed:       m.bitsServed.Load(),
 		Active:           m.active.Load(),
@@ -181,8 +155,8 @@ func (m *metrics) stats() Stats {
 		WatchdogScans:    m.watchdogScans.Load(),
 		WatchdogStalls:   m.watchdogStalls.Load(),
 		ShedPreempted:    m.shedPreempted.Load(),
-		ShedRejected:     m.shedRejected.Load(),
-		RetryHints:       m.retryHints.Load(),
+		ShedRejected:     overload,
+		RetryHints:       overload + full,
 	}
 }
 

@@ -2,6 +2,8 @@ package serve_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -69,12 +71,11 @@ func TestWatchdogAbortsOnlyStalledSession(t *testing.T) {
 	series := synthSeries(t, payload, 21)
 	want := batchDecode(t, series, len(payload))
 
-	// An hour-long poll keeps the background ticker quiet; the test
-	// drives polls itself via WatchdogSweep (each call = one interval,
-	// so StallTimeout == poll trips on the second frozen observation).
+	// A nil Now keeps the maintenance loop off; the test drives ticks
+	// itself via WatchdogSweep (each call = one tick against the
+	// deadline).
 	srv := serve.NewServer(serve.Config{
 		StallTimeout: time.Hour,
-		WatchdogPoll: time.Hour,
 	})
 
 	stuck := newBlockSink()
@@ -100,9 +101,8 @@ func TestWatchdogAbortsOnlyStalledSession(t *testing.T) {
 		}
 	}
 
-	// Sweep until the watchdog convicts the wedged session. Two frozen
-	// observations suffice; the loop tolerates the first sweep landing
-	// before the worker blocks.
+	// Sweep until the watchdog convicts the wedged session; the loop
+	// tolerates sweeps landing before the worker blocks.
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Stats().WatchdogStalls == 0 {
 		if time.Now().After(deadline) {
@@ -464,33 +464,154 @@ func TestShedPreemptsLowestPriority(t *testing.T) {
 	}
 }
 
-// TestShedThresholdSheds pins pressure-based early shedding: with a
-// threshold below one active session's load, the second open already
-// triggers the policy — preempting a strictly lower-priority stream,
-// rejecting an equal one — long before the hard MaxSessions wall.
+// TestShedThresholdSheds pins the single admission comparison across
+// threshold values and caps: an in-range threshold below one session's
+// load sheds from the second open on — preempting a strictly
+// lower-priority stream, rejecting an equal one — long before the hard
+// MaxSessions wall, while zero, one, and every out-of-range threshold
+// behave exactly like the hard cap, where the retry-after hint is 2x its
+// base.
 func TestShedThresholdSheds(t *testing.T) {
+	const retryBase = 500 * time.Millisecond // serve's retry-after base
 	payload := randomPayload(8, 47)
-	srv := serve.NewServer(serve.Config{MaxSessions: 100, ShedThreshold: 0.005})
 	params := func(prio int) serve.SessionParams {
 		p := testParams(len(payload))
 		p.Priority = prio
 		return p
 	}
-	low, err := srv.Open(params(0), newMemSink())
+	for _, maxSessions := range []int{2, 100} {
+		for _, tc := range []struct {
+			threshold float64
+			hardCap   bool // sheds only at MaxSessions
+		}{
+			{0, true},
+			{0.005, false},
+			{1, true},
+			{1.5, true},
+			{-1, true},
+			{math.NaN(), true},
+		} {
+			t.Run(fmt.Sprintf("max%d/threshold%v", maxSessions, tc.threshold), func(t *testing.T) {
+				srv := serve.NewServer(serve.Config{
+					MaxSessions:   maxSessions,
+					SessionBuffer: 1,
+					ShedThreshold: tc.threshold,
+				})
+				low, err := srv.Open(params(0), newMemSink())
+				if err != nil {
+					t.Fatalf("first open under threshold rejected: %v", err)
+				}
+				if !tc.hardCap {
+					if p := srv.Pressure(); p < tc.threshold {
+						t.Fatalf("Pressure() = %v after one session, below the test threshold", p)
+					}
+				}
+
+				// Equal-priority opens are admitted up to the shedding
+				// point, then rejected with a retry hint.
+				wantAdmitted := 1
+				if tc.hardCap {
+					wantAdmitted = maxSessions
+				}
+				admitted := 1
+				for ; admitted <= maxSessions; admitted++ {
+					if _, err = srv.Open(params(0), newMemSink()); err != nil {
+						break
+					}
+				}
+				if admitted != wantAdmitted {
+					t.Fatalf("admitted %d equal-priority sessions, want %d", admitted, wantAdmitted)
+				}
+				if !errors.Is(err, serve.ErrOverloaded) {
+					t.Fatalf("equal-priority open under pressure = %v, want ErrOverloaded", err)
+				}
+				var re *serve.RetryError
+				if !errors.As(err, &re) {
+					t.Fatalf("rejection %v carries no retry-after hint", err)
+				}
+				if tc.hardCap {
+					if p := srv.Pressure(); p != 1 {
+						t.Errorf("Pressure() at the cap = %v, want 1", p)
+					}
+					if re.After != 2*retryBase {
+						t.Errorf("retry-after at the cap = %v, want %v", re.After, 2*retryBase)
+					}
+				} else if re.After <= 0 || re.After >= 2*retryBase {
+					t.Errorf("retry-after below the cap = %v, want in (0, %v)", re.After, 2*retryBase)
+				}
+
+				// A higher priority preempts the oldest lowest-priority
+				// session.
+				if _, err := srv.Open(params(5), newMemSink()); err != nil {
+					t.Fatalf("higher-priority open under pressure rejected: %v", err)
+				}
+				if _, err := low.Result(); !errors.Is(err, serve.ErrShed) {
+					t.Fatalf("victim verdict = %v, want ErrShed", err)
+				}
+				if err := srv.Drain(); err != nil {
+					t.Fatalf("Drain: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestMaintenanceLoop runs the server-owned maintenance loop on the wall
+// clock: with no SweepResume or WatchdogSweep call from the test, a
+// parked checkpoint is evicted by TTL and a session wedged in its sink
+// gets ErrStalled. Every wait is a deadline, not a fixed sleep.
+func TestMaintenanceLoop(t *testing.T) {
+	payload := randomPayload(12, 59)
+	series := synthSeries(t, payload, 59)
+	// A 20ms TTL makes the loop tick every 5ms; the 1s stall deadline
+	// leaves a healthy frame close ample time even under the race
+	// detector at GOMAXPROCS=1.
+	srv := serve.NewServer(serve.Config{
+		TokenSeed:    13,
+		ResumeTTL:    20 * time.Millisecond,
+		StallTimeout: time.Second,
+		Now:          time.Now,
+	})
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("maintenance loop never %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	parked, err := srv.Open(resumableParams(len(payload)), newMemSink())
 	if err != nil {
-		t.Fatalf("first open under threshold rejected: %v", err)
+		t.Fatal(err)
 	}
-	if p := srv.Pressure(); p < 0.005 {
-		t.Fatalf("Pressure() = %v after one session, below the test threshold", p)
+	feed(t, parked, series)
+	if _, err := parked.Result(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := srv.Open(params(0), newMemSink()); !errors.Is(err, serve.ErrOverloaded) {
-		t.Fatalf("equal-priority open under pressure = %v, want ErrOverloaded", err)
+	waitFor("evicted the parked checkpoint", func() bool { return srv.Stats().EvictedTTL == 1 })
+	if n := srv.ParkedCheckpoints(); n != 0 {
+		t.Errorf("parked checkpoints = %d after TTL eviction", n)
 	}
-	if _, err := srv.Open(params(5), newMemSink()); err != nil {
-		t.Fatalf("higher-priority open under pressure rejected: %v", err)
+	if _, _, err := srv.ResumeSession(parked.Token(), nil); !errors.Is(err, serve.ErrUnknownResume) {
+		t.Fatalf("resume after TTL eviction = %v, want ErrUnknownResume", err)
 	}
-	if _, err := low.Result(); !errors.Is(err, serve.ErrShed) {
-		t.Fatalf("victim verdict = %v, want ErrShed", err)
+
+	stuck := newBlockSink()
+	stalled, err := srv.Open(testParams(len(payload)), stuck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushUntilParked(t, stalled, series, stuck)
+	waitFor("convicted the stalled session", func() bool { return srv.Stats().WatchdogStalls == 1 })
+	close(stuck.release)
+	if _, err := stalled.Result(); !errors.Is(err, serve.ErrStalled) {
+		t.Fatalf("stalled session verdict = %v, want ErrStalled", err)
+	}
+	if err := srv.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
 	}
 }
 
@@ -505,7 +626,6 @@ func TestDrainRacesProducers(t *testing.T) {
 	srv := serve.NewServer(serve.Config{
 		MaxSessions:  4,
 		StallTimeout: time.Hour,
-		WatchdogPoll: time.Hour,
 	})
 
 	var (

@@ -17,9 +17,10 @@ import (
 // wait. A client reconnecting with "resume <token> <bits-received>"
 // re-attaches, has exactly the missed suffix replayed, and continues
 // byte-identical to an uninterrupted run. Parked checkpoints are bounded
-// two ways: SweepResume evicts by TTL against a caller-supplied clock
-// (the daemon's ticker, a test's fake time), and MaxParked evicts the
-// oldest checkpoint on capacity pressure, both with eviction accounting.
+// two ways: SweepResume evicts by TTL against a supplied clock (the
+// maintenance loop's Config.Now, a test's fake time), and MaxParked
+// evicts the oldest checkpoint on capacity pressure, both with eviction
+// accounting.
 
 // tokenLen is the fixed width of a resume token in hex digits; fixed
 // width keeps resumable ok lines length-stable, which the chaos proxy's
@@ -251,7 +252,7 @@ func (srv *Server) ResumeSession(token string, c closer) (*Session, uint32, erro
 	// (or a live connection being hijacked); past it the transport is
 	// closed and the handler's exit awaited.
 	if ch := s.producerExit(); ch != nil {
-		timer := time.NewTimer(srv.cfg.resumeDrainWait())
+		timer := time.NewTimer(resumeDrainWait)
 		select {
 		case <-ch:
 		case <-timer.C:
@@ -308,11 +309,11 @@ func (srv *Server) parkLocked(s *Session) {
 // table until the parked population fits MaxParked, returning them for
 // the caller to finish off outside srv.mu.
 func (srv *Server) evictOverflowLocked() []*Session {
-	if srv.nParked <= srv.cfg.maxParked() {
+	if srv.nParked <= srv.cfg.MaxParked {
 		return nil
 	}
-	evicted := make([]*Session, 0, srv.nParked-srv.cfg.maxParked())
-	for srv.nParked > srv.cfg.maxParked() {
+	evicted := make([]*Session, 0, srv.nParked-srv.cfg.MaxParked)
+	for srv.nParked > srv.cfg.MaxParked {
 		var oldest *Session
 		for _, s := range srv.resumable {
 			if !s.detached {
@@ -350,17 +351,15 @@ func (srv *Server) evictSession(s *Session, byTTL bool) {
 }
 
 // SweepResume evicts parked checkpoints whose age at now meets or
-// exceeds ResumeTTL, returning how many were evicted. The server never
-// reads a clock itself: the daemon calls this on a ticker with time.Now,
-// deterministic tests call it with fabricated times. Checkpoints parked
-// under a nil Config.Now have no timestamp and are only ever evicted by
-// capacity.
+// exceeds ResumeTTL, returning how many were evicted. The maintenance
+// loop calls it every tick with Config.Now(); deterministic tests call
+// it with fabricated times. Checkpoints parked under a nil Config.Now
+// have no timestamp and are only ever evicted by capacity.
 func (srv *Server) SweepResume(now time.Time) int {
-	ttl := srv.cfg.resumeTTL()
 	srv.mu.Lock()
 	evicted := make([]*Session, 0, 8)
 	for tok, s := range srv.resumable {
-		if s.detached && !s.parkedAt.IsZero() && now.Sub(s.parkedAt) >= ttl {
+		if s.detached && !s.parkedAt.IsZero() && now.Sub(s.parkedAt) >= srv.cfg.ResumeTTL {
 			delete(srv.resumable, tok)
 			srv.nParked--
 			evicted = append(evicted, s)

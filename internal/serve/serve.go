@@ -154,8 +154,10 @@ type Sink interface {
 	EmitResult(res *uplink.Result, err error)
 }
 
-// Config parameterizes a Server. The zero value is usable: defaults
-// below, no deadlines (Now nil keeps the layer fully deterministic).
+// Config parameterizes a Server. The zero value is usable: NewServer
+// resolves every zero field to its default once, and a nil Now keeps the
+// layer fully deterministic (no deadlines, no background maintenance).
+// README "Serving" tabulates each field with its wbserved flag.
 type Config struct {
 	// MaxSessions bounds concurrently active sessions (admission
 	// control). Zero means DefaultMaxSessions.
@@ -174,16 +176,16 @@ type Config struct {
 	// DrainTimeout is the hard deadline for Drain: sessions still running
 	// when it expires are force-aborted. Zero means DefaultDrainTimeout.
 	DrainTimeout time.Duration
-	// Now supplies the wall clock for deadlines and the drain-duration
-	// metric. The daemon injects time.Now; nil disables every deadline,
-	// which is what deterministic tests want.
+	// Now supplies the wall clock for deadlines, checkpoint ages and the
+	// drain-duration metric, and a non-nil Now starts the maintenance
+	// loop (TTL sweeps and the watchdog). The daemon injects time.Now;
+	// nil disables all of it, which is what deterministic tests want.
 	Now func() time.Time
 
 	// ResumeTTL is how long a detached resumable checkpoint is kept
-	// before SweepResume may evict it. Zero means DefaultResumeTTL. The
-	// server never reads the clock itself: the daemon (or a test) calls
-	// SweepResume with whatever "now" it trusts, so eviction is exactly
-	// as deterministic as the caller's clock.
+	// before a sweep evicts it. Zero means DefaultResumeTTL. The
+	// maintenance loop sweeps against Now; deterministic tests call
+	// SweepResume with fabricated times instead.
 	ResumeTTL time.Duration
 	// MaxParked bounds detached resumable checkpoints; beyond it the
 	// oldest parked checkpoint is evicted immediately (capacity
@@ -192,103 +194,58 @@ type Config struct {
 	// TokenSeed salts resume tokens so they are stable per server config,
 	// not guessable across deployments. Zero is a valid seed.
 	TokenSeed uint64
-	// ResumeDrainWait bounds how long ResumeSession waits for the old
-	// connection's handler to drain its delivered lines and exit on its
-	// own EOF before force-closing the transport. The natural-EOF path
-	// is what makes the resume cursor deterministic (the cut's FIN
-	// arrives behind every delivered byte); the bound only fires for a
-	// peer that vanished without FIN or a live connection being
-	// hijacked. Zero means DefaultResumeDrainWait.
-	ResumeDrainWait time.Duration
 	// StallTimeout arms the stuck-stream watchdog: a session whose worker
 	// makes no progress for this long while input is pending (queued
 	// slots, or a producer blocked on a full ring) is aborted with
 	// ErrStalled. Zero disables the watchdog.
 	StallTimeout time.Duration
-	// WatchdogPoll is the sweep cadence; zero means StallTimeout/4
-	// (min 1ms). Exposed mainly so tests can tighten it.
-	WatchdogPoll time.Duration
-	// ShedThreshold turns on pressure-based early shedding: when
-	// Pressure() meets or exceeds it, Open sheds/rejects before the hard
-	// MaxSessions wall. Zero disables early shedding (admission then
-	// degrades only at the hard cap, still with priority preemption and
-	// retry-after hints).
+	// ShedThreshold is the pressure at which Open starts shedding: from
+	// it on, a newcomer preempts a strictly lower-priority session or is
+	// rejected. Pressure reads 1 at MaxSessions, so a value outside
+	// (0,1] (zero included) means the hard cap only.
 	ShedThreshold float64
-	// RetryAfterBase scales the machine-readable retry-after hint
-	// attached to ErrOverloaded/ErrBufferFull rejections; the hint grows
-	// with measured pressure. Zero means DefaultRetryAfterBase.
-	RetryAfterBase time.Duration
 }
 
 // Defaults for Config's zero fields.
 const (
-	DefaultMaxSessions     = 64
-	DefaultSessionBuffer   = 256
-	DefaultDrainTimeout    = 5 * time.Second
-	DefaultResumeTTL       = 2 * time.Minute
-	DefaultMaxParked       = 256
-	DefaultRetryAfterBase  = 500 * time.Millisecond
-	DefaultResumeDrainWait = 5 * time.Second
+	DefaultMaxSessions   = 64
+	DefaultSessionBuffer = 256
+	DefaultDrainTimeout  = 5 * time.Second
+	DefaultResumeTTL     = 2 * time.Minute
+	DefaultMaxParked     = 256
 )
 
-func (c Config) maxSessions() int {
+const (
+	// retryAfterBase scales the retry-after hint of ErrOverloaded and
+	// ErrBufferFull rejections (shed.go).
+	retryAfterBase = 500 * time.Millisecond
+	// resumeDrainWait bounds how long ResumeSession waits for the old
+	// connection's handler to exit on its own EOF (resume.go).
+	resumeDrainWait = 5 * time.Second
+)
+
+// withDefaults resolves every zero or out-of-range field to the value
+// the server runs with.
+func (c Config) withDefaults() Config {
 	if c.MaxSessions <= 0 {
-		return DefaultMaxSessions
+		c.MaxSessions = DefaultMaxSessions
 	}
-	return c.MaxSessions
-}
-
-func (c Config) sessionBuffer() int {
 	if c.SessionBuffer <= 0 {
-		return DefaultSessionBuffer
+		c.SessionBuffer = DefaultSessionBuffer
 	}
-	return c.SessionBuffer
-}
-
-func (c Config) drainTimeout() time.Duration {
 	if c.DrainTimeout <= 0 {
-		return DefaultDrainTimeout
+		c.DrainTimeout = DefaultDrainTimeout
 	}
-	return c.DrainTimeout
-}
-
-func (c Config) resumeTTL() time.Duration {
 	if c.ResumeTTL <= 0 {
-		return DefaultResumeTTL
+		c.ResumeTTL = DefaultResumeTTL
 	}
-	return c.ResumeTTL
-}
-
-func (c Config) maxParked() int {
 	if c.MaxParked <= 0 {
-		return DefaultMaxParked
+		c.MaxParked = DefaultMaxParked
 	}
-	return c.MaxParked
-}
-
-func (c Config) resumeDrainWait() time.Duration {
-	if c.ResumeDrainWait <= 0 {
-		return DefaultResumeDrainWait
+	if !(c.ShedThreshold > 0 && c.ShedThreshold <= 1) {
+		c.ShedThreshold = 1
 	}
-	return c.ResumeDrainWait
-}
-
-func (c Config) watchdogPoll() time.Duration {
-	if c.WatchdogPoll > 0 {
-		return c.WatchdogPoll
-	}
-	p := c.StallTimeout / 4
-	if p < time.Millisecond {
-		p = time.Millisecond
-	}
-	return p
-}
-
-func (c Config) retryAfterBase() time.Duration {
-	if c.RetryAfterBase <= 0 {
-		return DefaultRetryAfterBase
-	}
-	return c.RetryAfterBase
+	return c
 }
 
 // Server states: the drain state machine (DESIGN.md §12).
@@ -313,8 +270,13 @@ type Server struct {
 	nParked   int   // detached checkpoints (capacity accounting)
 	parkSeq   int64 // monotone detach order for oldest-first eviction
 
-	wdStop chan struct{} // stops the watchdog goroutine
-	wdOnce sync.Once
+	// Maintenance loop (watchdog.go): tick is its cadence, stallTicks the
+	// watchdog deadline counted in ticks. Drain closes stop and waits on
+	// maint.
+	tick       time.Duration
+	stallTicks int
+	stop       chan struct{}
+	maint      sync.WaitGroup
 
 	wg  sync.WaitGroup // one per session worker
 	met metrics
@@ -323,30 +285,35 @@ type Server struct {
 // closer is the slice of a transport a Server can force-close.
 type closer interface{ Close() error }
 
-// NewServer builds a Server. A Config with StallTimeout > 0 starts the
-// stuck-stream watchdog goroutine; it stops when Drain begins.
+// NewServer builds a Server with cfg's defaults resolved. A non-nil
+// cfg.Now starts the maintenance loop; it stops when Drain begins.
 func NewServer(cfg Config) *Server {
+	cfg = cfg.withDefaults()
 	srv := &Server{
 		cfg:       cfg,
 		sessions:  make(map[*Session]struct{}),
 		conns:     make(map[closer]struct{}),
 		drained:   make(chan struct{}),
 		resumable: make(map[string]*Session),
-		wdStop:    make(chan struct{}),
+		stop:      make(chan struct{}),
 	}
-	if cfg.StallTimeout > 0 {
-		go srv.watchdog()
+	srv.tick, srv.stallTicks = maintenanceTick(cfg)
+	if cfg.Now != nil {
+		srv.maint.Add(1)
+		go srv.maintain()
 	}
 	return srv
 }
 
-// Config returns the server's effective configuration.
+// Config returns the server's effective configuration: the Config it was
+// built with, every zero or out-of-range field resolved to the value the
+// server runs with.
 func (srv *Server) Config() Config { return srv.cfg }
 
 // Open admits one new session, or rejects it: ErrDraining during
 // shutdown, a validation error for bad parameters, and under load the
-// shed policy decides — at the hard MaxSessions cap (or past
-// ShedThreshold pressure) a strictly higher-priority newcomer preempts
+// shed policy decides — once Pressure reaches ShedThreshold (it reads 1
+// at the MaxSessions cap) a strictly higher-priority newcomer preempts
 // the lowest-priority active session (ErrShed on the victim), everyone
 // else gets ErrOverloaded wrapped in a RetryError carrying a
 // pressure-scaled retry-after hint. The session's worker starts
@@ -367,15 +334,12 @@ func (srv *Server) Open(p SessionParams, sink Sink) (*Session, error) {
 	}
 	var victim *Session
 	pressure := srv.pressureLocked()
-	atCap := len(srv.sessions) >= srv.cfg.maxSessions()
-	shedding := srv.cfg.ShedThreshold > 0 && pressure >= srv.cfg.ShedThreshold
-	if atCap || shedding {
+	if pressure >= srv.cfg.ShedThreshold {
 		victim = srv.victimLocked(p.Priority)
 		if victim == nil {
 			srv.met.rejectedOverload.Add(1)
-			srv.met.shedRejected.Add(1)
 			srv.mu.Unlock()
-			return nil, srv.retryErr(ErrOverloaded, pressure)
+			return nil, retryErr(ErrOverloaded, pressure)
 		}
 	}
 	s, err := newSession(srv, srv.nextID, p, sink)
@@ -390,7 +354,6 @@ func (srv *Server) Open(p SessionParams, sink Sink) (*Session, error) {
 	}
 	active := len(srv.sessions)
 	srv.met.accepted.Add(1)
-	srv.met.decayStrain()
 	srv.wg.Add(1)
 	srv.mu.Unlock()
 	if victim != nil {
@@ -426,7 +389,6 @@ func (srv *Server) victimLocked(prio int) *Session {
 func (srv *Server) shed(s *Session) {
 	if s.setErr(ErrShed) {
 		srv.met.shedPreempted.Add(1)
-		srv.met.noteStrain()
 	}
 	s.abort()
 	s.Finish()
@@ -457,8 +419,8 @@ func (srv *Server) Draining() bool {
 }
 
 // Drain executes the shutdown state machine: running → draining (stop
-// admitting, Finish every live session so in-frame captures flush their
-// partial frames) → closed. Sessions still running at the DrainTimeout
+// admitting and the maintenance loop, Finish every live session so
+// in-frame captures flush their partial frames) → closed. Sessions still running at the DrainTimeout
 // hard deadline are force-aborted (their transports closed, which
 // unblocks any worker stuck writing to a dead client). It returns nil
 // when every session completed within the deadline, and an error naming
@@ -480,7 +442,8 @@ func (srv *Server) Drain() error {
 		sessions = append(sessions, s)
 	}
 	srv.mu.Unlock()
-	srv.wdOnce.Do(func() { close(srv.wdStop) })
+	close(srv.stop)
+	srv.maint.Wait()
 
 	var t0 time.Time
 	if srv.cfg.Now != nil {
@@ -502,7 +465,7 @@ func (srv *Server) Drain() error {
 		srv.wg.Wait()
 		close(workers)
 	}()
-	timer := time.NewTimer(srv.cfg.drainTimeout())
+	timer := time.NewTimer(srv.cfg.DrainTimeout)
 	defer timer.Stop()
 	aborted := false
 	leaked := false
@@ -515,7 +478,7 @@ func (srv *Server) Drain() error {
 		// A worker held hostage by an in-process sink that ignores the
 		// contract has nothing left to unblock it — bound this wait too
 		// and leak the worker rather than hang a daemon mid-exit.
-		grace := time.NewTimer(srv.cfg.drainTimeout())
+		grace := time.NewTimer(srv.cfg.DrainTimeout)
 		select {
 		case <-workers:
 		case <-grace.C:

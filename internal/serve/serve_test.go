@@ -632,3 +632,37 @@ func TestPublishMetrics(t *testing.T) {
 		t.Error("published metrics missing from the JSON snapshot")
 	}
 }
+
+// TestConfigResolvesDefaults pins Server.Config as the effective
+// configuration: zero fields resolve to the published defaults, set
+// fields pass through, and a shed threshold outside (0,1] resolves to 1,
+// the hard cap.
+func TestConfigResolvesDefaults(t *testing.T) {
+	got := serve.NewServer(serve.Config{ShedThreshold: 80}).Config()
+	want := serve.Config{
+		MaxSessions:   serve.DefaultMaxSessions,
+		SessionBuffer: serve.DefaultSessionBuffer,
+		DrainTimeout:  serve.DefaultDrainTimeout,
+		ResumeTTL:     serve.DefaultResumeTTL,
+		MaxParked:     serve.DefaultMaxParked,
+		ShedThreshold: 1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("zero Config resolved to %+v, want %+v", got, want)
+	}
+	set := serve.Config{
+		MaxSessions:   3,
+		SessionBuffer: 5,
+		IdleTimeout:   time.Second,
+		WriteTimeout:  2 * time.Second,
+		DrainTimeout:  3 * time.Second,
+		ResumeTTL:     time.Minute,
+		MaxParked:     7,
+		TokenSeed:     11,
+		StallTimeout:  4 * time.Second,
+		ShedThreshold: 0.5,
+	}
+	if got := serve.NewServer(set).Config(); !reflect.DeepEqual(got, set) {
+		t.Errorf("explicit Config resolved to %+v, want it unchanged", got)
+	}
+}

@@ -93,7 +93,7 @@ func newSession(srv *Server, id uint64, p SessionParams, sink Sink) (*Session, e
 	if err != nil {
 		return nil, err
 	}
-	nslots := srv.cfg.sessionBuffer()
+	nslots := srv.cfg.SessionBuffer
 	s := &Session{
 		srv:   srv,
 		id:    id,
@@ -225,7 +225,7 @@ func (s *Session) push(m csi.Measurement, wait bool, gen uint32, fenced bool) er
 			s.srv.met.bufferFull.Add(1)
 			// A full ring is occupancy 1 by definition; the server-wide
 			// Pressure() would need srv.mu, which this path must not take.
-			return s.srv.retryErr(ErrBufferFull, 1)
+			return retryErr(ErrBufferFull, 1)
 		}
 	}
 	if err := s.copyInto(idx, m); err != nil {

@@ -4,19 +4,19 @@ import (
 	"time"
 )
 
-// Adaptive load shedding (DESIGN.md §13). Admission is no longer the
-// binary "ErrOverloaded at MaxSessions": the server computes a pressure
-// signal in [0,1] blending active-session load, aggregate slot-ring
-// occupancy, and a decaying strain term fed by aborts, poisonings, and
-// stall verdicts. Under pressure the policy degrades in order: a
+// Adaptive load shedding (DESIGN.md §13). Admission is one comparison:
+// Open sheds once Pressure() reaches Config.ShedThreshold. Pressure is 1
+// at the MaxSessions cap and blends active-session load with aggregate
+// slot-ring occupancy below it, so the default threshold of 1 is the
+// hard cap and a lower one sheds earlier. Shedding degrades in order: a
 // newcomer with strictly higher priority preempts the lowest-priority
 // active session (ErrShed on the victim — its bits so far were already
 // delivered, and a resumable victim keeps its checkpoint); everyone
 // else is rejected with a RetryError carrying a pressure-scaled
 // retry-after hint, machine-readable on the wire as
 // "reject retry-after=<seconds> ...". TryPush's ErrBufferFull carries
-// the same hint. Shed decisions are visible through serve.shed.* and
-// the serve.pressure gauge.
+// the same hint at full pressure. Shed decisions are visible through
+// serve.shed.* and the serve.pressure gauge.
 
 // RetryError wraps a load-shedding rejection (ErrOverloaded,
 // ErrBufferFull) with a machine-readable backoff hint. errors.Is sees
@@ -38,15 +38,8 @@ func (e *RetryError) Unwrap() error { return e.Err }
 // retryErr wraps base with a hint that grows with pressure: base/2 when
 // idle, up to 2x base at full pressure — monotone, so a client backing
 // off by the hint naturally spreads a thundering herd.
-func (srv *Server) retryErr(base error, pressure float64) error {
-	if pressure < 0 {
-		pressure = 0
-	}
-	if pressure > 1 {
-		pressure = 1
-	}
-	after := time.Duration((0.5 + 1.5*pressure) * float64(srv.cfg.retryAfterBase()))
-	srv.met.retryHints.Add(1)
+func retryErr(base error, pressure float64) error {
+	after := time.Duration((0.5 + 1.5*pressure) * float64(retryAfterBase))
 	return &RetryError{Err: base, After: after}
 }
 
@@ -57,27 +50,19 @@ func (srv *Server) Pressure() float64 {
 	return srv.pressureLocked()
 }
 
-// pressureLocked blends the three load signals. Weights: active
-// sessions dominate (0.6) because they bound everything else; aggregate
-// ring occupancy (0.3) says how far behind the workers are; strain
-// (0.1) is the decaying abort/poison/stall rate, normalized so eight
-// recent failures saturate it. Caller holds srv.mu.
+// pressureLocked is 1 at the MaxSessions cap. Below it, active-session
+// load dominates (0.6) because it bounds everything else, and aggregate
+// ring occupancy (0.3) says how far behind the workers are, so pressure
+// stays under 0.9 until the cap. Caller holds srv.mu.
 func (srv *Server) pressureLocked() float64 {
-	load := float64(len(srv.sessions)) / float64(srv.cfg.maxSessions())
+	n := len(srv.sessions)
+	if n >= srv.cfg.MaxSessions {
+		return 1
+	}
 	occ := 0.0
-	if n := len(srv.sessions); n > 0 {
-		occ = float64(srv.met.queued.Load()) / float64(n*srv.cfg.sessionBuffer())
+	if n > 0 {
+		occ = float64(srv.met.queued.Load()) / float64(n*srv.cfg.SessionBuffer)
 	}
-	strain := srv.met.strain() / 8
-	if strain > 1 {
-		strain = 1
-	}
-	p := 0.6*load + 0.3*occ + 0.1*strain
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	return p
+	p := 0.6*float64(n)/float64(srv.cfg.MaxSessions) + 0.3*occ
+	return min(max(p, 0), 1)
 }

@@ -2,32 +2,52 @@ package serve
 
 import "time"
 
-// Stuck-stream watchdog (DESIGN.md §13). A session can stop advancing
-// without failing: a sink that blocks forever, a client that fills the
-// slot ring and never reads a response, a decoder wedged behind either.
-// Before this layer such a session was only caught at drain time by the
-// hard deadline. With Config.StallTimeout set, a watchdog goroutine
-// sweeps every active session on a poll cadence and tracks a progress
-// heartbeat (slots processed plus lifecycle steps). A session whose
-// heartbeat has not moved for StallTimeout while work is pending —
-// queued slots, or the worker parked inside a sink call — is aborted
-// alone with the distinct ErrStalled verdict: producers unblock, the
-// transport closes (which frees a worker stuck mid-write), and every
+// Maintenance loop and stuck-stream watchdog (DESIGN.md §13). One
+// server-owned goroutine, started by NewServer when Config.Now is set,
+// does the periodic work: it sweeps parked resume checkpoints by TTL
+// against Now and, with Config.StallTimeout set, runs the watchdog.
+//
+// A session can stop advancing without failing: a sink that blocks
+// forever, a client that fills the slot ring and never reads a
+// response, a decoder wedged behind either. The watchdog tracks each
+// session's progress heartbeat (slots processed plus lifecycle steps). A
+// session whose heartbeat has not moved for StallTimeout while work is
+// pending — queued slots, or the worker parked inside a sink call — is
+// aborted alone with the distinct ErrStalled verdict: producers unblock,
+// the transport closes (which frees a worker stuck mid-write), and every
 // other session keeps streaming. serve.watchdog.* metrics account for
 // scans and stall verdicts.
 
-// watchdog is the sweep goroutine, started by NewServer when
-// StallTimeout > 0 and stopped when Drain begins (drain has its own
-// deadline discipline; two reapers racing would double-account).
-func (srv *Server) watchdog() {
-	t := time.NewTicker(srv.cfg.watchdogPoll())
+// maintenanceTick returns the loop's cadence — a quarter of the
+// shortest deadline it enforces, at least 1ms — and the watchdog's stall
+// deadline in whole ticks (at least one: a sweep only observes
+// tick-grained time).
+func maintenanceTick(cfg Config) (tick time.Duration, stallTicks int) {
+	tick = cfg.ResumeTTL / 4
+	if cfg.StallTimeout > 0 {
+		tick = min(tick, cfg.StallTimeout/4)
+	}
+	tick = max(tick, time.Millisecond)
+	stallTicks = max(int((cfg.StallTimeout+tick-1)/tick), 1)
+	return tick, stallTicks
+}
+
+// maintain is the maintenance goroutine. Drain stops it before
+// finishing any session (drain has its own deadline discipline; two
+// reapers racing would double-account).
+func (srv *Server) maintain() {
+	defer srv.maint.Done()
+	t := time.NewTicker(srv.tick)
 	defer t.Stop()
 	for {
 		select {
-		case <-srv.wdStop:
+		case <-srv.stop:
 			return
 		case <-t.C:
-			srv.watchdogSweep()
+			if srv.cfg.StallTimeout > 0 {
+				srv.watchdogSweep()
+			}
+			srv.SweepResume(srv.cfg.Now())
 		}
 	}
 }
@@ -38,7 +58,6 @@ func (srv *Server) watchdog() {
 // Exported to tests via WatchdogSweep.
 func (srv *Server) watchdogSweep() {
 	srv.met.watchdogScans.Add(1)
-	limit := srv.stallPolls()
 	srv.mu.Lock()
 	sessions := make([]*Session, 0, len(srv.sessions))
 	for s := range srv.sessions {
@@ -46,39 +65,27 @@ func (srv *Server) watchdogSweep() {
 	}
 	srv.mu.Unlock()
 	for _, s := range sessions {
-		if !s.noteWatchdogPoll(limit) {
+		if !s.noteWatchdogTick(srv.stallTicks) {
 			continue
 		}
 		srv.met.watchdogStalls.Add(1)
-		srv.met.noteStrain()
 		s.stallAbort()
 	}
 }
 
 // WatchdogSweep runs one watchdog pass synchronously. Deterministic
-// tests drive the deadline by calling it repeatedly instead of waiting
-// on the poll ticker; each call counts as one poll interval against
-// StallTimeout.
+// tests drive the deadline by calling it repeatedly on a server without
+// a maintenance loop (nil Config.Now); each call counts as one tick
+// against StallTimeout.
 func (srv *Server) WatchdogSweep() { srv.watchdogSweep() }
 
-// stallPolls converts the stall deadline into whole poll intervals
-// (minimum one: a sweep can only observe poll-grained time).
-func (srv *Server) stallPolls() int {
-	poll := srv.cfg.watchdogPoll()
-	n := int((srv.cfg.StallTimeout + poll - 1) / poll)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// noteWatchdogPoll folds one watchdog observation into the session and
+// noteWatchdogTick folds one watchdog observation into the session and
 // reports whether the session just crossed the stall deadline. Only the
-// watchdog goroutine touches wdProgress/wdIdle. A session is eligible
+// watchdog sweep touches wdProgress/wdIdle. A session is eligible
 // only while work is pending: queued slots in the ring, or the worker
 // parked inside a sink call (busy) — an idle session waiting for its
 // client is not stalled, it is just quiet.
-func (s *Session) noteWatchdogPoll(limit int) bool {
+func (s *Session) noteWatchdogTick(limit int) bool {
 	prog := s.progress.Load()
 	if prog != s.wdProgress {
 		s.wdProgress = prog
