@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test lint race fuzz bench bench-stream metrics-golden chaos faults-golden serve chaos-serve bench-module stress check
+.PHONY: all build vet test lint race fuzz bench bench-stream bench-observe metrics-golden chaos faults-golden serve chaos-serve bench-module stress check
 
 all: check
 
@@ -56,6 +56,13 @@ bench:
 # -race, so this plain-build run is the gate.
 bench-stream:
 	$(GO) test -bench 'BenchmarkStream|BenchmarkFrameClose' -benchmem -run 'TestStreamPushSteadyStateAllocs|TestFrameCloseAllocs' ./internal/uplink/
+
+# Channel evaluation contract: BenchmarkObserve reports one packet's 3x30
+# composite channel with -benchmem, and TestObserveSteadyStateAllocs
+# asserts that Observe into a reused buffer allocates nothing. The test is
+# skipped under -race, so this plain-build run is the gate.
+bench-observe:
+	$(GO) test -bench 'BenchmarkObserve' -benchmem -run 'TestObserveSteadyStateAllocs' ./internal/radio/
 
 # Pins the observability contract: the aggregated pipeline metrics from an
 # instrumented sweep must match testdata/metrics_golden.json byte for byte
@@ -110,5 +117,5 @@ STRESS_COUNT = 10
 stress:
 	sh scripts/stress.sh $(STRESS_COUNT) $(GO)
 
-check: vet build lint race fuzz bench-stream metrics-golden chaos faults-golden serve chaos-serve bench-module
+check: vet build lint race fuzz bench-stream bench-observe metrics-golden chaos faults-golden serve chaos-serve bench-module
 	$(MAKE) stress STRESS_COUNT=1

@@ -114,6 +114,7 @@ type System struct {
 	faults     *faults.Injector
 	mods       []*tag.Modulator // per-tag active transmission (nil = idle)
 	states     []bool           // scratch buffer for Observe
+	h          [][]complex128   // Observe's output, reused across packets
 	series     csi.Series
 	placements map[*wifi.Station]placement
 	txLog      []*wifi.Transmission
@@ -204,16 +205,19 @@ func NewSystem(cfg Config) (*System, error) {
 		for i, mod := range s.mods {
 			s.states[i] = mod != nil && mod.StateAt(at)
 		}
-		h, herr := s.Channel.Observe(at, s.states)
+		h, herr := s.Channel.Observe(at, s.states, s.h)
 		if herr != nil {
 			// Programmer-error assert: s.states and the channel's tag
 			// set are resized together in AddTag, so a mismatch here is
 			// a bug in this file, not reachable from user input.
 			panic(herr)
 		}
-		// Fades attenuate the observed channel before the card measures
-		// it; measurement corruption runs after, so the card's own noise
-		// stream stays aligned with the clean run.
+		// h is s.h from here on: the fade and the card consume it before
+		// the next packet overwrites it, and Measure copies into rows of
+		// its own. Fades attenuate the observed channel before the card
+		// measures it; measurement corruption runs after, so the card's
+		// own noise stream stays aligned with the clean run.
+		s.h = h
 		s.faults.AttenuateChannel(at, h)
 		m := s.Card.Measure(at, h)
 		if s.faults.CorruptMeasurement(at, &m) {

@@ -10,9 +10,9 @@ import (
 
 // Multipath models a frequency-selective fading channel as a tap delay line
 // with an exponential power-delay profile. Its frequency response is
-// evaluated at arbitrary subcarrier offsets, and the taps evolve in time as
-// an AR(1) (Gauss-Markov) process so the channel drifts slowly, as an
-// indoor environment with people moving does.
+// evaluated on the fixed set of subcarrier offsets it is built for, and the
+// taps evolve in time as an AR(1) (Gauss-Markov) process so the channel
+// drifts slowly, as an indoor environment with people moving does.
 type Multipath struct {
 	taps      []complex128
 	delays    []float64 // seconds
@@ -22,6 +22,11 @@ type Multipath struct {
 	stream    *rng.Stream
 	// los holds the optional fixed line-of-sight component of tap 0.
 	los complex128
+	// phasors[k*len(taps)+i] is tap i's delay phasor e^(-j2π·f_k·τ_i) at
+	// the k-th offset. Neither the offsets nor the delays change after
+	// construction, so the table is built once and Response only
+	// multiplies and adds.
+	phasors []complex128
 }
 
 // MultipathConfig configures a Multipath channel.
@@ -51,9 +56,10 @@ func DefaultMultipathConfig() MultipathConfig {
 }
 
 // NewMultipath draws a random channel realization from the config using the
-// given stream. Total average power is normalized to 1 (E[|H(f)|²] = 1), so
-// large-scale path gain is applied separately.
-func NewMultipath(cfg MultipathConfig, stream *rng.Stream) *Multipath {
+// given stream and tabulates its tap phasors at the given subcarrier
+// offsets, which Response then indexes. Total average power is normalized
+// to 1 (E[|H(f)|²] = 1), so large-scale path gain is applied separately.
+func NewMultipath(cfg MultipathConfig, offsets []units.Hertz, stream *rng.Stream) *Multipath {
 	n := cfg.Taps
 	if n < 1 {
 		n = 1
@@ -97,6 +103,13 @@ func NewMultipath(cfg MultipathConfig, stream *rng.Stream) *Multipath {
 		phase := stream.Float64() * 2 * math.Pi
 		m.los = cmplx.Rect(math.Sqrt(losPower), phase)
 	}
+	m.phasors = make([]complex128, len(offsets)*n)
+	for k, f := range offsets {
+		for i := range m.delays {
+			phase := -2 * math.Pi * float64(f) * m.delays[i]
+			m.phasors[k*n+i] = cmplx.Rect(1, phase)
+		}
+	}
 	return m
 }
 
@@ -121,22 +134,14 @@ func (m *Multipath) EvolveTo(t float64) {
 	}
 }
 
-// Response returns the complex channel gain at a frequency offset (Hz) from
-// the carrier.
-func (m *Multipath) Response(offset units.Hertz) complex128 {
+// Response returns the complex channel gain at the k-th subcarrier offset
+// the channel was built for.
+func (m *Multipath) Response(k int) complex128 {
+	n := len(m.taps)
+	phasors := m.phasors[k*n : k*n+n]
 	h := m.los
 	for i, tap := range m.taps {
-		phase := -2 * math.Pi * float64(offset) * m.delays[i]
-		h += tap * cmplx.Rect(1, phase)
+		h += tap * phasors[i]
 	}
 	return h
-}
-
-// ResponseAt evaluates the response on a set of frequency offsets.
-func (m *Multipath) ResponseAt(offsets []units.Hertz) []complex128 {
-	out := make([]complex128, len(offsets))
-	for i, f := range offsets {
-		out[i] = m.Response(f)
-	}
-	return out
 }

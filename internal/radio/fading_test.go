@@ -10,6 +10,9 @@ import (
 	"repro/internal/units"
 )
 
+// atZero tabulates a channel at the carrier only, so Response(0) is H(0).
+var atZero = []units.Hertz{0}
+
 func TestMultipathUnitAveragePower(t *testing.T) {
 	// Average |H(0)|² over many realizations should be ~1.
 	cfg := DefaultMultipathConfig()
@@ -17,7 +20,7 @@ func TestMultipathUnitAveragePower(t *testing.T) {
 	const n = 5000
 	var pow float64
 	for i := 0; i < n; i++ {
-		m := NewMultipath(cfg, stream.Split("x"))
+		m := NewMultipath(cfg, atZero, stream.Split("x"))
 		h := m.Response(0)
 		pow += real(h)*real(h) + imag(h)*imag(h)
 	}
@@ -35,9 +38,9 @@ func TestMultipathFrequencySelectivity(t *testing.T) {
 	differ := 0
 	const n = 200
 	for i := 0; i < n; i++ {
-		m := NewMultipath(cfg, stream.Split("y"))
-		a := cmplx.Abs(m.Response(-10 * units.MHz))
-		b := cmplx.Abs(m.Response(+10 * units.MHz))
+		m := NewMultipath(cfg, []units.Hertz{-10 * units.MHz, +10 * units.MHz}, stream.Split("y"))
+		a := cmplx.Abs(m.Response(0))
+		b := cmplx.Abs(m.Response(1))
 		if math.Abs(a-b) > 0.1*(a+b)/2 {
 			differ++
 		}
@@ -55,9 +58,9 @@ func TestMultipathAdjacentSubchannelsCorrelated(t *testing.T) {
 	var diff, mag float64
 	const n = 500
 	for i := 0; i < n; i++ {
-		m := NewMultipath(cfg, stream.Split("z"))
+		m := NewMultipath(cfg, []units.Hertz{0, 625 * units.KHz}, stream.Split("z"))
 		a := m.Response(0)
-		b := m.Response(625 * units.KHz)
+		b := m.Response(1)
 		diff += cmplx.Abs(a - b)
 		mag += cmplx.Abs(a)
 	}
@@ -71,10 +74,10 @@ func TestMultipathAdjacentSubchannelsCorrelated(t *testing.T) {
 func TestMultipathStaticWithoutCoherence(t *testing.T) {
 	cfg := DefaultMultipathConfig()
 	cfg.CoherenceTime = 0
-	m := NewMultipath(cfg, rng.New(4))
-	before := m.Response(1 * units.MHz)
+	m := NewMultipath(cfg, []units.Hertz{1 * units.MHz}, rng.New(4))
+	before := m.Response(0)
 	m.EvolveTo(100)
-	after := m.Response(1 * units.MHz)
+	after := m.Response(0)
 	if before != after {
 		t.Errorf("static channel changed: %v -> %v", before, after)
 	}
@@ -88,7 +91,7 @@ func TestMultipathEvolutionDecorrelates(t *testing.T) {
 	var shortDiff, longDiff float64
 	const n = 300
 	for i := 0; i < n; i++ {
-		m := NewMultipath(cfg, stream.Split("e"))
+		m := NewMultipath(cfg, atZero, stream.Split("e"))
 		h0 := m.Response(0)
 		m.EvolveTo(0.01) // 10 ms: nearly unchanged
 		h1 := m.Response(0)
@@ -112,7 +115,7 @@ func TestMultipathEvolutionPreservesPower(t *testing.T) {
 	var pow float64
 	const n = 2000
 	for i := 0; i < n; i++ {
-		m := NewMultipath(cfg, stream.Split("p"))
+		m := NewMultipath(cfg, atZero, stream.Split("p"))
 		m.EvolveTo(50) // many coherence times
 		h := m.Response(0)
 		pow += real(h)*real(h) + imag(h)*imag(h)
@@ -123,7 +126,7 @@ func TestMultipathEvolutionPreservesPower(t *testing.T) {
 }
 
 func TestMultipathEvolveBackwardsIgnored(t *testing.T) {
-	m := NewMultipath(DefaultMultipathConfig(), rng.New(7))
+	m := NewMultipath(DefaultMultipathConfig(), atZero, rng.New(7))
 	m.EvolveTo(5)
 	h := m.Response(0)
 	m.EvolveTo(3) // earlier time: no-op
@@ -140,7 +143,7 @@ func TestMultipathRicianLOSRaisesStability(t *testing.T) {
 		cfg.RiceK = k
 		var mags []float64
 		for i := 0; i < 500; i++ {
-			m := NewMultipath(cfg, stream.Split("k"))
+			m := NewMultipath(cfg, atZero, stream.Split("k"))
 			mags = append(mags, cmplx.Abs(m.Response(0)))
 		}
 		var mean, varsum float64
@@ -160,10 +163,10 @@ func TestMultipathRicianLOSRaisesStability(t *testing.T) {
 
 func TestMultipathSingleTap(t *testing.T) {
 	cfg := MultipathConfig{Taps: 1, DelaySpread: 0, RiceK: 0, CoherenceTime: 0}
-	m := NewMultipath(cfg, rng.New(9))
+	m := NewMultipath(cfg, []units.Hertz{-10 * units.MHz, +10 * units.MHz}, rng.New(9))
 	// A single tap at delay 0 is frequency flat.
-	a := m.Response(-10 * units.MHz)
-	b := m.Response(+10 * units.MHz)
+	a := m.Response(0)
+	b := m.Response(1)
 	if cmplx.Abs(a-b) > 1e-12 {
 		t.Errorf("single-tap channel not flat: %v vs %v", a, b)
 	}
@@ -171,7 +174,7 @@ func TestMultipathSingleTap(t *testing.T) {
 
 func TestMultipathZeroTapsClamped(t *testing.T) {
 	cfg := MultipathConfig{Taps: 0, DelaySpread: 10e-9}
-	m := NewMultipath(cfg, rng.New(10))
+	m := NewMultipath(cfg, atZero, rng.New(10))
 	if got := m.Response(0); got == 0 {
 		t.Error("clamped channel should still have one tap")
 	}
@@ -190,8 +193,11 @@ func TestMultipathCoherenceBandwidth(t *testing.T) {
 	}
 	var bins []float64
 	for trial := 0; trial < 60; trial++ {
-		m := NewMultipath(cfg, stream.Split("cb"))
-		h := m.ResponseAt(offsets)
+		m := NewMultipath(cfg, offsets, stream.Split("cb"))
+		h := make([]complex128, len(offsets))
+		for k := range h {
+			h[k] = m.Response(k)
+		}
 		bins = append(bins, float64(dsp.CoherenceBandwidthBins(h, 0.5)))
 	}
 	var mean float64

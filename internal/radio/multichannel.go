@@ -7,13 +7,16 @@ import (
 	"repro/internal/units"
 )
 
-// MultiChannel generalizes Channel to several tags sharing one reader:
+// MultiChannel is the composite uplink channel observed by the reader:
 //
 //	H[a][k] = H_direct[a](f_k) + Σ_i s_i · A_i · H_ht,i(f_k) · H_tr,i[a](f_k)
 //
-// Each tag contributes its own backscatter path with independent fading,
-// so two tags modulating simultaneously interfere at the reader — the
-// physical basis for inventory collisions (§2's EPC Gen-2 discussion).
+// where s_i ∈ {0, 1} is tag i's switch state, A_i is the product of its two
+// hop path gains and its differential scattering gain, a indexes reader
+// antennas, and k indexes sub-channels. Each tag contributes its own
+// backscatter path with independent fading, so two tags modulating
+// simultaneously interfere at the reader — the physical basis for
+// inventory collisions (§2's EPC Gen-2 discussion).
 type MultiChannel struct {
 	cfg      ChannelConfig
 	offsets  []units.Hertz
@@ -31,6 +34,9 @@ type tagPath struct {
 	helpTag *Multipath
 	tagRead []*Multipath
 	ampBack float64
+	// help holds helpTag's response per sub-channel for the packet being
+	// observed; it is shared by every antenna.
+	help []complex128
 }
 
 // NewMultiChannel builds a channel with no tags; add them with AddTag. The
@@ -57,7 +63,7 @@ func NewMultiChannel(cfg ChannelConfig, geo Geometry, stream *rng.Stream) (*Mult
 	}
 	c.direct = make([]*Multipath, cfg.Antennas)
 	for a := 0; a < cfg.Antennas; a++ {
-		c.direct[a] = NewMultipath(cfg.Multipath, stream.Split(fmt.Sprintf("direct-%d", a)))
+		c.direct[a] = NewMultipath(cfg.Multipath, c.offsets, stream.Split(fmt.Sprintf("direct-%d", a)))
 	}
 	c.ampDir = cfg.PathLoss.AmplitudeGain(geo.helperReader(), geo.HelperWalls)
 	return c, nil
@@ -71,13 +77,14 @@ func (c *MultiChannel) AddTag(tagToReader units.Meters) (int, error) {
 	}
 	idx := len(c.tags)
 	tp := &tagPath{
-		helpTag: NewMultipath(c.cfg.Multipath, c.stream.Split(fmt.Sprintf("tag%d-helptag", idx))),
+		helpTag: NewMultipath(c.cfg.Multipath, c.offsets, c.stream.Split(fmt.Sprintf("tag%d-helptag", idx))),
 		tagRead: make([]*Multipath, c.antennas),
+		help:    make([]complex128, len(c.offsets)),
 	}
 	trCfg := c.cfg.Multipath
 	trCfg.RiceK = 10
 	for a := 0; a < c.antennas; a++ {
-		tp.tagRead[a] = NewMultipath(trCfg, c.stream.Split(fmt.Sprintf("tag%d-tagread-%d", idx, a)))
+		tp.tagRead[a] = NewMultipath(trCfg, c.offsets, c.stream.Split(fmt.Sprintf("tag%d-tagread-%d", idx, a)))
 	}
 	lambda := c.cfg.Carrier.Wavelength()
 	gHT := c.cfg.PathLoss.AmplitudeGain(c.geoBase.HelperToTag, c.geoBase.HelperWalls)
@@ -104,33 +111,48 @@ func (c *MultiChannel) ModulationDepth(i int) float64 {
 	return c.tags[i].ampBack / c.ampDir
 }
 
-// Observe returns the composite channel at time t given each tag's switch
-// state. len(reflecting) must equal Tags().
-func (c *MultiChannel) Observe(t float64, reflecting []bool) ([][]complex128, error) {
+// Observe evaluates the composite channel, in CSI units and indexed
+// [antenna][subchannel], at time t given each tag's switch state;
+// len(reflecting) must equal Tags(). It writes into dst, reallocating only
+// when dst is not Antennas() rows of Subchannels(), and returns it. The
+// caller owns the result, and the next Observe into the same dst
+// overwrites it.
+//
+//wblint:hotpath-root
+func (c *MultiChannel) Observe(t float64, reflecting []bool, dst [][]complex128) ([][]complex128, error) {
 	if len(reflecting) != len(c.tags) {
 		return nil, fmt.Errorf("radio: got %d states for %d tags", len(reflecting), len(c.tags))
 	}
-	for _, tp := range c.tags {
+	for i, tp := range c.tags {
 		tp.helpTag.EvolveTo(t)
+		if reflecting[i] {
+			for k := range tp.help {
+				tp.help[k] = tp.helpTag.Response(k)
+			}
+		}
 	}
-	out := make([][]complex128, c.antennas)
-	for a := 0; a < c.antennas; a++ {
+	if len(dst) != c.antennas {
+		dst = make([][]complex128, c.antennas)
+	}
+	for a := range dst {
+		if len(dst[a]) != len(c.offsets) {
+			dst[a] = make([]complex128, len(c.offsets))
+		}
 		c.direct[a].EvolveTo(t)
-		row := make([]complex128, len(c.offsets))
 		for _, tp := range c.tags {
 			tp.tagRead[a].EvolveTo(t)
 		}
-		for k, f := range c.offsets {
-			h := c.direct[a].Response(f) * complex(c.ampDir, 0)
+		row := dst[a]
+		for k := range row {
+			h := c.direct[a].Response(k) * complex(c.ampDir, 0)
 			for i, tp := range c.tags {
 				if !reflecting[i] {
 					continue
 				}
-				h += tp.helpTag.Response(f) * tp.tagRead[a].Response(f) * complex(tp.ampBack, 0)
+				h += tp.help[k] * tp.tagRead[a].Response(k) * complex(tp.ampBack, 0)
 			}
 			row[k] = h * complex(c.scale, 0)
 		}
-		out[a] = row
 	}
-	return out, nil
+	return dst, nil
 }

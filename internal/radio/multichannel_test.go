@@ -33,6 +33,11 @@ func TestMultiChannelValidation(t *testing.T) {
 	if _, err := NewMultiChannel(bad, Geometry{HelperToTag: 3}, rng.New(1)); err == nil {
 		t.Error("zero antennas should error")
 	}
+	bad = cfg
+	bad.Subchannels = 0
+	if _, err := NewMultiChannel(bad, Geometry{HelperToTag: 3}, rng.New(1)); err == nil {
+		t.Error("zero subchannels should error")
+	}
 	c, _ := NewMultiChannel(cfg, Geometry{HelperToTag: 3}, rng.New(1))
 	if _, err := c.AddTag(0); err == nil {
 		t.Error("zero tag distance should error")
@@ -41,7 +46,7 @@ func TestMultiChannelValidation(t *testing.T) {
 
 func TestMultiChannelObserveStateMismatch(t *testing.T) {
 	c := newMulti(t, 0.05)
-	if _, err := c.Observe(0, []bool{true, false, false}); err == nil {
+	if _, err := c.Observe(0, []bool{true, false, false}, nil); err == nil {
 		t.Error("state count mismatch should error")
 	}
 }
@@ -58,13 +63,13 @@ func TestMultiChannelTagCount(t *testing.T) {
 
 func TestMultiChannelIndependentContributions(t *testing.T) {
 	c := newMulti(t, 0.05, 0.05)
-	base, err := c.Observe(0, []bool{false, false})
+	base, err := c.Observe(0, []bool{false, false}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, _ := c.Observe(0, []bool{true, false})
-	two, _ := c.Observe(0, []bool{false, true})
-	both, _ := c.Observe(0, []bool{true, true})
+	one, _ := c.Observe(0, []bool{true, false}, nil)
+	two, _ := c.Observe(0, []bool{false, true}, nil)
+	both, _ := c.Observe(0, []bool{true, true}, nil)
 	// Contributions are additive in the complex domain.
 	for a := range base {
 		for k := range base[a] {
@@ -101,23 +106,27 @@ func TestMultiChannelDepthFallsWithDistance(t *testing.T) {
 	}
 }
 
-func TestMultiChannelMatchesSingleChannelScale(t *testing.T) {
-	// One-tag MultiChannel and the single-tag Channel share the same
-	// link-budget scales.
+func TestMultiChannelDepthClosedForm(t *testing.T) {
+	// A tag's modulation depth is its backscatter link budget over the
+	// direct path's: the helper→tag room-scale gain times the tag→reader
+	// free-space gain times the tag's differential gain, over the
+	// helper→reader room-scale gain. Walls and a separate helper→reader
+	// distance enter only through the path-loss model.
 	cfg := DefaultChannelConfig()
-	geo := Geometry{HelperToTag: 3, TagToReader: 0.05}
-	single, err := NewChannel(cfg, geo, rng.New(7))
+	geo := Geometry{HelperToTag: 3, HelperToReader: 4, HelperWalls: 1}
+	c, err := NewMultiChannel(cfg, geo, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := NewMultiChannel(cfg, geo, rng.New(7))
-	if err != nil {
+	const tagToReader = 0.05
+	if _, err := c.AddTag(tagToReader); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := multi.AddTag(0.05); err != nil {
-		t.Fatal(err)
-	}
-	if s, m := single.ModulationDepth(), multi.ModulationDepth(0); math.Abs(s-m) > 1e-12 {
-		t.Errorf("modulation depth mismatch: %v vs %v", s, m)
+	lambda := cfg.Carrier.Wavelength()
+	back := cfg.PathLoss.AmplitudeGain(3, 1) * FreeSpaceAmplitudeGain(tagToReader, lambda) *
+		cfg.Antenna.DifferentialGain(lambda)
+	want := back / cfg.PathLoss.AmplitudeGain(4, 1)
+	if got := c.ModulationDepth(0); math.Abs(got-want) > 1e-12*want {
+		t.Errorf("modulation depth = %v, want %v", got, want)
 	}
 }
