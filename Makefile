@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test lint race fuzz bench bench-stream bench-observe metrics-golden chaos faults-golden serve chaos-serve bench-module stress check
+.PHONY: all build vet test lint race fuzz bench bench-stream bench-observe bench-wire metrics-golden chaos faults-golden serve chaos-serve bench-module stress check
 
 all: check
 
@@ -64,6 +64,15 @@ bench-stream:
 bench-observe:
 	$(GO) test -bench 'BenchmarkObserve' -benchmem -run 'TestObserveSteadyStateAllocs' ./internal/radio/
 
+# Wire parse contract: BenchmarkParseMeasurement reports one 3x30 CSI m
+# line and one 3x1 RSSI m line with -benchmem, and
+# TestParseMeasurementAllocs asserts that parsing into a measurement of
+# the line's shape allocates nothing, on the decimal fast path and on the
+# strconv fallback. The test is skipped under -race, so this plain-build
+# run is the gate.
+bench-wire:
+	$(GO) test -bench 'BenchmarkParseMeasurement' -benchmem -run 'TestParseMeasurementAllocs' ./internal/serve/
+
 # Pins the observability contract: the aggregated pipeline metrics from an
 # instrumented sweep must match testdata/metrics_golden.json byte for byte
 # and be identical at every -workers value. Regenerate after an intentional
@@ -117,5 +126,5 @@ STRESS_COUNT = 10
 stress:
 	sh scripts/stress.sh $(STRESS_COUNT) $(GO)
 
-check: vet build lint race fuzz bench-stream bench-observe metrics-golden chaos faults-golden serve chaos-serve bench-module
+check: vet build lint race fuzz bench-stream bench-observe bench-wire metrics-golden chaos faults-golden serve chaos-serve bench-module
 	$(MAKE) stress STRESS_COUNT=1

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -82,6 +83,64 @@ func TestMeasurementRoundTripExact(t *testing.T) {
 			if got.CSI[a][k] != src.CSI[a][k] {
 				t.Errorf("csi[%d][%d] %v != %v", a, k, got.CSI[a][k], src.CSI[a][k])
 			}
+		}
+	}
+
+	// The decimal fast path's hard cases, each parsed as one m line and
+	// compared bit for bit with strconv.ParseFloat of the same token:
+	// quantised amplitudes (17-digit mantissas at or above 2^53),
+	// round-half-even ties in the quotient path, quotients a hair above a
+	// tie that only the remainder rounds up, 19- and 20-digit mantissas,
+	// and the forms that fall back to strconv.
+	tokens := []string{
+		"12.120000000000001", "10.700000000000001", "15.14", "9.24", "-51.25",
+		"9007199254740993", "9007199254740995", "4503599627370496.5", "4503599627370497.5",
+		"1.2158987815388832", "46.344858665429431",
+		"1234567890123456789", "12345678901234567890", "0.1234567890123456789", "9999999999999999999",
+		"-0", "0.000", "-0.0", ".5", "5.", "+1", "1e22", "1e23", "NaN", "-Inf", "0x1p-2", "1_0",
+	}
+	for _, v := range []float64{0.01, 0.05, 0.1, 0.25} {
+		for x := -3.0; x < 30; x += 1.37 {
+			tokens = append(tokens, strconv.FormatFloat(math.Round(x/v)*v, 'g', -1, 64))
+		}
+	}
+	for _, tok := range tokens {
+		want, err := strconv.ParseFloat(tok, 64)
+		if err != nil {
+			t.Fatalf("strconv rejects %q: %v", tok, err)
+		}
+		m := csi.Measurement{CSI: [][]float64{{0}}}
+		if err := ParseMeasurement([]byte("m "+tok+" "+tok), &m); err != nil {
+			t.Fatalf("ParseMeasurement(%q): %v", tok, err)
+		}
+		for _, got := range []float64{m.Timestamp, m.CSI[0][0]} {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%q parsed to %v (%#x), strconv gives %v (%#x)", tok, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	m := csi.Measurement{CSI: [][]float64{{0}}}
+	if err := ParseMeasurement([]byte("m -0 -0.000"), &m); err != nil || !math.Signbit(m.Timestamp) || !math.Signbit(m.CSI[0][0]) {
+		t.Errorf("-0 lost its sign: %v %v, %v", m.Timestamp, m.CSI[0][0], err)
+	}
+
+	// Malformed fields keep strconv's error text, exactly as the all-
+	// strconv parser reported it.
+	shape := func() *csi.Measurement {
+		return &csi.Measurement{RSSI: make([]float64, 1), CSI: [][]float64{make([]float64, 2)}}
+	}
+	for line, want := range map[string]string{
+		"m 1 2 3":       "serve: m csi[0][1]: serve: line is missing a numeric field",
+		"m 1 2 3 4 5":   "serve: m line has more fields than the declared shape",
+		"m 1 2 nope 4":  `serve: m csi[0][0]: strconv.ParseFloat: parsing "nope": invalid syntax`,
+		"x 1 2 3 4":     `serve: expected an m line, got "x 1 2 3 4"`,
+		"m 1e400 2 3 4": `serve: m timestamp: strconv.ParseFloat: parsing "1e400": value out of range`,
+		"m 1 2\t3 4":    `serve: m rssi[0]: strconv.ParseFloat: parsing "2\t3": invalid syntax`,
+		"m 1 2 3 .":     `serve: m csi[0][1]: strconv.ParseFloat: parsing ".": invalid syntax`,
+		"m -":           `serve: m timestamp: strconv.ParseFloat: parsing "-": invalid syntax`,
+	} {
+		if err := ParseMeasurement([]byte(line), shape()); err == nil || err.Error() != want {
+			t.Errorf("ParseMeasurement(%q) = %v, want %s", line, err, want)
 		}
 	}
 }
