@@ -44,18 +44,23 @@ fuzz:
 	$(GO) test -fuzz=FuzzWireProtocol -fuzztime=10s ./internal/serve/
 	$(GO) test -fuzz=FuzzConditionTwoPass -fuzztime=10s ./internal/dsp/
 
+# Package microbenchmarks (decode stages, streaming, channel evaluation,
+# wire parse, ...). The figure tables are timed by `wbbench -quick`
+# (`-compare` for serial vs parallel) and by the wbperf sim-sweep workload.
 bench:
-	$(GO) test -bench=. -benchmem
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
 # Streaming decode contract: BenchmarkStream* report the per-push and
-# per-stream cost and BenchmarkFrameClose the frame-closing push alone
-# (CSI and long range) with -benchmem, and the same package run
-# re-asserts TestStreamPushSteadyStateAllocs (steady-state Push must not
-# allocate) and TestFrameCloseAllocs (the frame close's allocation count
-# must not grow with the channel count). Both tests are skipped under
-# -race, so this plain-build run is the gate.
+# per-stream cost, BenchmarkFrameClose the frame-closing push alone (CSI
+# and long range) and BenchmarkDetectAck one ACK detection, with
+# -benchmem, and the same package run re-asserts
+# TestStreamPushSteadyStateAllocs (steady-state Push must not allocate),
+# TestFrameCloseAllocs (the frame close's allocation count must not grow
+# with the channel count) and TestDetectAckAllocs (an ACK detection's
+# allocation count must not grow with the trace). The tests are skipped
+# under -race, so this plain-build run is the gate.
 bench-stream:
-	$(GO) test -bench 'BenchmarkStream|BenchmarkFrameClose' -benchmem -run 'TestStreamPushSteadyStateAllocs|TestFrameCloseAllocs' ./internal/uplink/
+	$(GO) test -bench 'BenchmarkStream|BenchmarkFrameClose|BenchmarkDetectAck' -benchmem -run 'TestStreamPushSteadyStateAllocs|TestFrameCloseAllocs|TestDetectAckAllocs' ./internal/uplink/
 
 # Channel evaluation contract: BenchmarkObserve reports one packet's 3x30
 # composite channel with -benchmem, and TestObserveSteadyStateAllocs

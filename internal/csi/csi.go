@@ -242,11 +242,18 @@ func (s *Series) Timestamps() []float64 {
 // CSIChannel extracts the amplitude series of one (antenna, sub-channel)
 // pair. It returns an error when the indices are out of range.
 func (s *Series) CSIChannel(antenna, subchannel int) ([]float64, error) {
-	return s.CSIChannelInto(nil, antenna, subchannel)
+	if err := s.ValidateCSIChannel(antenna, subchannel); err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(s.Measurements))
+	for i, m := range s.Measurements {
+		out[i] = m.CSI[antenna][subchannel]
+	}
+	return out, nil
 }
 
 // ValidateCSIChannel reports whether (antenna, subchannel) indexes a
-// channel of the series, with the same error the extractors return. The
+// channel of the series, with the same error CSIChannel returns. The
 // decoder's single-channel entry points use it to reject a bad channel
 // before streaming any measurements.
 func (s *Series) ValidateCSIChannel(antenna, subchannel int) error {
@@ -257,40 +264,14 @@ func (s *Series) ValidateCSIChannel(antenna, subchannel int) error {
 	return nil
 }
 
-// CSIChannelInto is CSIChannel writing into dst when it has enough
-// capacity (a nil or short dst allocates). It lets the decoder reuse one
-// buffer across its 90-channel scan instead of allocating per channel.
-func (s *Series) CSIChannelInto(dst []float64, antenna, subchannel int) ([]float64, error) {
-	if err := s.ValidateCSIChannel(antenna, subchannel); err != nil {
-		return nil, err
-	}
-	if cap(dst) < len(s.Measurements) {
-		dst = make([]float64, len(s.Measurements))
-	}
-	dst = dst[:len(s.Measurements)]
-	for i, m := range s.Measurements {
-		dst[i] = m.CSI[antenna][subchannel]
-	}
-	return dst, nil
-}
-
 // RSSIChannel extracts the RSSI series of one antenna.
 func (s *Series) RSSIChannel(antenna int) ([]float64, error) {
-	return s.RSSIChannelInto(nil, antenna)
-}
-
-// RSSIChannelInto is RSSIChannel writing into dst when it has enough
-// capacity (a nil or short dst allocates).
-func (s *Series) RSSIChannelInto(dst []float64, antenna int) ([]float64, error) {
 	if antenna < 0 || antenna >= s.Antennas() {
 		return nil, fmt.Errorf("csi: RSSI antenna %d out of range (%d antennas)", antenna, s.Antennas())
 	}
-	if cap(dst) < len(s.Measurements) {
-		dst = make([]float64, len(s.Measurements))
-	}
-	dst = dst[:len(s.Measurements)]
+	out := make([]float64, len(s.Measurements))
 	for i, m := range s.Measurements {
-		dst[i] = m.RSSI[antenna]
+		out[i] = m.RSSI[antenna]
 	}
-	return dst, nil
+	return out, nil
 }

@@ -1,10 +1,6 @@
 package uplink
 
 import (
-	"fmt"
-	"math"
-	"sort"
-
 	"repro/internal/csi"
 )
 
@@ -24,53 +20,37 @@ func AckBits() []bool {
 	return bits
 }
 
+// rankedScore returns the score both preamble detectors threshold: the
+// tenth-best of the lanes rankLanes ranked, or the worst when fewer. A
+// real burst lifts many channels at once, so a raised threshold on the
+// tenth-best keeps noise on a few of the 90 channels from faking a
+// detection (a noise-only correlation over 13 bins has σ ≈ 0.28, so
+// single channels cross 0.5 routinely and about one in a hundred 0.72).
+func rankedScore(stats []channelStats) float64 {
+	return stats[min(9, len(stats)-1)].score
+}
+
 // DetectAck reports whether an ACK burst starting at start is present in
-// the series, along with the best correlation found. Detection uses the
-// same per-channel preamble correlation as normal decoding, thresholded at
-// the decoder's MinCorrelation.
+// the series, along with the best correlation found. The burst is a
+// preamble-only frame scored by the decoder's own bin and score stages,
+// and detection thresholds its ranked lanes at the decoder's
+// MinCorrelation, raised to at least 0.72.
 func (d *Decoder) DetectAck(s *csi.Series, start float64) (bool, float64, error) {
-	if s.Len() == 0 {
-		return false, 0, fmt.Errorf("uplink: empty measurement series")
+	if err := checkSeries(s); err != nil {
+		return false, 0, err
 	}
-	nbits := len(preambleLevels)
-	ts := s.Timestamps()
-	lo, hi := frameRange(ts, start, start+float64(nbits)*d.cfg.BitDuration)
-	if hi-lo < nbits {
+	sd := d.newWindow(s, start, start+float64(len(preambleLevels))*d.cfg.BitDuration)
+	defer sd.release()
+	if sd.n < len(preambleLevels) {
 		// Too few measurements to cover the burst.
 		return false, 0, nil
 	}
-	ts = ts[lo:hi]
-	// One lane of frame scratch, reused by every channel in turn.
-	fs := getScratch(1, hi-lo, nbits)
+	fs := getScratch(len(sd.chans), sd.n, sd.nbits)
 	defer putScratch(fs)
-	binByTimestamp(fs.off, ts, start, d.cfg.BitDuration)
-	window := windowSamples(ts, d.cfg.windowFor())
-	best := 0.0
-	var corrs []float64
-	for a := 0; a < s.Antennas(); a++ {
-		for k := 0; k < s.Subchannels(); k++ {
-			raw, err := s.CSIChannel(a, k)
-			if err != nil {
-				return false, 0, err
-			}
-			st := analyzeChannel(ChannelID{a, k}, raw[lo:hi], fs.cond, fs.off, window, fs.means, fs.ok)
-			corrs = append(corrs, math.Abs(st.corr))
-		}
+	sd.bin(fs.off)
+	stats := sd.scoreLanes(fs)
+	if err := rankLanes(stats); err != nil {
+		return false, 0, err
 	}
-	// A real ACK lifts many channels at once; require the tenth-best
-	// correlation to clear a raised threshold so noise on a few of the
-	// 90 channels cannot fake a detection (a noise-only correlation over
-	// 13 bins has σ ≈ 0.28, so individual channels cross 0.5 routinely
-	// and roughly one in a hundred crosses 0.72).
-	thresh := d.cfg.MinCorrelation
-	if thresh < 0.72 {
-		thresh = 0.72
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(corrs)))
-	idx := 9
-	if idx >= len(corrs) {
-		idx = len(corrs) - 1
-	}
-	best = corrs[0]
-	return corrs[idx] >= thresh, best, nil
+	return rankedScore(stats) >= max(0.72, d.cfg.MinCorrelation), stats[0].score, nil
 }

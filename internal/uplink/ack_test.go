@@ -1,6 +1,7 @@
 package uplink
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/csi"
@@ -99,4 +100,59 @@ func TestDetectAckTooFewMeasurements(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = ok // sparse coverage may or may not detect; it must not panic
+}
+
+// TestDetectorsRejectMalformedSeries holds both detectors to DecodeCSI's
+// errors on series whose channels cannot be read: an RSSI-only capture
+// with no CSI rows, one measurement with a short CSI row (outside the
+// scanned windows: the whole series is checked), and a capture whose CSI
+// rows are empty, which has no channels to score.
+func TestDetectorsRejectMalformedSeries(t *testing.T) {
+	const bitDur = 0.01
+	mod, _ := tag.NewModulator(AckBits(), 1.0, bitDur)
+	cfg := defaultSynth()
+	cfg.duration = 2
+	s := synthSeries(cfg, mod, 3)
+	rssiOnly, shortRow, emptyRows := &csi.Series{}, &csi.Series{}, &csi.Series{}
+	for i, m := range s.Measurements {
+		rssiOnly.Append(csi.Measurement{Timestamp: m.Timestamp, RSSI: m.RSSI})
+		emptyRows.Append(csi.Measurement{Timestamp: m.Timestamp, CSI: make([][]float64, len(m.RSSI)), RSSI: m.RSSI})
+		if i == 1500 {
+			m.CSI = [][]float64{m.CSI[0], m.CSI[1][:5], m.CSI[2]}
+		}
+		shortRow.Append(m)
+	}
+	d, _ := NewDecoder(DefaultConfig(bitDur))
+	detectors := []struct {
+		name string
+		run  func(*csi.Series) error
+	}{
+		{"DetectAck", func(s *csi.Series) error {
+			_, _, err := d.DetectAck(s, mod.Start())
+			return err
+		}},
+		{"FindTransmission", func(s *csi.Series) error {
+			_, _, err := d.FindTransmission(s, 0.9, 1.1)
+			return err
+		}},
+	}
+	for _, in := range []struct {
+		name string
+		s    *csi.Series
+		want string
+	}{
+		{"rssi-only", rssiOnly, "csi: measurement 0 has 0 CSI rows and 3 RSSI entries, want 0 of each"},
+		{"short-row", shortRow, "csi: measurement 1500 antenna 1 has 5 sub-channels, want 30"},
+		{"empty-rows", emptyRows, "uplink: no channels to combine"},
+	} {
+		_, decErr := d.DecodeCSI(in.s, mod.Start(), 1)
+		if fmt.Sprint(decErr) != in.want {
+			t.Fatalf("%s: DecodeCSI error %v, want %q", in.name, decErr, in.want)
+		}
+		for _, det := range detectors {
+			if err := det.run(in.s); fmt.Sprint(err) != in.want {
+				t.Errorf("%s on %s: error %v, want DecodeCSI's %q", det.name, in.name, err, in.want)
+			}
+		}
+	}
 }

@@ -223,6 +223,7 @@ func BenchmarkDetectAck(b *testing.B) {
 	cfg.duration = mod.End() + 0.5
 	s := synthSeries(cfg, mod, 5)
 	d, _ := NewDecoder(DefaultConfig(0.01))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := d.DetectAck(s, mod.Start()); err != nil {

@@ -25,6 +25,9 @@
 // ablations (ablation.go); DecodeLongRange stretches the frame to chip
 // codes and swaps the score and decide stages for the orthogonal-code
 // correlation that extends range at the cost of rate (§3.4, longrange.go).
+// The preamble detectors use the same frame arena and stages without
+// decoding: DetectAck scores a 13-bit, preamble-only frame (§4.1, ack.go)
+// and FindTransmission sweeps candidate offsets of one (§3.2, sync.go).
 package uplink
 
 import (
@@ -173,36 +176,13 @@ func frameRange(ts []float64, start, end float64) (lo, hi int) {
 
 // analyzeChannel is the fused condition → bin-mean → preamble-score pass
 // for one channel: it conditions raw into cond (window in samples), then
-// walks the bins once, writing each bin's mean of cond into means (and
-// whether it held a measurement into ok) and accumulating the preamble
-// dot products alongside. The score is the correlation's magnitude. A
+// bins it with binCorrelate. The score is the correlation's magnitude. A
 // second pass over the 13 preamble bins alone estimates the residual
 // variance MRC weights by.
 func analyzeChannel(id ChannelID, raw, cond []float64, off []int, window int, means []float64, ok []bool) channelStats {
 	dsp.ConditionTwoPassInto(cond, raw, window)
-	var dot, mm, pp float64
-	for j := range means {
-		lo, hi := off[j], off[j+1]
-		if lo == hi {
-			means[j], ok[j] = 0, false
-			continue
-		}
-		var sum float64
-		for _, v := range cond[lo:hi] {
-			sum += v
-		}
-		m := sum / float64(hi-lo)
-		means[j], ok[j] = m, true
-		if j < len(preambleLevels) {
-			dot += m * preambleLevels[j]
-			mm += m * m
-			pp += preambleLevels[j] * preambleLevels[j]
-		}
-	}
 	st := channelStats{id: id, cond: cond, means: means, ok: ok, sign: 1}
-	if mm > 0 && pp > 0 {
-		st.corr = dot / math.Sqrt(mm*pp)
-	}
+	st.corr = binCorrelate(cond, off, means, ok)
 	if st.corr < 0 {
 		st.sign = -1
 	}
@@ -228,6 +208,37 @@ func analyzeChannel(id ChannelID, raw, cond []float64, off []int, window int, me
 	return st
 }
 
+// binCorrelate walks the bins of cond once, writing each bin's mean into
+// means (and whether it held a measurement into ok) and accumulating the
+// preamble dot products alongside. It returns the signed correlation of
+// the preamble bins' means with the Barker template, 0 when they are all
+// empty or zero.
+func binCorrelate(cond []float64, off []int, means []float64, ok []bool) float64 {
+	var dot, mm, pp float64
+	for j := range means {
+		lo, hi := off[j], off[j+1]
+		if lo == hi {
+			means[j], ok[j] = 0, false
+			continue
+		}
+		var sum float64
+		for _, v := range cond[lo:hi] {
+			sum += v
+		}
+		m := sum / float64(hi-lo)
+		means[j], ok[j] = m, true
+		if j < len(preambleLevels) {
+			dot += m * preambleLevels[j]
+			mm += m * m
+			pp += preambleLevels[j] * preambleLevels[j]
+		}
+	}
+	if mm > 0 && pp > 0 {
+		return dot / math.Sqrt(mm*pp)
+	}
+	return 0
+}
+
 // ChannelImpairment lets a fault layer perturb an extracted channel series
 // in place before conditioning (see internal/faults). ts and raw are the
 // in-frame timestamps and samples of the channel named by id; raw may be
@@ -243,8 +254,9 @@ type Decoder struct {
 	cfg Config
 	met decoderMetrics
 
-	// Impair, when non-nil, corrupts each extracted channel before it is
-	// conditioned and scored (core wires the fault injector here).
+	// Impair, when non-nil, corrupts each extracted channel before a
+	// decode conditions and scores it (core wires the fault injector
+	// here). The preamble detectors read the channels unimpaired.
 	Impair ChannelImpairment
 }
 
@@ -343,13 +355,19 @@ func (d *Decoder) batchStream(s *csi.Series, start float64, payloadLen, chips in
 	if err != nil {
 		return nil, err
 	}
-	if s.Len() == 0 {
-		return nil, fmt.Errorf("uplink: empty measurement series")
-	}
-	if err := s.CheckShape(); err != nil {
+	if err := checkSeries(s); err != nil {
 		return nil, err
 	}
 	return sd, nil
+}
+
+// checkSeries rejects an empty or malformed series, as every whole-series
+// entry point does before it reads one.
+func checkSeries(s *csi.Series) error {
+	if s.Len() == 0 {
+		return fmt.Errorf("uplink: empty measurement series")
+	}
+	return s.CheckShape()
 }
 
 // Detected reports whether the result's preamble correlation clears the

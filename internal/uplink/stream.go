@@ -161,6 +161,21 @@ func (d *Decoder) newStream(start float64, payloadLen, chips int, mode StreamMod
 	}, nil
 }
 
+// newWindow loads the measurements of a checked series timestamped in
+// [from, to), found by frameRange's sorted search, into the arena of a
+// preamble-only CSI stream (13 frame bins from from). The preamble
+// detectors score it without Push or decode and release the arena.
+func (d *Decoder) newWindow(s *csi.Series, from, to float64) *StreamDecoder {
+	sd := &StreamDecoder{d: d, start: from, end: to, nbits: len(preambleLevels),
+		ants: s.Antennas(), subs: s.Subchannels()}
+	ms := s.Measurements
+	i := sort.Search(len(ms), func(i int) bool { return ms[i].Timestamp >= from })
+	for ; i < len(ms) && ms[i].Timestamp < to; i++ {
+		sd.store(ms[i])
+	}
+	return sd
+}
+
 // Start returns the expected frame start time.
 func (sd *StreamDecoder) Start() float64 { return sd.start }
 
@@ -404,14 +419,23 @@ func (sd *StreamDecoder) release() {
 // digests hold every other entry point to fixed bits. The stages work in
 // one pooled frameScratch, so the frame close allocates only what it
 // hands back: the Result with its Payload and Good, the emitted bits, and
-// the ranking sort's closure.
+// the ranking sort's closure. The fault seam (Decoder.Impair, in lane
+// order) and the channel counters belong to decode, not to the stages,
+// which the preamble detectors share.
 func (sd *StreamDecoder) decode(atFlush bool) error {
 	sd.decoded = true
 	fs := getScratch(len(sd.chans), sd.n, sd.nbits)
 	defer putScratch(fs)
 	sd.bin(fs.off)
+	if imp := sd.d.Impair; imp != nil {
+		for i, lane := range sd.chans {
+			imp.ImpairChannel(sd.laneID(i), sd.ts[:sd.n], lane[:sd.n])
+		}
+	}
 	stats := sd.scoreLanes(fs)
 	sel, err := sd.selectTop(stats)
+	sd.d.met.channelsAnalyzed.Add(int64(len(stats)))
+	sd.d.met.channelsRejected.Add(int64(len(stats) - len(sel)))
 	var res *Result
 	switch {
 	case err != nil:
@@ -452,6 +476,12 @@ type frameScratch struct {
 	ok       []bool    // laid out like means
 	stats    []channelStats
 	combined []float64
+}
+
+// lane returns lane i's views for frames of n samples over nbits bins:
+// its conditioned series, bin means and bin occupancy.
+func (fs *frameScratch) lane(i, n, nbits int) (cond, means []float64, ok []bool) {
+	return fs.cond[i*n : (i+1)*n], fs.means[i*nbits : (i+1)*nbits], fs.ok[i*nbits : (i+1)*nbits]
 }
 
 // scratchPool recycles frameScratch across decodes and streams.
@@ -499,48 +529,47 @@ func (sd *StreamDecoder) bin(off []int) {
 	binByTimestamp(off, ts, sd.start, sd.d.cfg.BitDuration)
 }
 
-// scoreLanes impairs, conditions and scores every channel lane in scan
-// order. The score is the magnitude of the preamble correlation, or for
-// long range the code discriminability.
+// scoreLanes conditions and scores every channel lane in scan order. The
+// score is the magnitude of the preamble correlation, or for long range
+// the code discriminability.
 func (sd *StreamDecoder) scoreLanes(fs *frameScratch) []channelStats {
-	d := sd.d
-	n, nbits := sd.n, sd.nbits
-	ts := sd.ts[:n]
-	window := windowSamples(ts, d.cfg.windowFor())
+	n := sd.n
+	window := windowSamples(sd.ts[:n], sd.d.cfg.windowFor())
 	for i, lane := range sd.chans {
-		id := sd.laneID(i)
-		raw := lane[:n]
-		if d.Impair != nil {
-			d.Impair.ImpairChannel(id, ts, raw)
-		}
-		fs.stats[i] = analyzeChannel(id, raw, fs.cond[i*n:(i+1)*n], fs.off, window,
-			fs.means[i*nbits:(i+1)*nbits], fs.ok[i*nbits:(i+1)*nbits])
+		cond, means, ok := fs.lane(i, n, sd.nbits)
+		fs.stats[i] = analyzeChannel(sd.laneID(i), lane[:n], cond, fs.off, window, means, ok)
 		if sd.code0 != nil {
 			fs.stats[i].score = sd.codeScore(&fs.stats[i])
 		}
-		d.met.channelsAnalyzed.Inc()
 	}
 	return fs.stats
 }
 
-// selectTop ranks the lanes by score, best first, and keeps the top G
-// (§3.2 step 2a): GoodSubchannels of them, or just the best one for RSSI
-// (§3.3), a single-channel stream, and the best-single ablation.
+// selectTop ranks the lanes and keeps the top G (§3.2 step 2a):
+// GoodSubchannels of them, or just the best one for RSSI (§3.3), a
+// single-channel stream, and the best-single ablation.
 func (sd *StreamDecoder) selectTop(stats []channelStats) ([]channelStats, error) {
+	if err := rankLanes(stats); err != nil {
+		return nil, err
+	}
+	g := sd.d.cfg.GoodSubchannels
+	if sd.mode == StreamRSSI || sd.v.Combining == CombineBestSingle {
+		g = 1
+	}
+	return stats[:min(g, len(stats))], nil
+}
+
+// rankLanes sorts the lanes by score, best first, for selectTop and the
+// preamble detectors' rank test.
+func rankLanes(stats []channelStats) error {
 	if len(stats) == 0 {
-		return nil, fmt.Errorf("uplink: no channels to combine")
+		return fmt.Errorf("uplink: no channels to combine")
 	}
 	//wblint:ignore HP002 the comparator runs once per frame close, not per push; sort.Slice's unstable tie order is pinned by the golden traces
 	sort.Slice(stats, func(i, j int) bool { //wblint:ignore HP001 boxing the slice header is once per frame close, not per push; see the HP002 reason above
 		return stats[i].score > stats[j].score
 	})
-	g := sd.d.cfg.GoodSubchannels
-	if sd.mode == StreamRSSI || sd.v.Combining == CombineBestSingle {
-		g = 1
-	}
-	g = min(g, len(stats))
-	sd.d.met.channelsRejected.Add(int64(len(stats) - g))
-	return stats[:g], nil
+	return nil
 }
 
 // combine adds the selected channels into dst: y_t = Σ w_i·c_i(t), with

@@ -130,3 +130,49 @@ func frameCloseAllocs(t *testing.T, ants, subs int) uint64 {
 	}
 	return best
 }
+
+// TestDetectAckAllocs holds DetectAck's allocations to the burst, not the
+// trace: a call on a 20 s series allocates no more often and no more bytes
+// than the same call on a 2 s one, because only the 13-bit window enters
+// the frame arena.
+func TestDetectAckAllocs(t *testing.T) {
+	shortN, shortB := detectAckAllocs(t, 2)
+	longN, longB := detectAckAllocs(t, 20)
+	t.Logf("DetectAck: %d allocations (%d B) on a 2 s series, %d (%d B) on a 20 s series", shortN, shortB, longN, longB)
+	if longN != shortN || longB != shortB {
+		t.Errorf("DetectAck allocates %d times (%d B) on a 20 s series but %d (%d B) on a 2 s series; its cost follows the trace",
+			longN, longB, shortN, shortB)
+	}
+}
+
+// detectAckAllocs returns the fewest heap allocations and bytes a
+// DetectAck call on an ACK burst at 1 s made over several warmed-up calls,
+// in a series of the given duration. The minimum discards a call whose
+// pools a garbage collection emptied.
+func detectAckAllocs(t *testing.T, duration float64) (allocs, bytes uint64) {
+	t.Helper()
+	mod, err := tag.NewModulator(AckBits(), 1.0, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := defaultSynth()
+	cfg.duration = duration
+	s := synthSeries(cfg, mod, 5)
+	d, _ := NewDecoder(DefaultConfig(0.01))
+	allocs, bytes = ^uint64(0), ^uint64(0)
+	var ms runtime.MemStats
+	for run := 0; run < 8; run++ {
+		runtime.ReadMemStats(&ms)
+		n, b := ms.Mallocs, ms.TotalAlloc
+		ok, _, err := d.DetectAck(s, mod.Start())
+		runtime.ReadMemStats(&ms)
+		if err != nil || !ok {
+			t.Fatalf("DetectAck = (%v, %v), want a detection", ok, err)
+		}
+		// The first two calls warm the buffer pools.
+		if run >= 2 {
+			allocs, bytes = min(allocs, ms.Mallocs-n), min(bytes, ms.TotalAlloc-b)
+		}
+	}
+	return allocs, bytes
+}

@@ -3,7 +3,6 @@ package uplink
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/csi"
 	"repro/internal/dsp"
@@ -16,13 +15,9 @@ import (
 // tag's Barker preamble and returns the aligned start time, letting the
 // reader decode responses whose exact timing it does not know.
 
-// Detection is confirmed when this many channels correlate at once —
-// single-channel noise correlations are common (σ ≈ 0.28 over 13 bins),
-// and the scan's many candidate offsets inflate the noise tail further,
-// hence the higher bar than one-shot ACK detection.
-const syncChannelRank = 9 // tenth-best (0-indexed)
-
-// syncThreshold is the per-channel correlation floor for the rank test.
+// syncThreshold is the floor the tenth-best lane's correlation must reach
+// (see rankedScore). The scan's many candidate offsets inflate the noise
+// tail, hence the higher bar than one-shot ACK detection.
 const syncThreshold = 0.8
 
 // FindTransmission scans [from, to) for a preamble-aligned transmission
@@ -30,38 +25,32 @@ const syncThreshold = 0.8
 // start time and whether the detection criterion was met. The scan only
 // inspects the preamble's 13 bits, so it works for any payload length.
 func (d *Decoder) FindTransmission(s *csi.Series, from, to float64) (start float64, found bool, err error) {
-	if s.Len() == 0 {
-		return 0, false, fmt.Errorf("uplink: empty measurement series")
+	if err = checkSeries(s); err != nil {
+		return 0, false, err
 	}
 	if !(to > from) {
 		return 0, false, fmt.Errorf("uplink: empty scan range [%v, %v)", from, to)
 	}
 	bitDur := d.cfg.BitDuration
 	preambleDur := float64(len(preambleLevels)) * bitDur
-	ts := s.Timestamps()
-	// Condition every channel once over the scan region (with margin for
-	// the moving-average window).
+	// Condition every lane once over the scan region (with margin for the
+	// moving-average window).
 	margin := d.cfg.windowFor()
-	lo, hi := frameRange(ts, from-margin, to+preambleDur+margin)
-	if hi-lo < len(preambleLevels) {
+	sd := d.newWindow(s, from-margin, to+preambleDur+margin)
+	defer sd.release()
+	n := sd.n
+	if n < len(preambleLevels) {
 		return 0, false, nil
 	}
-	tsR := ts[lo:hi]
-	window := windowSamples(tsR, margin)
-	type condChannel struct {
-		cond []float64
-	}
-	var channels []condChannel
-	for a := 0; a < s.Antennas(); a++ {
-		for k := 0; k < s.Subchannels(); k++ {
-			raw, cerr := s.CSIChannel(a, k)
-			if cerr != nil {
-				return 0, false, cerr
-			}
-			channels = append(channels, condChannel{
-				cond: dsp.Condition(raw[lo:hi], window),
-			})
-		}
+	ts := sd.ts[:n]
+	window := windowSamples(ts, margin)
+	fs := getScratch(len(sd.chans), n, sd.nbits)
+	defer putScratch(fs)
+	stats := fs.stats
+	for i, lane := range sd.chans {
+		cond, means, ok := fs.lane(i, n, sd.nbits)
+		dsp.ConditionInto(cond, lane[:n], window)
+		stats[i] = channelStats{cond: cond, means: means, ok: ok}
 	}
 	// Common-mode rejection: per-packet AGC noise moves every channel
 	// identically and would correlate on all of them at once, which is
@@ -69,61 +58,32 @@ func (d *Decoder) FindTransmission(s *csi.Series, from, to float64) (start float
 	// tag's couplings have random signs across channels, so subtracting
 	// the per-sample cross-channel mean removes the common mode while
 	// barely touching the signal.
-	n := len(channels[0].cond)
 	for i := 0; i < n; i++ {
 		var mean float64
-		for ci := range channels {
-			mean += channels[ci].cond[i]
+		for c := range stats {
+			mean += stats[c].cond[i]
 		}
-		mean /= float64(len(channels))
-		for ci := range channels {
-			channels[ci].cond[i] -= mean
+		mean /= float64(len(stats))
+		for c := range stats {
+			stats[c].cond[i] -= mean
 		}
 	}
 	// Scan candidate starts on a quarter-bit grid.
 	bestScore := 0.0
 	bestStart := 0.0
 	step := bitDur / 4
-	corrs := make([]float64, len(channels))
-	off := make([]int, len(preambleLevels)+1)
 	for cand := from; cand < to; cand += step {
-		binByTimestamp(off, tsR, cand, bitDur)
-		for ci := range channels {
-			corrs[ci] = math.Abs(preambleCorr(channels[ci].cond, off))
+		binByTimestamp(fs.off, ts, cand, bitDur)
+		for c := range stats {
+			st := &stats[c]
+			st.score = math.Abs(binCorrelate(st.cond, fs.off, st.means, st.ok))
 		}
-		sort.Sort(sort.Reverse(sort.Float64Slice(corrs)))
-		rank := syncChannelRank
-		if rank >= len(corrs) {
-			rank = len(corrs) - 1
+		if err = rankLanes(stats); err != nil {
+			return 0, false, err
 		}
-		if corrs[rank] > bestScore {
-			bestScore = corrs[rank]
-			bestStart = cand
+		if r := rankedScore(stats); r > bestScore {
+			bestScore, bestStart = r, cand
 		}
 	}
 	return bestStart, bestScore >= syncThreshold, nil
-}
-
-// preambleCorr computes the normalized correlation of per-bin means
-// against the Barker template, over the bins whose boundaries are off.
-func preambleCorr(cond []float64, off []int) float64 {
-	var dot, mm, pp float64
-	for j := 0; j < len(preambleLevels) && j+1 < len(off); j++ {
-		bin := cond[off[j]:off[j+1]]
-		if len(bin) == 0 {
-			continue
-		}
-		var sum float64
-		for _, v := range bin {
-			sum += v
-		}
-		mean := sum / float64(len(bin))
-		dot += mean * preambleLevels[j]
-		mm += mean * mean
-		pp += preambleLevels[j] * preambleLevels[j]
-	}
-	if mm == 0 || pp == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(mm*pp)
 }
