@@ -69,14 +69,17 @@ bench-stream:
 bench-observe:
 	$(GO) test -bench 'BenchmarkObserve' -benchmem -run 'TestObserveSteadyStateAllocs' ./internal/radio/
 
-# Wire parse contract: BenchmarkParseMeasurement reports one 3x30 CSI m
-# line and one 3x1 RSSI m line with -benchmem, and
+# Wire and session contract: BenchmarkParseMeasurement reports one 3x30
+# CSI m line and one 3x1 RSSI m line with -benchmem, and
 # TestParseMeasurementAllocs asserts that parsing into a measurement of
 # the line's shape allocates nothing, on the decimal fast path and on the
-# strconv fallback. The test is skipped under -race, so this plain-build
-# run is the gate.
+# strconv fallback. TestSessionCycleAllocs asserts that an Open, Push,
+# Finish, Result cycle allocates as often with 1024 slots as with 16 (the
+# slot ring is pooled), and TestLineReaderAllocs that taking and
+# returning a connection's line reader allocates nothing. The tests are
+# skipped under -race, so this plain-build run is the gate.
 bench-wire:
-	$(GO) test -bench 'BenchmarkParseMeasurement' -benchmem -run 'TestParseMeasurementAllocs' ./internal/serve/
+	$(GO) test -bench 'BenchmarkParseMeasurement' -benchmem -run 'TestParseMeasurementAllocs|TestSessionCycleAllocs|TestLineReaderAllocs' ./internal/serve/
 
 # Pins the observability contract: the aggregated pipeline metrics from an
 # instrumented sweep must match testdata/metrics_golden.json byte for byte

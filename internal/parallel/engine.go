@@ -43,9 +43,10 @@ func (e *Engine) Workers() int { return e.workers }
 // ForEach runs fn(i) for every i in [0, n). With one worker it runs the
 // plain serial loop on the calling goroutine (no scheduling overhead, and
 // exact serial semantics by definition). With more workers, jobs are
-// dispatched through a bounded queue; after the first error no further
-// jobs start, and the error reported is the one the serial loop would
-// have hit first (the failing job with the smallest index).
+// dispatched through a bounded queue; after an error no job with a larger
+// index starts, and the error reported is the one the serial loop would
+// have hit first (the failing job with the smallest index). Jobs below the
+// smallest failing index still run, since one of them may fail first.
 func (e *Engine) ForEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -63,16 +64,16 @@ func (e *Engine) ForEach(n int, fn func(i int) error) error {
 	var (
 		mu       sync.Mutex
 		firstErr error
-		errIdx   int
-		failed   atomic.Bool
+		errIdx   atomic.Int64 // smallest failing index so far; n while none
 	)
+	errIdx.Store(int64(n))
 	record := func(i int, err error) {
 		mu.Lock()
 		defer mu.Unlock()
-		if firstErr == nil || i < errIdx {
-			firstErr, errIdx = err, i
+		if int64(i) < errIdx.Load() {
+			firstErr = err
+			errIdx.Store(int64(i))
 		}
-		failed.Store(true)
 	}
 
 	var wg sync.WaitGroup
@@ -85,7 +86,7 @@ func (e *Engine) ForEach(n int, fn func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				if failed.Load() {
+				if int64(i) > errIdx.Load() {
 					continue // drain without running
 				}
 				if err := safeRun(fn, i); err != nil {
@@ -95,7 +96,7 @@ func (e *Engine) ForEach(n int, fn func(i int) error) error {
 		}()
 	}
 	for i := 0; i < n; i++ {
-		if failed.Load() {
+		if int64(i) > errIdx.Load() {
 			break
 		}
 		jobs <- i

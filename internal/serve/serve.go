@@ -6,8 +6,11 @@
 //
 // One Session runs one uplink.StreamDecoder (whose frame arena lives in
 // the shared pooled dsp scratch, so a thousand sessions reuse the same
-// buffers frame after frame) fed through a fixed ring of preallocated
-// measurement slots by a dedicated worker goroutine. The layer is
+// buffers frame after frame) fed through a fixed ring of measurement
+// slots by a dedicated worker goroutine. Rings are pooled per server:
+// Open takes an idle one and re-points it to the session's shape, the
+// worker returns it when the session's input ends, and a parked
+// resumable session keeps its ring until it finalizes. The layer is
 // production-shaped by construction:
 //
 //   - Bounded admission. Open rejects with ErrOverloaded once MaxSessions
@@ -280,6 +283,11 @@ type Server struct {
 
 	wg  sync.WaitGroup // one per session worker
 	met metrics
+
+	// Idle slot rings of SessionBuffer slots, most recently returned last
+	// (session.go). ringMu nests inside mu.
+	ringMu sync.Mutex
+	rings  []*slotRing
 }
 
 // closer is the slice of a transport a Server can force-close.

@@ -31,16 +31,22 @@ const (
 // per-sub-channel noise, a fraction of well-coupled channels.
 func synthSeries(t *testing.T, payload []bool, seed int64) *csi.Series {
 	t.Helper()
+	return synthShaped(t, payload, seed, testAntennas, testSubs)
+}
+
+// synthShaped is synthSeries at a chosen antennas × sub-channels shape.
+func synthShaped(t *testing.T, payload []bool, seed int64, ants, subs int) *csi.Series {
+	t.Helper()
 	mod, err := tag.NewModulator(tag.FrameBits(payload), testStart, testBitDur)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rnd := rng.New(seed)
-	base := make([][]float64, testAntennas)
-	coupling := make([][]float64, testAntennas)
+	base := make([][]float64, ants)
+	coupling := make([][]float64, ants)
 	for a := range base {
-		base[a] = make([]float64, testSubs)
-		coupling[a] = make([]float64, testSubs)
+		base[a] = make([]float64, subs)
+		coupling[a] = make([]float64, subs)
 		for k := range base[a] {
 			base[a][k] = 5 + 10*rnd.Float64()
 			c := 0.02 * (rnd.Float64() - 0.5)
@@ -62,13 +68,13 @@ func synthSeries(t *testing.T, payload []bool, seed int64) *csi.Series {
 		agc := 1 + rnd.Gaussian(0, 0.01)
 		m := csi.Measurement{
 			Timestamp: ts,
-			CSI:       make([][]float64, testAntennas),
-			RSSI:      make([]float64, testAntennas),
+			CSI:       make([][]float64, ants),
+			RSSI:      make([]float64, ants),
 		}
-		for a := 0; a < testAntennas; a++ {
-			m.CSI[a] = make([]float64, testSubs)
+		for a := 0; a < ants; a++ {
+			m.CSI[a] = make([]float64, subs)
 			var power float64
-			for k := 0; k < testSubs; k++ {
+			for k := 0; k < subs; k++ {
 				amp := base[a][k] * (1 + coupling[a][k]*state) * agc *
 					(1 + rnd.Gaussian(0, 0.005))
 				m.CSI[a][k] = amp

@@ -17,12 +17,15 @@ import (
 // flushes; Result blocks for the final outcome.
 //
 // Memory is bounded and steady-state allocation-free by construction:
-// the session owns a fixed ring of preallocated measurement slots sized
-// to the declared shape. Push copies into a free slot and hands the slot
-// index to the worker; the worker hands it back after the decoder copies
-// the sample into its pooled frame arena. The two index channels (free
-// and in) each hold every slot, so channel sends never block — only the
-// free-slot receive does, and that wait is the backpressure.
+// the session borrows a fixed ring of measurement slots (slotRing) from
+// the server's pool at Open, re-pointed to the declared shape. Push
+// copies into a free slot and hands the slot index to the worker; the
+// worker hands it back after the decoder copies the sample into its
+// pooled frame arena. The two index channels (the ring's free and the
+// session's in) each hold every slot, so channel sends never block —
+// only the free-slot receive does, and that wait is the backpressure.
+// The worker returns the ring to the pool when its input ends; a parked
+// resumable session keeps it until it finalizes.
 type Session struct {
 	srv  *Server
 	id   uint64
@@ -30,9 +33,8 @@ type Session struct {
 	sd   *uplink.StreamDecoder
 	sink Sink
 
-	slots []csi.Measurement
-	free  chan int32
-	in    chan int32
+	ring *slotRing
+	in   chan int32
 
 	// pmu serializes producers with each other and with Finish, so a
 	// slot is never written while its index is in flight and in is never
@@ -82,8 +84,90 @@ type Session struct {
 	wdIdle     int
 }
 
-// newSession builds the session and its preallocated slot ring. The
-// caller holds srv.mu and starts the worker.
+// slotRing is a session's measurement slots and the free list that hands
+// them out, pooled per server (Server.rings). One slab each backs the
+// slots, their CSI row headers and their floats, so re-pointing a ring to
+// a new shape allocates only when the shape outgrows every shape the ring
+// has held. free is never closed: a ring goes back to the pool with every
+// index in it, ready for the next session.
+type slotRing struct {
+	slots []csi.Measurement
+	rows  [][]float64
+	flat  []float64
+	free  chan int32
+}
+
+// acquireRing takes the most recently returned ring from the server's
+// pool (or builds one of SessionBuffer slots) and re-points its slots to
+// p's shape.
+func (srv *Server) acquireRing(p SessionParams) *slotRing {
+	var r *slotRing
+	srv.ringMu.Lock()
+	if n := len(srv.rings); n > 0 {
+		r = srv.rings[n-1]
+		srv.rings[n-1] = nil
+		srv.rings = srv.rings[:n-1]
+	}
+	srv.ringMu.Unlock()
+	if r == nil {
+		n := srv.cfg.SessionBuffer
+		r = &slotRing{slots: make([]csi.Measurement, n), free: make(chan int32, n)}
+		for i := range n {
+			r.free <- int32(i)
+		}
+	}
+	r.shape(p.Antennas, p.Subchannels)
+	return r
+}
+
+// shape lays every slot out as ants RSSI values followed by ants rows of
+// subs CSI values (no rows when subs is 0) in the ring's slabs.
+func (r *slotRing) shape(ants, subs int) {
+	stride := ants * (1 + subs)
+	nrows := 0
+	if subs > 0 {
+		nrows = len(r.slots) * ants
+	}
+	if cap(r.flat) < len(r.slots)*stride {
+		r.flat = make([]float64, len(r.slots)*stride)
+	}
+	if cap(r.rows) < nrows {
+		r.rows = make([][]float64, nrows)
+	}
+	for i := range r.slots {
+		f := r.flat[i*stride : (i+1)*stride : (i+1)*stride]
+		m := &r.slots[i]
+		m.RSSI = f[:ants:ants]
+		m.CSI = nil
+		if subs == 0 {
+			continue
+		}
+		m.CSI = r.rows[i*ants : (i+1)*ants : (i+1)*ants]
+		for a := range m.CSI {
+			lo := ants + a*subs
+			m.CSI[a] = f[lo : lo+subs : lo+subs]
+		}
+	}
+}
+
+// releaseRing returns the session's ring to the pool once its worker
+// has drained the input. Only a ring whose free list holds every index
+// is reusable; any other ring, and any ring beyond MaxSessions idle
+// ones, is left to the collector.
+func (s *Session) releaseRing() {
+	srv := s.srv
+	if len(s.ring.free) != cap(s.ring.free) {
+		return
+	}
+	srv.ringMu.Lock()
+	if len(srv.rings) < srv.cfg.MaxSessions {
+		srv.rings = append(srv.rings, s.ring)
+	}
+	srv.ringMu.Unlock()
+}
+
+// newSession builds the session around a pooled slot ring. The caller
+// holds srv.mu and starts the worker.
 func newSession(srv *Server, id uint64, p SessionParams, sink Sink) (*Session, error) {
 	dec, err := uplink.NewDecoder(uplink.DefaultConfig(1 / p.BitRate))
 	if err != nil {
@@ -93,30 +177,17 @@ func newSession(srv *Server, id uint64, p SessionParams, sink Sink) (*Session, e
 	if err != nil {
 		return nil, err
 	}
-	nslots := srv.cfg.SessionBuffer
+	ring := srv.acquireRing(p)
 	s := &Session{
-		srv:   srv,
-		id:    id,
-		p:     p,
-		sd:    sd,
-		sink:  sink,
-		slots: make([]csi.Measurement, nslots),
-		free:  make(chan int32, nslots),
-		in:    make(chan int32, nslots),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	for i := range s.slots {
-		if p.Subchannels > 0 {
-			rows := make([][]float64, p.Antennas)
-			flat := make([]float64, p.Antennas*p.Subchannels)
-			for a := range rows {
-				rows[a] = flat[a*p.Subchannels : (a+1)*p.Subchannels : (a+1)*p.Subchannels]
-			}
-			s.slots[i].CSI = rows
-		}
-		s.slots[i].RSSI = make([]float64, p.Antennas)
-		s.free <- int32(i)
+		srv:  srv,
+		id:   id,
+		p:    p,
+		sd:   sd,
+		sink: sink,
+		ring: ring,
+		in:   make(chan int32, len(ring.slots)),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	if p.Resumable {
 		s.rs = &resumeSink{
@@ -211,28 +282,29 @@ func (s *Session) push(m csi.Measurement, wait bool, gen uint32, fenced bool) er
 		return ErrSessionClosed
 	default:
 	}
+	// A free slot is taken without a select on quit; only a full ring
+	// waits, and that wait is what an abort must be able to interrupt.
 	var idx int32
-	if wait {
-		select {
-		case idx = <-s.free:
-		case <-s.quit:
-			return ErrSessionClosed
-		}
-	} else {
-		select {
-		case idx = <-s.free:
-		default:
+	select {
+	case idx = <-s.ring.free:
+	default:
+		if !wait {
 			s.srv.met.bufferFull.Add(1)
 			// A full ring is occupancy 1 by definition; the server-wide
 			// Pressure() would need srv.mu, which this path must not take.
 			return retryErr(ErrBufferFull, 1)
+		}
+		select {
+		case idx = <-s.ring.free:
+		case <-s.quit:
+			return ErrSessionClosed
 		}
 	}
 	if err := s.copyInto(idx, m); err != nil {
 		// A shape violation poisons this session exactly like the
 		// decoder's own shape check would — sticky error, input closed,
 		// the failure emitted on the sink — and touches nobody else.
-		s.free <- idx
+		s.ring.free <- idx
 		if s.setErr(err) {
 			s.srv.met.poisoned.Add(1)
 		}
@@ -247,9 +319,12 @@ func (s *Session) push(m csi.Measurement, wait bool, gen uint32, fenced bool) er
 	return nil
 }
 
-// copyInto copies m into slot idx, enforcing the declared shape.
+// copyInto copies m into slot idx, enforcing the declared shape. It
+// writes every field of the slot (RSSI, each CSI row, Timestamp) before
+// the index can reach the worker, so a slot from a reused ring never
+// shows an earlier session's values.
 func (s *Session) copyInto(idx int32, m csi.Measurement) error {
-	dst := &s.slots[idx]
+	dst := &s.ring.slots[idx]
 	if len(m.RSSI) != s.p.Antennas {
 		return fmt.Errorf("serve: measurement has %d RSSI antennas, session declared %d",
 			len(m.RSSI), s.p.Antennas)
@@ -371,13 +446,13 @@ func (s *Session) loop() {
 	for idx := range s.in {
 		s.srv.met.queued.Add(-1)
 		if poisoned {
-			s.free <- idx
+			s.ring.free <- idx
 			s.progress.Add(1)
 			continue
 		}
 		s.busy.Store(1)
-		bits, err := s.sd.Push(s.slots[idx])
-		s.free <- idx
+		bits, err := s.sd.Push(s.ring.slots[idx])
+		s.ring.free <- idx
 		if err != nil {
 			if s.setErr(err) {
 				s.srv.met.poisoned.Add(1)
@@ -398,6 +473,9 @@ func (s *Session) loop() {
 		s.busy.Store(0)
 		s.progress.Add(1)
 	}
+	// The input is closed and every producer has left (Finish closes in
+	// under pmu), so nothing touches the slots again.
+	s.releaseRing()
 	s.busy.Store(1)
 	s.finalize()
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -49,11 +50,41 @@ type lineReader struct {
 	line []byte
 }
 
-// maxLineLen bounds one protocol line (matches the former Scanner cap).
-const maxLineLen = 1 << 20
+// maxLineLen bounds one protocol line (matches the former Scanner cap);
+// readerSize is the pooled read buffer, and a line buffer grown past it
+// is dropped on release rather than pinned in the pool.
+const (
+	maxLineLen = 1 << 20
+	readerSize = 64 << 10
+)
 
+var lineReaders = sync.Pool{New: func() any {
+	return &lineReader{br: bufio.NewReaderSize(nil, readerSize)}
+}}
+
+// newLineReader takes a pooled reader and points it at conn; release
+// hands it back.
 func newLineReader(conn net.Conn) *lineReader {
-	return &lineReader{br: bufio.NewReaderSize(conn, 64<<10)}
+	lr := lineReaders.Get().(*lineReader)
+	lr.br.Reset(conn)
+	return lr
+}
+
+// release detaches the reader from its connection and returns it to the
+// pool.
+func (lr *lineReader) release() {
+	lr.br.Reset(nil)
+	if cap(lr.line) > readerSize {
+		lr.line = nil
+	}
+	lineReaders.Put(lr)
+}
+
+// lineBuffered reports whether a complete line is already buffered, so
+// the next scan returns without reading from the connection.
+func (lr *lineReader) lineBuffered() bool {
+	b, _ := lr.br.Peek(lr.br.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
 }
 
 // scan reads the next complete line, stripping the terminator (and one
@@ -89,6 +120,7 @@ func (srv *Server) handleConn(conn net.Conn) {
 	defer srv.removeConn(conn)
 	sink := &connSink{srv: srv, c: conn}
 	lr := newLineReader(conn)
+	defer lr.release()
 	srv.stampReadDeadline(conn)
 	if !lr.scan() {
 		return
@@ -157,12 +189,18 @@ func (srv *Server) handleResume(conn net.Conn, sink *connSink, lr *lineReader, l
 }
 
 // serveSession is the measurement loop shared by the hello and resume
-// paths.
+// paths. The idle deadline is stamped only when the next line is not
+// already buffered: a scan that finds its line in the buffer never reads
+// the connection, and every scan that does read runs under a deadline
+// stamped at its start, so a client still gets one line per IdleTimeout
+// however slowly its bytes arrive.
 func (srv *Server) serveSession(conn net.Conn, sink *connSink, lr *lineReader, sess *Session, gen uint32) {
 	scratch := newScratch(sess.Params())
 	resumable := sess.rs != nil
 	for {
-		srv.stampReadDeadline(conn)
+		if !lr.lineBuffered() {
+			srv.stampReadDeadline(conn)
+		}
 		if !lr.scan() {
 			break
 		}
@@ -221,19 +259,13 @@ func (srv *Server) stampReadDeadline(conn net.Conn) {
 	_ = conn.SetReadDeadline(srv.cfg.Now().Add(srv.cfg.IdleTimeout))
 }
 
-// newScratch builds one measurement of the session's declared shape for
-// the handler to parse into; Push copies it, so one scratch per
-// connection suffices.
+// newScratch builds one measurement of the session's declared shape, laid
+// out like a ring slot, for the handler to parse into; Push copies it, so
+// one scratch per connection suffices.
 func newScratch(p SessionParams) csi.Measurement {
-	m := csi.Measurement{RSSI: make([]float64, p.Antennas)}
-	if p.Subchannels > 0 {
-		m.CSI = make([][]float64, p.Antennas)
-		flat := make([]float64, p.Antennas*p.Subchannels)
-		for a := range m.CSI {
-			m.CSI[a] = flat[a*p.Subchannels : (a+1)*p.Subchannels : (a+1)*p.Subchannels]
-		}
-	}
-	return m
+	r := slotRing{slots: make([]csi.Measurement, 1)}
+	r.shape(p.Antennas, p.Subchannels)
+	return r.slots[0]
 }
 
 // connSink writes a session's responses to its connection. Two
