@@ -62,12 +62,18 @@ bench:
 bench-stream:
 	$(GO) test -bench 'BenchmarkStream|BenchmarkFrameClose|BenchmarkDetectAck' -benchmem -run 'TestStreamPushSteadyStateAllocs|TestFrameCloseAllocs|TestDetectAckAllocs' ./internal/uplink/
 
-# Channel evaluation contract: BenchmarkObserve reports one packet's 3x30
-# composite channel with -benchmem, and TestObserveSteadyStateAllocs
-# asserts that Observe into a reused buffer allocates nothing. The test is
-# skipped under -race, so this plain-build run is the gate.
+# Simulation fixed-cost contract: BenchmarkObserve reports one packet's
+# 3x30 composite channel, BenchmarkCircuitStep one envelope sample through
+# the tag's receiver circuit, BenchmarkEngineSchedule one event's schedule
+# and dispatch and BenchmarkMeasure one 3x30 CSI report, all with
+# -benchmem. TestObserveSteadyStateAllocs asserts that Observe into a
+# reused buffer allocates nothing, TestScheduleSteadyStateAllocs that a
+# warmed schedule and dispatch of a pre-built closure allocates nothing,
+# and TestMeasureAllocs that a 3x30 report allocates at most twice (row
+# headers and one slab). The tests are skipped under -race, so this
+# plain-build run is the gate.
 bench-observe:
-	$(GO) test -bench 'BenchmarkObserve' -benchmem -run 'TestObserveSteadyStateAllocs' ./internal/radio/
+	$(GO) test -bench 'BenchmarkObserve|BenchmarkCircuitStep|BenchmarkEngineSchedule|BenchmarkMeasure' -benchmem -run 'TestObserveSteadyStateAllocs|TestScheduleSteadyStateAllocs|TestMeasureAllocs' ./internal/radio/ ./internal/tag/ ./internal/sim/ ./internal/csi/
 
 # Wire and session contract: BenchmarkParseMeasurement reports one 3x30
 # CSI m line and one 3x1 RSSI m line with -benchmem, and

@@ -203,3 +203,75 @@ func TestSummarizeEmpty(t *testing.T) {
 		t.Errorf("empty stats = %+v", s)
 	}
 }
+
+// TestSharedTrafficBodiesStayZero runs a capture round trip over traffic
+// from every source. Each source's frames share one zeroed body (see
+// wifi.Frame.Payload); capturing and decoding the trace must leave those
+// bodies all zero, because Reader decodes into fresh records.
+func TestSharedTrafficBodiesStayZero(t *testing.T) {
+	eng := sim.NewEngine()
+	m := wifi.NewMedium(eng, rng.New(1))
+	ap := m.AddStation("ap", wifi.MAC{1}, wifi.Rate54)
+	sta := m.AddStation("sta", wifi.MAC{2}, wifi.Rate54)
+	other := m.AddStation("other", wifi.MAC{3}, wifi.Rate24)
+	// Distinct sizes, so each size names one source's body.
+	sizes := map[int]string{100: "cbr", 200: "saturated", 300: "poisson", 400: "bursty", 1448: "tcp segment", 52: "tcp ack", 80: "beacon"}
+	bodies := map[int]map[*byte][]byte{} // size → backing array → body
+	m.AddListener(func(tx *wifi.Transmission) {
+		p := tx.Frame.Payload
+		if len(p) == 0 || sizes[len(p)] == "" {
+			return
+		}
+		if cap(p) != len(p) {
+			t.Errorf("%s body: cap %d, len %d", sizes[len(p)], cap(p), len(p))
+		}
+		if bodies[len(p)] == nil {
+			bodies[len(p)] = map[*byte][]byte{}
+		}
+		bodies[len(p)][&p[0]] = p
+		for _, b := range p {
+			if b != 0 {
+				t.Fatalf("%s body is not zero before capture", sizes[len(p)])
+			}
+		}
+	})
+	var buf bytes.Buffer
+	aw := NewWriter(&buf).Attach(m)
+	const until = 0.3
+	cbr := &wifi.CBRSource{Station: other, Dst: wifi.MAC{9}, Payload: 100, Interval: 0.01, Until: until}
+	sat := &wifi.SaturatedSource{Station: other, Dst: wifi.MAC{9}, Payload: 200, Depth: 1}
+	poisson := &wifi.PoissonSource{Station: other, Dst: wifi.MAC{9}, Payload: 300, Rate: 100, Until: until, Rnd: rng.New(2)}
+	bursty := &wifi.BurstySource{Station: other, Dst: wifi.MAC{9}, Payload: 400, MeanBurst: 4, MeanGap: 0.02,
+		InBurstInterval: 0.001, Until: until, Rnd: rng.New(3)}
+	tcp := &wifi.TCPSource{Sender: ap, Receiver: sta, Until: until, Rnd: rng.New(4)}
+	beacon := &wifi.BeaconSource{Station: ap, Interval: 0.02, Until: until}
+	for _, start := range []func() error{cbr.Start, sat.Start, poisson.Start, bursty.Start, tcp.Start, beacon.Start} {
+		if err := start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run(until)
+	if aw.Err() != nil {
+		t.Fatal(aw.Err())
+	}
+	recs, err := NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatal("captured nothing")
+	}
+	for size, name := range sizes {
+		seen := bodies[size]
+		if len(seen) != 1 {
+			t.Errorf("%s frames carried %d distinct bodies, want 1 shared body", name, len(seen))
+		}
+		for _, body := range seen {
+			for i, b := range body {
+				if b != 0 {
+					t.Fatalf("%s body byte %d is %#x after the capture round trip", name, i, b)
+				}
+			}
+		}
+	}
+}

@@ -1,0 +1,23 @@
+//go:build !race
+
+// The race detector instruments allocations, so AllocsPerRun over-counts
+// under -race; this assertion only runs in the plain test pass (the
+// Makefile's `test` and `bench-observe` targets, not `race`).
+
+package csi
+
+import (
+	"testing"
+
+	"repro/internal/rng"
+)
+
+// TestMeasureAllocs pins the one-slab report: a 3×30 measurement
+// allocates its row headers and one slab for the rows and RSSI.
+func TestMeasureAllocs(t *testing.T) {
+	card := NewCard(DefaultModel(), rng.New(1))
+	h := flatChannel(3, 30, 10)
+	if allocs := testing.AllocsPerRun(100, func() { card.Measure(0, h) }); allocs > 2 {
+		t.Errorf("Measure of a 3x30 channel: %v allocs, want at most 2", allocs)
+	}
+}

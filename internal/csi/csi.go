@@ -99,13 +99,18 @@ func (c *Card) Model() Model { return c.model }
 
 // Measure converts a true complex channel (indexed [antenna][sub-channel],
 // in CSI units) into the card's noisy report for a packet received at time
-// t.
+// t. The report's RSSI and CSI rows share one backing array, each cut with
+// its capacity at its own end, so appending to one reallocates instead of
+// writing into its neighbour.
 func (c *Card) Measure(t float64, h [][]complex128) Measurement {
-	m := Measurement{
-		Timestamp: t,
-		CSI:       make([][]float64, len(h)),
-		RSSI:      make([]float64, len(h)),
+	n := len(h)
+	for _, row := range h {
+		n += len(row)
 	}
+	slab := make([]float64, n)
+	m := Measurement{Timestamp: t, CSI: make([][]float64, len(h))}
+	m.RSSI = slab[:len(h):len(h)]
+	slab = slab[len(h):]
 	agc := 1 + c.rnd.Gaussian(0, c.model.AGCNoise)
 	for a, row := range h {
 		gain := agc
@@ -119,7 +124,8 @@ func (c *Card) Measure(t float64, h [][]complex128) Measurement {
 				gain *= 1 - c.model.SpuriousScale
 			}
 		}
-		csiRow := make([]float64, len(row))
+		csiRow := slab[:len(row):len(row)]
+		slab = slab[len(row):]
 		var power float64
 		for k, hk := range row {
 			amp := cmplx.Abs(hk) * gain * (1 + c.rnd.Gaussian(0, c.model.SubchannelNoise))

@@ -14,11 +14,13 @@ import (
 // taps evolve in time as an AR(1) (Gauss-Markov) process so the channel
 // drifts slowly, as an indoor environment with people moving does.
 type Multipath struct {
-	taps      []complex128
-	delays    []float64 // seconds
-	powers    []float64 // stationary power of each scattered tap
-	coherence float64   // seconds; time for correlation to fall to 1/e
-	lastTime  float64   // seconds of last evolution
+	taps   []complex128
+	delays []float64 // seconds
+	// sd[i] is sqrt(p_i/2) for tap i's stationary power p_i: the per-axis
+	// standard deviation its draws take from rng's ComplexGaussianSD.
+	sd        []float64
+	coherence float64 // seconds; time for correlation to fall to 1/e
+	lastTime  float64 // seconds of last evolution
 	stream    *rng.Stream
 	// los holds the optional fixed line-of-sight component of tap 0.
 	los complex128
@@ -94,10 +96,10 @@ func NewMultipath(cfg MultipathConfig, offsets []units.Hertz, stream *rng.Stream
 		losPower = cfg.RiceK / (1 + cfg.RiceK)
 		scatterPower = 1 / (1 + cfg.RiceK)
 	}
-	m.powers = make([]float64, n)
+	m.sd = make([]float64, n)
 	for i := 0; i < n; i++ {
-		m.powers[i] = powers[i] / totalScatter * scatterPower
-		m.taps[i] = stream.ComplexGaussian(m.powers[i])
+		m.sd[i] = math.Sqrt(powers[i] / totalScatter * scatterPower / 2)
+		m.taps[i] = stream.ComplexGaussianSD(m.sd[i])
 	}
 	if losPower > 0 {
 		phase := stream.Float64() * 2 * math.Pi
@@ -117,6 +119,14 @@ func NewMultipath(cfg MultipathConfig, offsets []units.Hertz, stream *rng.Stream
 // using a Gauss-Markov innovation whose correlation decays with the
 // coherence time. Times earlier than the last evolution are ignored.
 func (m *Multipath) EvolveTo(t float64) {
+	var ar arStep
+	m.evolveTo(t, &ar)
+}
+
+// evolveTo is EvolveTo with the step factors taken from ar, which
+// computes them only when dt or the coherence time differs from its last
+// call. Channels evolved to the same time share one ar.
+func (m *Multipath) evolveTo(t float64, ar *arStep) {
 	if m.coherence <= 0 || t <= m.lastTime {
 		if t > m.lastTime {
 			m.lastTime = t
@@ -125,13 +135,27 @@ func (m *Multipath) EvolveTo(t float64) {
 	}
 	dt := t - m.lastTime
 	m.lastTime = t
-	rho := math.Exp(-dt / m.coherence)
-	innov := math.Sqrt(1 - rho*rho)
+	rho, innov := ar.factors(dt, m.coherence)
 	for i, tap := range m.taps {
 		// The innovation variance matches the tap's stationary power so
 		// the power-delay profile is invariant under evolution.
-		m.taps[i] = tap*complex(rho, 0) + m.stream.ComplexGaussian(m.powers[i])*complex(innov, 0)
+		m.taps[i] = tap*complex(rho, 0) + m.stream.ComplexGaussianSD(m.sd[i])*complex(innov, 0)
 	}
+}
+
+// arStep memoizes the Gauss-Markov step factors rho = exp(-dt/coherence)
+// and innov = sqrt(1-rho²) for the last (dt, coherence) pair. Its zero
+// value matches no evolution, whose dt and coherence are positive.
+type arStep struct {
+	dt, coherence, rho, innov float64
+}
+
+func (a *arStep) factors(dt, coherence float64) (rho, innov float64) {
+	if dt != a.dt || coherence != a.coherence {
+		rho = math.Exp(-dt / coherence)
+		*a = arStep{dt: dt, coherence: coherence, rho: rho, innov: math.Sqrt(1 - rho*rho)}
+	}
+	return a.rho, a.innov
 }
 
 // Response returns the complex channel gain at the k-th subcarrier offset

@@ -27,6 +27,9 @@ type MultiChannel struct {
 	stream   *rng.Stream
 	geoBase  Geometry
 	tags     []*tagPath
+	// ar holds the evolution step factors: every path evolves to the
+	// packet's time, so one packet computes them once.
+	ar arStep
 }
 
 // tagPath is one tag's backscatter contribution.
@@ -124,7 +127,7 @@ func (c *MultiChannel) Observe(t float64, reflecting []bool, dst [][]complex128)
 		return nil, fmt.Errorf("radio: got %d states for %d tags", len(reflecting), len(c.tags))
 	}
 	for i, tp := range c.tags {
-		tp.helpTag.EvolveTo(t)
+		tp.helpTag.evolveTo(t, &c.ar)
 		if reflecting[i] {
 			for k := range tp.help {
 				tp.help[k] = tp.helpTag.Response(k)
@@ -138,9 +141,9 @@ func (c *MultiChannel) Observe(t float64, reflecting []bool, dst [][]complex128)
 		if len(dst[a]) != len(c.offsets) {
 			dst[a] = make([]complex128, len(c.offsets))
 		}
-		c.direct[a].EvolveTo(t)
+		c.direct[a].evolveTo(t, &c.ar)
 		for _, tp := range c.tags {
-			tp.tagRead[a].EvolveTo(t)
+			tp.tagRead[a].evolveTo(t, &c.ar)
 		}
 		row := dst[a]
 		for k := range row {

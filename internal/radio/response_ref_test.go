@@ -143,3 +143,120 @@ func TestObserveMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// refTapPowers is NewMultipath's stationary tap power computation, which
+// the reference draws below take their variances from.
+func refTapPowers(cfg MultipathConfig) []float64 {
+	n := cfg.Taps
+	if n < 1 {
+		n = 1
+	}
+	spacing := cfg.DelaySpread / 2
+	if spacing <= 0 {
+		spacing = 1e-9
+	}
+	var totalScatter float64
+	powers := make([]float64, n)
+	for i := range powers {
+		if cfg.DelaySpread > 0 {
+			powers[i] = math.Exp(-float64(i) * spacing / cfg.DelaySpread)
+		} else {
+			powers[i] = 1
+		}
+		totalScatter += powers[i]
+	}
+	scatterPower := 1.0
+	if cfg.RiceK > 0 {
+		scatterPower = 1 / (1 + cfg.RiceK)
+	}
+	for i := range powers {
+		powers[i] = powers[i] / totalScatter * scatterPower
+	}
+	return powers
+}
+
+// refEvolveTo is the per-Multipath evolution: its own exp and sqrt on
+// every call, and ComplexGaussian(power) for each innovation.
+func refEvolveTo(m *Multipath, powers []float64, t float64) {
+	if m.coherence <= 0 || t <= m.lastTime {
+		if t > m.lastTime {
+			m.lastTime = t
+		}
+		return
+	}
+	dt := t - m.lastTime
+	m.lastTime = t
+	rho := math.Exp(-dt / m.coherence)
+	innov := math.Sqrt(1 - rho*rho)
+	for i, tap := range m.taps {
+		m.taps[i] = tap*complex(rho, 0) + m.stream.ComplexGaussian(powers[i])*complex(innov, 0)
+	}
+}
+
+// TestEvolutionMatchesReference evolves one channel through Observe,
+// whose paths share one set of step factors, and a twin path by path
+// through refEvolveTo, and requires identical taps after every packet.
+// It also checks that each tap's cached sd is ComplexGaussian's
+// sqrt(power/2).
+func TestEvolutionMatchesReference(t *testing.T) {
+	for _, oc := range oracleConfigs() {
+		build := func() *MultiChannel {
+			c, err := NewMultiChannel(oc.cfg, Geometry{HelperToTag: 3}, rng.New(47))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range []units.Meters{0.05, 0.3} {
+				if _, err := c.AddTag(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return c
+		}
+		got, ref := build(), build()
+		direct := refTapPowers(oc.cfg.Multipath)
+		trCfg := oc.cfg.Multipath
+		trCfg.RiceK = 10
+		tagRead := refTapPowers(trCfg)
+		type pair struct {
+			id       string
+			got, ref *Multipath
+			powers   []float64
+		}
+		var pairs []pair
+		for a := range got.direct {
+			pairs = append(pairs, pair{fmt.Sprintf("direct-%d", a), got.direct[a], ref.direct[a], direct})
+		}
+		for i := range got.tags {
+			pairs = append(pairs, pair{fmt.Sprintf("tag%d-helptag", i), got.tags[i].helpTag, ref.tags[i].helpTag, direct})
+			for a := range got.tags[i].tagRead {
+				pairs = append(pairs, pair{fmt.Sprintf("tag%d-tagread-%d", i, a), got.tags[i].tagRead[a], ref.tags[i].tagRead[a], tagRead})
+			}
+		}
+		for _, p := range pairs {
+			for i, sd := range p.got.sd {
+				if sd != math.Sqrt(p.powers[i]/2) {
+					t.Fatalf("%s/%s tap %d: sd %v, want sqrt(%v/2)", oc.name, p.id, i, sd, p.powers[i])
+				}
+			}
+		}
+		reflecting := []bool{true, false}
+		var dst [][]complex128
+		at := 0.0
+		for step := 0; step < 50; step++ {
+			// Packet spacings vary, some repeat, and t=at twice is a no-op.
+			at += []float64{1e-3, 1e-3, 0, 0.37, 2.5e-4}[step%5]
+			var err error
+			if dst, err = got.Observe(at, reflecting, dst); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pairs {
+				refEvolveTo(p.ref, p.powers, at)
+				for i := range p.ref.taps {
+					if !sameBits(p.got.taps[i], p.ref.taps[i]) {
+						t.Fatalf("%s/%s at t=%v, tap %d: %v, reference %v", oc.name, p.id, at, i, p.got.taps[i], p.ref.taps[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -77,7 +77,13 @@ func (s *Stream) Gaussian(mean, stddev float64) float64 {
 // ComplexGaussian returns a circularly-symmetric complex Gaussian variate
 // with total variance sigma2 (i.e. E[|x|²] = sigma2).
 func (s *Stream) ComplexGaussian(sigma2 float64) complex128 {
-	sd := math.Sqrt(sigma2 / 2)
+	return s.ComplexGaussianSD(math.Sqrt(sigma2 / 2))
+}
+
+// ComplexGaussianSD is ComplexGaussian with the per-axis standard
+// deviation sd = sqrt(sigma2/2) given instead of the total variance, for
+// callers that draw repeatedly with the same variance.
+func (s *Stream) ComplexGaussianSD(sd float64) complex128 {
 	return complex(s.Gaussian(0, sd), s.Gaussian(0, sd))
 }
 

@@ -5,8 +5,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 )
@@ -60,12 +60,18 @@ func (e *Engine) ScheduleAt(t float64, fn func()) {
 		// (library constructors reject bad parameters before scheduling).
 		panic("sim: ScheduleAt with nil function")
 	}
+	if math.IsNaN(t) {
+		// Programmer-error assert, like a nil fn: a NaN time is
+		// unordered, so queueing it would break the heap's ordering and
+		// let later events dispatch out of order.
+		panic("sim: ScheduleAt with NaN time")
+	}
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.q, &event{at: t, seq: e.seq, fn: fn})
-	e.queueDepth.Set(float64(e.q.Len()))
+	e.q.push(event{at: t, seq: e.seq, fn: fn})
+	e.queueDepth.Set(float64(len(e.q)))
 }
 
 // Run executes events in time order until the queue is empty or the clock
@@ -80,18 +86,17 @@ func (e *Engine) Run(until float64) int {
 	e.running = true
 	defer func() { e.running = false }()
 	n := 0
-	for e.q.Len() > 0 {
-		ev := e.q[0]
-		if ev.at > until {
+	for len(e.q) > 0 {
+		if e.q[0].at > until {
 			break
 		}
-		heap.Pop(&e.q)
+		ev := e.q.pop()
 		e.now = ev.at
 		ev.fn()
 		n++
 		e.evDispatched.Inc()
 	}
-	if e.now < until && e.q.Len() == 0 {
+	if e.now < until && len(e.q) == 0 {
 		// Queue drained: advance the clock to the horizon so
 		// subsequent scheduling is relative to it.
 		e.now = until
@@ -100,11 +105,11 @@ func (e *Engine) Run(until float64) int {
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.q.Len() }
+func (e *Engine) Pending() int { return len(e.q) }
 
 // String implements fmt.Stringer for debugging.
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now: %.6fs, pending: %d}", e.now, e.q.Len())
+	return fmt.Sprintf("sim.Engine{now: %.6fs, pending: %d}", e.now, len(e.q))
 }
 
 type event struct {
@@ -113,30 +118,61 @@ type event struct {
 	fn  func()
 }
 
-type eventQueue []*event
+// eventQueue is a binary min-heap of events held by value, ordered by
+// (at, seq). seq is unique, so the order is total and dispatch order does
+// not depend on the heap's shape.
+type eventQueue []event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
+// before reports whether a dispatches ahead of b.
+func (a *event) before(b *event) bool {
 	// A heap comparator needs a strict weak ordering; a tolerance here
 	// would make "equal" intransitive and corrupt the queue. Timestamps
 	// are only compared for tie-breaking, never for decode decisions.
 	//wblint:ignore FS001 strict weak ordering requires exact comparison; ties fall through to seq
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+// push adds ev and sifts it up to its place.
+func (q *eventQueue) push(ev event) {
+	*q = append(*q, ev)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
 
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// pop removes and returns the earliest event. The vacated slot is zeroed
+// so the queue does not keep a dispatched closure alive.
+func (q *eventQueue) pop() event {
+	h := *q
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h[n] = event{}
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return top
 }

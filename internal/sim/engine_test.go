@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -156,5 +157,25 @@ func TestStringer(t *testing.T) {
 	e.Schedule(1, func() {})
 	if got := e.String(); got == "" {
 		t.Error("String should not be empty")
+	}
+}
+
+func TestNaNTimePanics(t *testing.T) {
+	for _, schedule := range []func(*Engine){
+		func(e *Engine) { e.ScheduleAt(math.NaN(), func() {}) },
+		func(e *Engine) { e.Schedule(math.NaN(), func() {}) },
+	} {
+		e := NewEngine()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a NaN time should panic")
+				}
+			}()
+			schedule(e)
+		}()
+		if e.Pending() != 0 {
+			t.Errorf("a NaN time was queued: %d pending", e.Pending())
+		}
 	}
 }

@@ -48,6 +48,40 @@ type Circuit struct {
 	env  float64 // envelope detector output
 	peak float64 // peak finder capacitor voltage
 	rnd  *rng.Stream
+	f    stepFactors
+}
+
+// stepFactors caches Step's three per-sample factors for the dt and time
+// constants they were computed from. A run samples at a fixed period, so
+// Step calls math.Exp only when dt or a time constant changes.
+type stepFactors struct {
+	dt, chargeTime, dischargeTime, peakDecay float64 // the key
+	charge, discharge, bleed                 float64
+	set                                      bool
+}
+
+// factors returns the step factors for dt and the circuit's current time
+// constants, recomputing them only when one of those differs from the
+// cached key.
+func (c *Circuit) factors(dt float64) *stepFactors {
+	f := &c.f
+	//wblint:ignore FS001 a cache key: the factors apply only to the exact inputs they were computed from
+	if f.set && dt == f.dt && c.ChargeTime == f.chargeTime && c.DischargeTime == f.dischargeTime && c.PeakDecay == f.peakDecay {
+		return f
+	}
+	*f = stepFactors{
+		dt: dt, chargeTime: c.ChargeTime, dischargeTime: c.DischargeTime, peakDecay: c.PeakDecay,
+		charge:    rcStep(dt, c.ChargeTime),
+		discharge: rcStep(dt, c.DischargeTime),
+		set:       true,
+	}
+	// A non-positive bleed time constant empties the peak capacitor at
+	// once, as rcStep treats the RC stages; exp(-dt/PeakDecay) would
+	// exceed 1 for a negative one and grow the held peak without bound.
+	if c.PeakDecay > 0 {
+		f.bleed = math.Exp(-dt / c.PeakDecay)
+	}
+	return f
 }
 
 // ReceivePowerMicrowatt is the measured downlink circuit power (§6).
@@ -80,18 +114,19 @@ func (c *Circuit) Step(input float64, dt float64) bool {
 	if input < 0 {
 		input = 0
 	}
+	f := c.factors(dt)
 	// Diode-RC envelope detector: charge toward rises, discharge
 	// through the bleed resistor otherwise.
 	if input > c.env {
-		c.env += (input - c.env) * rcStep(dt, c.ChargeTime)
+		c.env += (input - c.env) * f.charge
 	} else {
-		c.env += (input - c.env) * rcStep(dt, c.DischargeTime)
+		c.env += (input - c.env) * f.discharge
 	}
 	// Peak finder with slow bleed.
 	if c.env > c.peak {
 		c.peak = c.env
 	} else {
-		c.peak *= math.Exp(-dt / c.PeakDecay)
+		c.peak *= f.bleed
 	}
 	thresh := c.peak * c.ThresholdRatio
 	if thresh < c.MinThreshold {

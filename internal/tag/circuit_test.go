@@ -186,3 +186,22 @@ func TestCircuitNoiseSensitivityOrdering(t *testing.T) {
 		t.Errorf("50 cm link should be nearly error free, got %d/200", nearErrs)
 	}
 }
+
+func TestCircuitNonPositivePeakDecayBleedsAtOnce(t *testing.T) {
+	for _, decay := range []float64{0, -20e-3} {
+		c := noiselessCircuit()
+		c.PeakDecay = decay
+		feed(c, 1, 400)
+		held := c.peak
+		// Once the input falls, the peak can only follow the envelope
+		// down: a non-positive bleed constant empties it at once rather
+		// than growing it by exp(-dt/PeakDecay) > 1.
+		feed(c, 0, 400)
+		if c.peak > held || c.peak > c.env || math.IsNaN(c.peak) {
+			t.Errorf("PeakDecay %v: held peak %v went to %v (envelope %v)", decay, held, c.peak, c.env)
+		}
+		if got := feed(c, 0.5, 400); !got {
+			t.Errorf("PeakDecay %v: comparator should follow a new level", decay)
+		}
+	}
+}

@@ -70,7 +70,12 @@ const fcsLen = 4
 // Frame is a full MAC frame: header plus payload. Serialization appends a
 // CRC-32 FCS; decoding verifies it.
 type Frame struct {
-	Header  Header
+	Header Header
+	// Payload is the frame body. The traffic sources' generated frames
+	// (CBR, saturated, Poisson, bursty, TCP segments and ACKs, beacons)
+	// all carry one zeroed body per source, shared and read-only, with
+	// cap == len. Do not write into it, and Decode only into a Frame that
+	// owns its Payload: Decode reuses Payload's storage.
 	Payload []byte
 }
 

@@ -19,7 +19,7 @@ func TestSingleStationDelivers(t *testing.T) {
 	st := m.AddStation("helper", MAC{1}, Rate54)
 	var seen []*Transmission
 	m.AddListener(func(tx *Transmission) { seen = append(seen, tx) })
-	st.Enqueue(dataFrame(MAC{2}, 100))
+	st.Enqueue(dataFrame(MAC{2}, make([]byte, 100)))
 	eng.Run(1)
 	if len(seen) != 1 {
 		t.Fatalf("saw %d transmissions, want 1", len(seen))
@@ -42,7 +42,7 @@ func TestSequenceNumbersIncrement(t *testing.T) {
 	var seqs []uint16
 	m.AddListener(func(tx *Transmission) { seqs = append(seqs, tx.Frame.Header.Seq) })
 	for i := 0; i < 5; i++ {
-		st.Enqueue(dataFrame(MAC{2}, 50))
+		st.Enqueue(dataFrame(MAC{2}, make([]byte, 50)))
 	}
 	eng.Run(1)
 	for i := 1; i < len(seqs); i++ {
@@ -59,8 +59,8 @@ func TestTransmissionsDoNotOverlap(t *testing.T) {
 	var txs []*Transmission
 	m.AddListener(func(tx *Transmission) { txs = append(txs, tx) })
 	for i := 0; i < 50; i++ {
-		a.Enqueue(dataFrame(MAC{9}, 500))
-		b.Enqueue(dataFrame(MAC{9}, 500))
+		a.Enqueue(dataFrame(MAC{9}, make([]byte, 500)))
+		b.Enqueue(dataFrame(MAC{9}, make([]byte, 500)))
 	}
 	eng.Run(10)
 	if len(txs) < 50 {
@@ -103,8 +103,8 @@ func TestCollisionRetryEventuallyDelivers(t *testing.T) {
 	eng, m := newTestMedium(5)
 	a := m.AddStation("a", MAC{1}, Rate54)
 	b := m.AddStation("b", MAC{2}, Rate54)
-	a.Enqueue(dataFrame(MAC{9}, 100))
-	b.Enqueue(dataFrame(MAC{9}, 100))
+	a.Enqueue(dataFrame(MAC{9}, make([]byte, 100)))
+	b.Enqueue(dataFrame(MAC{9}, make([]byte, 100)))
 	eng.Run(1)
 	if a.DeliveredFrames+a.DroppedFrames != 1 || b.DeliveredFrames+b.DroppedFrames != 1 {
 		t.Errorf("frames unresolved: a=%+v b=%+v", a, b)
@@ -116,7 +116,7 @@ func TestPERLossTriggersRetry(t *testing.T) {
 	st := m.AddStation("s", MAC{1}, Rate54)
 	// Hopeless SNR: every data frame is lost at the receiver.
 	st.SNR = func(float64) units.DB { return -30 }
-	st.Enqueue(dataFrame(MAC{2}, 500))
+	st.Enqueue(dataFrame(MAC{2}, make([]byte, 500)))
 	eng.Run(1)
 	if st.LostFrames == 0 {
 		t.Error("expected channel losses at -30 dB SNR")
@@ -144,7 +144,7 @@ func TestCTSToSelfSetsNAV(t *testing.T) {
 	// expires.
 	var txs []*Transmission
 	m.AddListener(func(tx *Transmission) { txs = append(txs, tx) })
-	other.Enqueue(dataFrame(MAC{9}, 100))
+	other.Enqueue(dataFrame(MAC{9}, make([]byte, 100)))
 	eng.Run(1)
 	if len(txs) != 1 {
 		t.Fatalf("saw %d transmissions, want 1", len(txs))
@@ -196,7 +196,7 @@ func TestQueueBound(t *testing.T) {
 	st := m.AddStation("s", MAC{1}, Rate54)
 	accepted := 0
 	for i := 0; i < MaxQueue+10; i++ {
-		if st.Enqueue(dataFrame(MAC{2}, 10)) {
+		if st.Enqueue(dataFrame(MAC{2}, make([]byte, 10))) {
 			accepted++
 		}
 	}
@@ -214,11 +214,11 @@ func TestBroadcastHasNoAck(t *testing.T) {
 	var unicastGap, bcastGap float64
 	var last *Transmission
 	m.AddListener(func(tx *Transmission) { last = tx })
-	st.Enqueue(dataFrame(MAC{2}, 100))
+	st.Enqueue(dataFrame(MAC{2}, make([]byte, 100)))
 	eng.Run(0.01)
 	unicastEnd := last.End
 	unicastGap = m.busyUntil - unicastEnd
-	st.Enqueue(dataFrame(BroadcastMAC, 100))
+	st.Enqueue(dataFrame(BroadcastMAC, make([]byte, 100)))
 	eng.Run(0.02)
 	bcastGap = m.busyUntil - last.End
 	if unicastGap <= 0 {
@@ -260,7 +260,7 @@ func TestSaturationThroughputNearTheory(t *testing.T) {
 	st := m.AddStation("s", MAC{1}, Rate54)
 	(&SaturatedSource{Station: st, Dst: MAC{2}, Payload: 1400}).Start()
 	eng.Run(5)
-	frameLen := dataFrame(MAC{2}, 1400).Length()
+	frameLen := dataFrame(MAC{2}, make([]byte, 1400)).Length()
 	perFrame := DIFS + float64(CWMin)/2*SlotTime + AirTime(frameLen, Rate54) + AckAirTime()
 	theory := 5 / perFrame
 	got := float64(st.DeliveredFrames)

@@ -48,6 +48,7 @@ type TCPSource struct {
 	inFlight  int
 	delivered int
 	acked     int
+	seg, ack  zeroBody
 }
 
 // NewTCPSource validates and builds a TCP flow between two stations; tune
@@ -116,7 +117,7 @@ func (t *TCPSource) Start() error {
 		}
 		t.Receiver.Enqueue(&Frame{
 			Header:  Header{Type: TypeData, Addr1: t.Sender.Addr},
-			Payload: make([]byte, t.AckBytes),
+			Payload: t.ack.of(t.AckBytes),
 		})
 	}
 	t.Receiver.OnDelivered = func(f *Frame, end float64) {
@@ -166,7 +167,7 @@ func (t *TCPSource) pump() {
 	for t.inFlight < int(t.cwnd) {
 		ok := t.Sender.Enqueue(&Frame{
 			Header:  Header{Type: TypeData, Addr1: t.Receiver.Addr},
-			Payload: make([]byte, t.SegmentBytes),
+			Payload: t.seg.of(t.SegmentBytes),
 		})
 		if !ok {
 			return

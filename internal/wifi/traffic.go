@@ -12,12 +12,28 @@ import (
 // transfer behind Fig. 3), Poisson and bursty ambient traffic (Fig. 15/18),
 // beacons (Fig. 16), and the diurnal office load profile.
 
-// dataFrame builds a data frame with the given payload size.
-func dataFrame(dst MAC, payload int) *Frame {
-	if payload < 0 {
-		payload = 0
+// dataFrame builds a data frame carrying body.
+func dataFrame(dst MAC, body []byte) *Frame {
+	return &Frame{Header: Header{Type: TypeData, Addr1: dst}, Payload: body}
+}
+
+// zeroBody is a traffic source's frame body: one zeroed slice of the
+// payload size, allocated once and carried by every frame the source
+// emits. The frames share it, so it is read-only (see Frame.Payload).
+type zeroBody []byte
+
+// of returns the body of n bytes (a negative n counts as 0), allocating
+// it only on first use or when n changes. Its capacity equals its length,
+// so an append to a frame's Payload reallocates instead of writing past
+// the body.
+func (b *zeroBody) of(n int) []byte {
+	if n < 0 {
+		n = 0
 	}
-	return &Frame{Header: Header{Type: TypeData, Addr1: dst}, Payload: make([]byte, payload)}
+	if *b == nil || len(*b) != n {
+		*b = make([]byte, n)
+	}
+	return (*b)[:n:n]
 }
 
 // CBRSource injects fixed-size data frames at a constant interval, like the
@@ -29,6 +45,8 @@ type CBRSource struct {
 	Payload  int
 	Interval float64 // seconds between enqueues
 	Until    float64 // stop time (absolute)
+
+	body zeroBody
 }
 
 // NewCBRSource validates and builds a constant-rate source; tune Until on
@@ -63,7 +81,7 @@ func (c *CBRSource) Start() error {
 		if c.Until > 0 && eng.Now() >= c.Until {
 			return
 		}
-		c.Station.Enqueue(dataFrame(c.Dst, c.Payload))
+		c.Station.Enqueue(dataFrame(c.Dst, c.body.of(c.Payload)))
 		eng.Schedule(c.Interval, tick)
 	}
 	eng.Schedule(0, tick)
@@ -78,6 +96,8 @@ type SaturatedSource struct {
 	Payload int
 	// Depth is how many frames to keep queued (default 4).
 	Depth int
+
+	body zeroBody
 }
 
 // NewSaturatedSource validates and builds a backlogged source.
@@ -100,7 +120,7 @@ func (s *SaturatedSource) Start() error {
 	}
 	refill := func() {
 		for s.Station.QueueLen() < depth {
-			s.Station.Enqueue(dataFrame(s.Dst, s.Payload))
+			s.Station.Enqueue(dataFrame(s.Dst, s.body.of(s.Payload)))
 		}
 	}
 	s.Station.OnQueueIdle = refill
@@ -117,6 +137,8 @@ type PoissonSource struct {
 	Rate    float64 // mean packets per second
 	Until   float64
 	Rnd     *rng.Stream
+
+	body zeroBody
 }
 
 // NewPoissonSource validates and builds a Poisson source.
@@ -152,7 +174,7 @@ func (p *PoissonSource) Start() error {
 		if p.Until > 0 && eng.Now() >= p.Until {
 			return
 		}
-		p.Station.Enqueue(dataFrame(p.Dst, p.Payload))
+		p.Station.Enqueue(dataFrame(p.Dst, p.body.of(p.Payload)))
 		eng.Schedule(p.Rnd.Exponential(1/p.Rate), tick)
 	}
 	eng.Schedule(p.Rnd.Exponential(1/p.Rate), tick)
@@ -174,6 +196,8 @@ type BurstySource struct {
 	InBurstInterval float64
 	Until           float64
 	Rnd             *rng.Stream
+
+	body zeroBody
 }
 
 // NewBurstySource validates and builds a heavy-tailed on/off source.
@@ -220,7 +244,7 @@ func (b *BurstySource) Start() error {
 		for i := 0; i < n; i++ {
 			delay := float64(i) * b.InBurstInterval
 			eng.Schedule(delay, func() {
-				b.Station.Enqueue(dataFrame(b.Dst, b.Payload))
+				b.Station.Enqueue(dataFrame(b.Dst, b.body.of(b.Payload)))
 			})
 		}
 		gap := b.Rnd.Exponential(b.MeanGap)
@@ -230,12 +254,17 @@ func (b *BurstySource) Start() error {
 	return nil
 }
 
+// beaconBytes is a typical beacon body with its information elements.
+const beaconBytes = 80
+
 // BeaconSource emits AP beacons at a fixed interval (Fig. 16 sweeps this
 // from ~10 to 70 beacons/s).
 type BeaconSource struct {
 	Station  *Station
 	Interval float64
 	Until    float64
+
+	body zeroBody
 }
 
 // NewBeaconSource validates and builds a beacon source.
@@ -270,7 +299,7 @@ func (b *BeaconSource) Start() error {
 		}
 		b.Station.Enqueue(&Frame{
 			Header:  Header{Type: TypeBeacon, Addr1: BroadcastMAC},
-			Payload: make([]byte, 80), // typical beacon body with IEs
+			Payload: b.body.of(beaconBytes),
 		})
 		eng.Schedule(b.Interval, tick)
 	}
