@@ -65,15 +65,17 @@ bench-stream:
 # Simulation fixed-cost contract: BenchmarkObserve reports one packet's
 # 3x30 composite channel, BenchmarkCircuitStep one envelope sample through
 # the tag's receiver circuit, BenchmarkEngineSchedule one event's schedule
-# and dispatch and BenchmarkMeasure one 3x30 CSI report, all with
-# -benchmem. TestObserveSteadyStateAllocs asserts that Observe into a
-# reused buffer allocates nothing, TestScheduleSteadyStateAllocs that a
-# warmed schedule and dispatch of a pre-built closure allocates nothing,
-# and TestMeasureAllocs that a 3x30 report allocates at most twice (row
-# headers and one slab). The tests are skipped under -race, so this
-# plain-build run is the gate.
+# and dispatch, BenchmarkMeasure one fresh 3x30 CSI report and
+# BenchmarkMeasureInto one written into a reused report (as the figure
+# trials measure), all with -benchmem. TestObserveSteadyStateAllocs
+# asserts that Observe into a reused buffer allocates nothing,
+# TestScheduleSteadyStateAllocs that a warmed schedule and dispatch of a
+# pre-built closure allocates nothing, TestMeasureAllocs that a fresh 3x30
+# report allocates at most twice (row headers and one slab) and
+# TestMeasureIntoAllocs that a reused one allocates nothing. The tests
+# are skipped under -race, so this plain-build run is the gate.
 bench-observe:
-	$(GO) test -bench 'BenchmarkObserve|BenchmarkCircuitStep|BenchmarkEngineSchedule|BenchmarkMeasure' -benchmem -run 'TestObserveSteadyStateAllocs|TestScheduleSteadyStateAllocs|TestMeasureAllocs' ./internal/radio/ ./internal/tag/ ./internal/sim/ ./internal/csi/
+	$(GO) test -bench 'BenchmarkObserve|BenchmarkCircuitStep|BenchmarkEngineSchedule|BenchmarkMeasure' -benchmem -run 'TestObserveSteadyStateAllocs|TestScheduleSteadyStateAllocs|TestMeasureAllocs|TestMeasureIntoAllocs' ./internal/radio/ ./internal/tag/ ./internal/sim/ ./internal/csi/
 
 # Wire and session contract: BenchmarkParseMeasurement reports one 3x30
 # CSI m line and one 3x1 RSSI m line with -benchmem, and
@@ -130,8 +132,9 @@ chaos-serve:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Scheduling stress gate: the serving stack and the eval worker-invariance
-# properties under -race -count=$(STRESS_COUNT) at GOMAXPROCS 1, 2 and 8,
+# Scheduling stress gate: the serving stack, the eval worker-invariance
+# properties and the parallel trial engine under -race
+# -count=$(STRESS_COUNT) at GOMAXPROCS 1, 2 and 8,
 # with -v off and on. Every run executes; the failures are listed together
 # at the end and fail the target. `make check` runs one pass
 # (STRESS_COUNT=1); run it longer with e.g. `make stress STRESS_COUNT=50`.

@@ -120,6 +120,12 @@ type System struct {
 	txLog      []*wifi.Transmission
 	logEnabled bool
 	onMeasure  []func(csi.Measurement)
+
+	// noSeries, set only by the figure trials' runner, keeps no series:
+	// each report is measured into report, which the next packet
+	// overwrites, and reaches the hooks alone.
+	noSeries bool
+	report   csi.Measurement
 }
 
 // NewSystem assembles a deployment from the config.
@@ -213,17 +219,25 @@ func NewSystem(cfg Config) (*System, error) {
 			panic(herr)
 		}
 		// h is s.h from here on: the fade and the card consume it before
-		// the next packet overwrites it, and Measure copies into rows of
-		// its own. Fades attenuate the observed channel before the card
+		// the next packet overwrites it, and the card's report has rows
+		// of its own. Fades attenuate the observed channel before the card
 		// measures it; measurement corruption runs after, so the card's
 		// own noise stream stays aligned with the clean run.
 		s.h = h
 		s.faults.AttenuateChannel(at, h)
-		m := s.Card.Measure(at, h)
+		var m csi.Measurement
+		if s.noSeries {
+			s.Card.MeasureInto(&s.report, at, h)
+			m = s.report
+		} else {
+			m = s.Card.Measure(at, h)
+		}
 		if s.faults.CorruptMeasurement(at, &m) {
 			return // the flaky capture path dropped this packet's report
 		}
-		s.series.Append(m)
+		if !s.noSeries {
+			s.series.Append(m)
+		}
 		for _, fn := range s.onMeasure {
 			fn(m)
 		}
@@ -232,12 +246,16 @@ func NewSystem(cfg Config) (*System, error) {
 }
 
 // OnMeasurement registers a hook invoked for every measurement the reader
-// captures, in capture order, after it lands in the system's series. This
-// is the online path: a reader.LiveSession subscribed here decodes during
-// the simulation instead of batch-processing Series() afterwards. Hooks
-// run inside the measurement listener, so they must not mutate the
-// system; the measurement's slices are owned by the series and must be
-// treated as read-only.
+// captures, in capture order, after it lands in the system's series (if
+// the system keeps one). This is the online path: a reader.LiveSession
+// subscribed here decodes during the simulation instead of
+// batch-processing Series() afterwards. Hooks run inside the measurement
+// listener, so they must not mutate the system, and must treat the
+// measurement's slices as read-only. The slices are valid only during the
+// call: on a system that keeps a series they belong to it, but on one
+// that keeps none (the figure trials') they are the one reused report the
+// next packet overwrites. A hook that keeps a measurement must copy it,
+// as reader.LiveSession's window and the uplink stream's frame arena do.
 func (s *System) OnMeasurement(fn func(csi.Measurement)) {
 	s.onMeasure = append(s.onMeasure, fn)
 }

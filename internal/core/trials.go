@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/csi"
 	"repro/internal/dsp"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -103,42 +104,6 @@ func startHelperTraffic(sys *System, spec UplinkTrialSpec) error {
 	}
 }
 
-// RunUplinkVariantTrial is RunUplinkTrial decoding with an ablated
-// pipeline variant instead of the paper's.
-func RunUplinkVariantTrial(spec UplinkTrialSpec, v uplink.Variant) (*UplinkTrialResult, error) {
-	if spec.BitRate <= 0 || spec.PayloadLen <= 0 || spec.HelperPacketsPerSecond <= 0 {
-		return nil, fmt.Errorf("core: invalid trial spec")
-	}
-	sys, err := NewSystem(spec.Config)
-	if err != nil {
-		return nil, err
-	}
-	if err := startHelperTraffic(sys, spec); err != nil {
-		return nil, err
-	}
-	payload := RandomPayload(spec.PayloadLen, spec.Config.Seed+7777)
-	mod, err := sys.TransmitUplink(tag.FrameBits(payload), 1.0, spec.BitRate)
-	if err != nil {
-		return nil, err
-	}
-	sys.Run(mod.End() + 0.5)
-	dec, err := sys.UplinkDecoder(spec.BitRate)
-	if err != nil {
-		return nil, err
-	}
-	res, err := dec.DecodeVariant(sys.Series(), mod.Start(), spec.PayloadLen, v)
-	if err != nil {
-		return nil, err
-	}
-	return &UplinkTrialResult{
-		Sent:      payload,
-		Result:    res,
-		BitErrors: CountBitErrors(res.Payload, payload),
-		Detected:  dec.Detected(res),
-		Metrics:   sys.Metrics().Snapshot(),
-	}, nil
-}
-
 // RandomPayload returns a deterministic pseudo-random payload.
 func RandomPayload(n int, seed int64) []bool {
 	rnd := rng.New(seed)
@@ -162,8 +127,71 @@ func CountBitErrors(got, want []bool) int {
 }
 
 // RunUplinkTrial executes one tag transmission over helper traffic and
-// decodes it: build system → warm up traffic → transmit → decode.
+// decodes it in the spec's mode.
 func RunUplinkTrial(spec UplinkTrialSpec) (*UplinkTrialResult, error) {
+	mode := uplink.StreamCSI
+	if spec.Mode == DecodeRSSI {
+		mode = uplink.StreamRSSI
+	}
+	return runTrial(spec, tag.FrameBits, func(dec *uplink.Decoder, start float64) (*uplink.StreamDecoder, error) {
+		return dec.NewStream(start, spec.PayloadLen, mode)
+	})
+}
+
+// RunUplinkVariantTrial is RunUplinkTrial decoding CSI with an ablated
+// pipeline variant instead of the paper's.
+func RunUplinkVariantTrial(spec UplinkTrialSpec, v uplink.Variant) (*UplinkTrialResult, error) {
+	return runTrial(spec, tag.FrameBits, func(dec *uplink.Decoder, start float64) (*uplink.StreamDecoder, error) {
+		return dec.NewVariantStream(start, spec.PayloadLen, v)
+	})
+}
+
+// RunSingleChannelTrial is RunUplinkTrial but decoding from exactly one
+// (antenna, sub-channel) pair — the Fig. 5 / Fig. 11 baseline.
+func RunSingleChannelTrial(spec UplinkTrialSpec, antenna, subchannel int) (*UplinkTrialResult, error) {
+	return runTrial(spec, tag.FrameBits, func(dec *uplink.Decoder, start float64) (*uplink.StreamDecoder, error) {
+		return dec.NewSingleChannelStream(start, spec.PayloadLen, antenna, subchannel)
+	})
+}
+
+// RunLongRangeTrial executes one coded long-range transmission (§3.4) with
+// orthogonal codes of length codeLen. The decoder picks channels by code
+// discriminability, not by preamble, so the result always reports the
+// transmission detected, with a preamble correlation of 1.
+func RunLongRangeTrial(spec UplinkTrialSpec, codeLen int) (*UplinkTrialResult, error) {
+	code0, code1, err := dsp.WalshPair(codeLen)
+	if err != nil {
+		return nil, err
+	}
+	frame := func(payload []bool) []bool {
+		chips := tag.ExpandWithCodes(payload, code0, code1)
+		frame := make([]bool, 0, 26+len(chips))
+		frame = append(frame, tag.Preamble...)
+		frame = append(frame, chips...)
+		return append(frame, tag.Postamble...)
+	}
+	out, err := runTrial(spec, frame, func(dec *uplink.Decoder, start float64) (*uplink.StreamDecoder, error) {
+		return dec.NewLongRangeStream(start, spec.PayloadLen, code0, code1)
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := out.Result
+	out.Result = &uplink.Result{Payload: res.Payload, Good: res.Good, PreambleCorrelation: 1}
+	out.Detected = true
+	return out, nil
+}
+
+// runTrial is the one body behind the Run*Trial entry points: build the
+// system, start the spec's helper traffic, transmit frame(payload) from
+// 1 s, and decode it online. open opens the trial's stream on the
+// system's decoder before Run, and OnMeasurement subscribes it, so the
+// stream sees every capture in order and closes the frame at the first
+// push past its end; Flush hands back the Result. The system keeps no
+// series: each report is measured into one reused buffer, and the stream
+// copies the in-frame samples it needs.
+func runTrial(spec UplinkTrialSpec, frame func(payload []bool) []bool,
+	open func(dec *uplink.Decoder, start float64) (*uplink.StreamDecoder, error)) (*UplinkTrialResult, error) {
 	if spec.BitRate <= 0 || spec.PayloadLen <= 0 {
 		return nil, fmt.Errorf("core: invalid trial spec: rate %v, payload %d",
 			spec.BitRate, spec.PayloadLen)
@@ -175,27 +203,28 @@ func RunUplinkTrial(spec UplinkTrialSpec) (*UplinkTrialResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	sys.noSeries = true
 	if err := startHelperTraffic(sys, spec); err != nil {
 		return nil, err
 	}
 	payload := RandomPayload(spec.PayloadLen, spec.Config.Seed+7777)
 	const txStart = 1.0 // warm-up so the conditioning window has context
-	mod, err := sys.TransmitUplink(tag.FrameBits(payload), txStart, spec.BitRate)
+	mod, err := sys.TransmitUplink(frame(payload), txStart, spec.BitRate)
 	if err != nil {
 		return nil, err
 	}
-	sys.Run(mod.End() + 0.5)
 	dec, err := sys.UplinkDecoder(spec.BitRate)
 	if err != nil {
 		return nil, err
 	}
-	var res *uplink.Result
-	switch spec.Mode {
-	case DecodeRSSI:
-		res, err = dec.DecodeRSSI(sys.Series(), mod.Start(), spec.PayloadLen)
-	default:
-		res, err = dec.DecodeCSI(sys.Series(), mod.Start(), spec.PayloadLen)
+	sd, err := open(dec, mod.Start())
+	if err != nil {
+		return nil, err
 	}
+	// A failed push poisons the stream, and Flush returns its error.
+	sys.OnMeasurement(func(m csi.Measurement) { _, _ = sd.Push(m) })
+	sys.Run(mod.End() + 0.5)
+	res, err := sd.Flush()
 	if err != nil {
 		return nil, err
 	}
@@ -204,97 +233,6 @@ func RunUplinkTrial(spec UplinkTrialSpec) (*UplinkTrialResult, error) {
 		Result:    res,
 		BitErrors: CountBitErrors(res.Payload, payload),
 		Detected:  dec.Detected(res),
-		Metrics:   sys.Metrics().Snapshot(),
-	}, nil
-}
-
-// RunSingleChannelTrial is RunUplinkTrial but decoding from exactly one
-// (antenna, sub-channel) pair — the Fig. 5 / Fig. 11 baseline.
-func RunSingleChannelTrial(spec UplinkTrialSpec, antenna, subchannel int) (*UplinkTrialResult, error) {
-	if spec.BitRate <= 0 || spec.PayloadLen <= 0 || spec.HelperPacketsPerSecond <= 0 {
-		return nil, fmt.Errorf("core: invalid trial spec")
-	}
-	sys, err := NewSystem(spec.Config)
-	if err != nil {
-		return nil, err
-	}
-	if err := (&wifi.CBRSource{
-		Station:  sys.Helper,
-		Dst:      wifi.MAC{0x02, 0, 0, 0, 0, 9},
-		Payload:  200,
-		Interval: 1 / spec.HelperPacketsPerSecond,
-	}).Start(); err != nil {
-		return nil, err
-	}
-	payload := RandomPayload(spec.PayloadLen, spec.Config.Seed+7777)
-	mod, err := sys.TransmitUplink(tag.FrameBits(payload), 1.0, spec.BitRate)
-	if err != nil {
-		return nil, err
-	}
-	sys.Run(mod.End() + 0.5)
-	dec, err := sys.UplinkDecoder(spec.BitRate)
-	if err != nil {
-		return nil, err
-	}
-	res, err := dec.DecodeSingleChannel(sys.Series(), mod.Start(), spec.PayloadLen, antenna, subchannel)
-	if err != nil {
-		return nil, err
-	}
-	return &UplinkTrialResult{
-		Sent:      payload,
-		Result:    res,
-		BitErrors: CountBitErrors(res.Payload, payload),
-		Detected:  dec.Detected(res),
-		Metrics:   sys.Metrics().Snapshot(),
-	}, nil
-}
-
-// RunLongRangeTrial executes one coded long-range transmission (§3.4) with
-// orthogonal codes of length codeLen and returns the bit error count.
-func RunLongRangeTrial(spec UplinkTrialSpec, codeLen int) (*UplinkTrialResult, error) {
-	if spec.BitRate <= 0 || spec.PayloadLen <= 0 || spec.HelperPacketsPerSecond <= 0 {
-		return nil, fmt.Errorf("core: invalid trial spec")
-	}
-	code0, code1, err := dsp.WalshPair(codeLen)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := NewSystem(spec.Config)
-	if err != nil {
-		return nil, err
-	}
-	if err := (&wifi.CBRSource{
-		Station:  sys.Helper,
-		Dst:      wifi.MAC{0x02, 0, 0, 0, 0, 9},
-		Payload:  200,
-		Interval: 1 / spec.HelperPacketsPerSecond,
-	}).Start(); err != nil {
-		return nil, err
-	}
-	payload := RandomPayload(spec.PayloadLen, spec.Config.Seed+7777)
-	chips := tag.ExpandWithCodes(payload, code0, code1)
-	frame := make([]bool, 0, 26+len(chips))
-	frame = append(frame, tag.Preamble...)
-	frame = append(frame, chips...)
-	frame = append(frame, tag.Postamble...)
-	mod, err := sys.TransmitUplink(frame, 1.0, spec.BitRate)
-	if err != nil {
-		return nil, err
-	}
-	sys.Run(mod.End() + 0.5)
-	dec, err := sys.UplinkDecoder(spec.BitRate)
-	if err != nil {
-		return nil, err
-	}
-	res, err := dec.DecodeLongRange(sys.Series(), mod.Start(), spec.PayloadLen, code0, code1)
-	if err != nil {
-		return nil, err
-	}
-	return &UplinkTrialResult{
-		Sent:      payload,
-		Result:    &uplink.Result{Payload: res.Payload, Good: res.Good, PreambleCorrelation: 1},
-		BitErrors: CountBitErrors(res.Payload, payload),
-		Detected:  true,
 		Metrics:   sys.Metrics().Snapshot(),
 	}, nil
 }

@@ -21,3 +21,14 @@ func TestMeasureAllocs(t *testing.T) {
 		t.Errorf("Measure of a 3x30 channel: %v allocs, want at most 2", allocs)
 	}
 }
+
+// TestMeasureIntoAllocs pins the reused report: measuring a 3×30 channel
+// into a report of the same shape allocates nothing.
+func TestMeasureIntoAllocs(t *testing.T) {
+	card := NewCard(DefaultModel(), rng.New(1))
+	h := flatChannel(3, 30, 10)
+	m := card.Measure(0, h)
+	if allocs := testing.AllocsPerRun(100, func() { card.MeasureInto(&m, 0, h) }); allocs != 0 {
+		t.Errorf("MeasureInto a 3x30 report: %v allocs, want 0", allocs)
+	}
+}

@@ -18,3 +18,16 @@ func BenchmarkMeasure(b *testing.B) {
 		sinkMeasurement = card.Measure(float64(i)*1e-3, h)
 	}
 }
+
+// BenchmarkMeasureInto times the same report written into one reused
+// 3×30 report, as a system that retains no series measures.
+func BenchmarkMeasureInto(b *testing.B) {
+	card := NewCard(DefaultModel(), rng.New(1))
+	h := randomChannel(rng.New(2), []int{30, 30, 30})
+	var m Measurement
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		card.MeasureInto(&m, float64(i)*1e-3, h)
+	}
+	sinkMeasurement = m
+}

@@ -103,14 +103,33 @@ func (c *Card) Model() Model { return c.model }
 // its capacity at its own end, so appending to one reallocates instead of
 // writing into its neighbour.
 func (c *Card) Measure(t float64, h [][]complex128) Measurement {
-	n := len(h)
-	for _, row := range h {
-		n += len(row)
+	var m Measurement
+	c.MeasureInto(&m, t, h)
+	return m
+}
+
+// MeasureInto is Measure writing into m: when m already has h's shape
+// (one RSSI entry and one CSI row of the right length per antenna) the
+// report is overwritten in place and nothing is allocated; otherwise m
+// gets a fresh one-slab report. It makes the same draws in the same order
+// as Measure, so a reused report carries the same values. Only a caller
+// that keeps no earlier report may reuse one.
+func (c *Card) MeasureInto(m *Measurement, t float64, h [][]complex128) {
+	if !m.hasShape(h) {
+		n := len(h)
+		for _, row := range h {
+			n += len(row)
+		}
+		slab := make([]float64, n)
+		m.CSI = make([][]float64, len(h))
+		m.RSSI = slab[:len(h):len(h)]
+		slab = slab[len(h):]
+		for a, row := range h {
+			m.CSI[a] = slab[:len(row):len(row)]
+			slab = slab[len(row):]
+		}
 	}
-	slab := make([]float64, n)
-	m := Measurement{Timestamp: t, CSI: make([][]float64, len(h))}
-	m.RSSI = slab[:len(h):len(h)]
-	slab = slab[len(h):]
+	m.Timestamp = t
 	agc := 1 + c.rnd.Gaussian(0, c.model.AGCNoise)
 	for a, row := range h {
 		gain := agc
@@ -124,8 +143,7 @@ func (c *Card) Measure(t float64, h [][]complex128) Measurement {
 				gain *= 1 - c.model.SpuriousScale
 			}
 		}
-		csiRow := slab[:len(row):len(row)]
-		slab = slab[len(row):]
+		csiRow := m.CSI[a]
 		var power float64
 		for k, hk := range row {
 			amp := cmplx.Abs(hk) * gain * (1 + c.rnd.Gaussian(0, c.model.SubchannelNoise))
@@ -135,11 +153,22 @@ func (c *Card) Measure(t float64, h [][]complex128) Measurement {
 			power += amp * amp
 			csiRow[k] = quantize(amp, c.model.QuantStep)
 		}
-		m.CSI[a] = csiRow
 		rssi := powerDB(power) + c.rnd.Gaussian(0, c.model.RSSINoiseDB)
 		m.RSSI[a] = quantize(rssi, c.model.RSSIQuantDB)
 	}
-	return m
+}
+
+// hasShape reports whether m can hold the report of channel h.
+func (m *Measurement) hasShape(h [][]complex128) bool {
+	if m.CSI == nil || len(m.CSI) != len(h) || len(m.RSSI) != len(h) {
+		return false
+	}
+	for a, row := range h {
+		if len(m.CSI[a]) != len(row) {
+			return false
+		}
+	}
+	return true
 }
 
 // quantize rounds x to the nearest multiple of step; step <= 0 disables
@@ -248,26 +277,15 @@ func (s *Series) Timestamps() []float64 {
 // CSIChannel extracts the amplitude series of one (antenna, sub-channel)
 // pair. It returns an error when the indices are out of range.
 func (s *Series) CSIChannel(antenna, subchannel int) ([]float64, error) {
-	if err := s.ValidateCSIChannel(antenna, subchannel); err != nil {
-		return nil, err
+	if antenna < 0 || antenna >= s.Antennas() || subchannel < 0 || subchannel >= s.Subchannels() {
+		return nil, fmt.Errorf("csi: channel (%d, %d) out of range (%d antennas, %d sub-channels)",
+			antenna, subchannel, s.Antennas(), s.Subchannels())
 	}
 	out := make([]float64, len(s.Measurements))
 	for i, m := range s.Measurements {
 		out[i] = m.CSI[antenna][subchannel]
 	}
 	return out, nil
-}
-
-// ValidateCSIChannel reports whether (antenna, subchannel) indexes a
-// channel of the series, with the same error CSIChannel returns. The
-// decoder's single-channel entry points use it to reject a bad channel
-// before streaming any measurements.
-func (s *Series) ValidateCSIChannel(antenna, subchannel int) error {
-	if antenna < 0 || antenna >= s.Antennas() || subchannel < 0 || subchannel >= s.Subchannels() {
-		return fmt.Errorf("csi: channel (%d, %d) out of range (%d antennas, %d sub-channels)",
-			antenna, subchannel, s.Antennas(), s.Subchannels())
-	}
-	return nil
 }
 
 // RSSIChannel extracts the RSSI series of one antenna.

@@ -95,6 +95,35 @@ func TestMeasureMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMeasureIntoMatchesReference reuses one report across every shape,
+// so it takes both the in-place path (repeated shapes) and the fresh-slab
+// path (a changed shape), and each report must equal the reference's.
+func TestMeasureIntoMatchesReference(t *testing.T) {
+	model := DefaultModel()
+	model.SpuriousProb = 0.3
+	shapes := [][]int{{30, 30, 30}, {30, 30, 30}, {1}, {30, 29, 30}, {30, 30, 30}, {3, 0, 5}, {3, 0, 5}, {}}
+	got := NewCard(model, rng.New(7))
+	ref := NewCard(model, rng.New(7))
+	in := rng.New(8)
+	var g Measurement
+	for round := 0; round < 20; round++ {
+		for _, rows := range shapes {
+			h := randomChannel(in, rows)
+			got.MeasureInto(&g, float64(round), h)
+			w := refMeasure(ref, float64(round), h)
+			if math.Float64bits(g.Timestamp) != math.Float64bits(w.Timestamp) ||
+				len(g.CSI) != len(w.CSI) || !sameFloats(g.RSSI, w.RSSI) {
+				t.Fatalf("shape %v: report %v, reference %v", rows, g, w)
+			}
+			for a := range w.CSI {
+				if !sameFloats(g.CSI[a], w.CSI[a]) {
+					t.Fatalf("shape %v antenna %d: CSI %v, reference %v", rows, a, g.CSI[a], w.CSI[a])
+				}
+			}
+		}
+	}
+}
+
 // TestMeasureRowsDoNotAlias pins the slab's 3-index cuts: appending to a
 // CSI row or to RSSI reallocates, so it never writes into the next row or
 // into RSSI.

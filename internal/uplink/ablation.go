@@ -101,15 +101,26 @@ func (v Variant) String() string {
 	return fmt.Sprintf("%s/%s/%s", v.Combining, v.Decision, v.Binning)
 }
 
-// DecodeVariant decodes a payload with the selected pipeline variant: a
-// push-all-then-flush wrapper over the streaming core with the variant's
-// stage choices, so the PaperVariant is exactly DecodeCSI.
-func (d *Decoder) DecodeVariant(s *csi.Series, start float64, payloadLen int, v Variant) (*Result, error) {
-	sd, err := d.batchStream(s, start, payloadLen, 1, StreamCSI)
+// NewVariantStream is NewStream (CSI) with the variant's stage choices:
+// the streaming form of DecodeVariant. The PaperVariant stream is exactly
+// a CSI stream.
+func (d *Decoder) NewVariantStream(start float64, payloadLen int, v Variant) (*StreamDecoder, error) {
+	sd, err := d.newStream(start, payloadLen, 1, StreamCSI)
 	if err != nil {
 		return nil, err
 	}
 	sd.v = v
+	return sd, nil
+}
+
+// DecodeVariant decodes a payload with the selected pipeline variant: a
+// push-all-then-flush wrapper over a NewVariantStream, so the PaperVariant
+// is exactly DecodeCSI.
+func (d *Decoder) DecodeVariant(s *csi.Series, start float64, payloadLen int, v Variant) (*Result, error) {
+	sd, err := d.NewVariantStream(start, payloadLen, v)
+	if err != nil {
+		return nil, err
+	}
 	return sd.pushAll(s)
 }
 

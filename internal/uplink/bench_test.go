@@ -163,11 +163,7 @@ func BenchmarkFrameClose(b *testing.B) {
 		s, mod, code0, code1 := longRangeBenchSeries()
 		d, _ := NewDecoder(DefaultConfig(0.005))
 		benchFrameClose(b, s, func() (*StreamDecoder, error) {
-			sd, err := d.newStream(mod.Start(), 16, len(code0), StreamCSI)
-			if err == nil {
-				sd.code0, sd.code1 = code0, code1
-			}
-			return sd, err
+			return d.NewLongRangeStream(mod.Start(), 16, code0, code1)
 		})
 	})
 }
@@ -215,6 +211,92 @@ func benchFrameClose(b *testing.B, s *csi.Series, open func() (*StreamDecoder, e
 			b.Fatalf("closing push returned %d bits, error %v", len(bits), err)
 		}
 	}
+}
+
+// BenchmarkFrameStages splits one frame close into its stages (see
+// StreamDecoder.decode), each timed alone over one pooled frameScratch:
+// a 90-bit frame of 3×30 CSI lanes and the same frame's 3 RSSI lanes.
+// The stream holds the filled frame arena throughout. Stages that rewrite
+// their input first restore it from a copy, and that copy is timed with
+// them: select restores the unsorted lane stats, decide the combined
+// series its hysteresis overwrites. Run with -benchmem.
+func BenchmarkFrameStages(b *testing.B) {
+	for _, mode := range []StreamMode{StreamCSI, StreamRSSI} {
+		b.Run(mode.String(), func(b *testing.B) { benchFrameStages(b, mode) })
+	}
+}
+
+func benchFrameStages(b *testing.B, mode StreamMode) {
+	s, mod, _ := benchSeries(b)
+	d, _ := NewDecoder(DefaultConfig(0.01))
+	sd, err := d.NewStream(mod.Start(), 90, mode)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fill, _, ok := splitAtClose(s, sd.Start(), sd.End())
+	if !ok {
+		b.Fatal("series ends inside the frame")
+	}
+	for _, m := range fill {
+		if _, err := sd.Push(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	defer sd.release()
+	fs := getScratch(len(sd.chans), sd.n, sd.nbits)
+	defer putScratch(fs)
+	// One pass through every stage leaves the inputs each stage needs.
+	sd.bin(fs.off)
+	unsorted := append([]channelStats(nil), sd.scoreLanes(fs)...)
+	sel, err := sd.selectTop(fs.stats)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clear(fs.combined)
+	sd.combine(fs.combined, sel)
+	combined := append([]float64(nil), fs.combined...)
+
+	b.Run("bin", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sd.bin(fs.off)
+		}
+	})
+	b.Run("condition+score", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sd.scoreLanes(fs)
+		}
+	})
+	b.Run("select", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(fs.stats, unsorted)
+			if _, err := sd.selectTop(fs.stats); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// The sub-benchmarks above leave the stats in scan or ranked order,
+	// depending on which ran; rank them again so sel is the top lanes.
+	copy(fs.stats, unsorted)
+	if sel, err = sd.selectTop(fs.stats); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("combine", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			clear(fs.combined)
+			sd.combine(fs.combined, sel)
+		}
+	})
+	b.Run("decide", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(fs.combined, combined)
+			sd.decide(fs.combined, sel, fs.off)
+		}
+	})
 }
 
 func BenchmarkDetectAck(b *testing.B) {

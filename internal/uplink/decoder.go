@@ -329,7 +329,7 @@ func (d *Decoder) Config() Config { return d.cfg }
 // only decode implementation, and its output is byte-identical however the
 // same series is chunked into pushes.
 func (d *Decoder) DecodeCSI(s *csi.Series, start float64, payloadLen int) (*Result, error) {
-	sd, err := d.batchStream(s, start, payloadLen, 1, StreamCSI)
+	sd, err := d.NewStream(start, payloadLen, StreamCSI)
 	if err != nil {
 		return nil, err
 	}
@@ -340,25 +340,11 @@ func (d *Decoder) DecodeCSI(s *csi.Series, start float64, payloadLen int) (*Resu
 // correlation is selected (§3.3) and decoded alone. Like DecodeCSI it is a
 // thin wrapper over the streaming core.
 func (d *Decoder) DecodeRSSI(s *csi.Series, start float64, payloadLen int) (*Result, error) {
-	sd, err := d.batchStream(s, start, payloadLen, 1, StreamRSSI)
+	sd, err := d.NewStream(start, payloadLen, StreamRSSI)
 	if err != nil {
 		return nil, err
 	}
 	return sd.pushAll(s)
-}
-
-// batchStream validates a whole series for a push-all-then-flush wrapper
-// and opens the stream that will decode it, with chips frame bins per
-// payload bit.
-func (d *Decoder) batchStream(s *csi.Series, start float64, payloadLen, chips int, mode StreamMode) (*StreamDecoder, error) {
-	sd, err := d.newStream(start, payloadLen, chips, mode)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkSeries(s); err != nil {
-		return nil, err
-	}
-	return sd, nil
 }
 
 // checkSeries rejects an empty or malformed series, as every whole-series
@@ -393,13 +379,9 @@ func (d *Decoder) NormalizedChannel(s *csi.Series, antenna, subchannel int) ([]f
 // the "Random-Subchannel" baseline of Fig. 11 and the per-sub-channel BER
 // probe of Fig. 5. It too wraps the streaming core.
 func (d *Decoder) DecodeSingleChannel(s *csi.Series, start float64, payloadLen, antenna, subchannel int) (*Result, error) {
-	sd, err := d.batchStream(s, start, payloadLen, 1, StreamCSI)
+	sd, err := d.NewSingleChannelStream(start, payloadLen, antenna, subchannel)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.ValidateCSIChannel(antenna, subchannel); err != nil {
-		return nil, err
-	}
-	sd.single, sd.antenna, sd.subchannel = true, antenna, subchannel
 	return sd.pushAll(s)
 }

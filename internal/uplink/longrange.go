@@ -31,30 +31,42 @@ type LongRangeResult struct {
 	Good []ChannelID
 }
 
+// NewLongRangeStream opens a CSI stream for payloadLen bits transmitted
+// as chip codes code0/code1 (equal length L) starting at time start: the
+// streaming form of DecodeLongRange. Chips have the decoder's configured
+// BitDuration, and the frame layout is preamble + payloadLen·L chips +
+// postamble. Once the frame decodes, Margins holds each bit's decision
+// margin.
+func (d *Decoder) NewLongRangeStream(start float64, payloadLen int, code0, code1 []float64) (*StreamDecoder, error) {
+	if len(code0) == 0 || len(code0) != len(code1) {
+		return nil, fmt.Errorf("uplink: code lengths must match and be positive (%d, %d)",
+			len(code0), len(code1))
+	}
+	sd, err := d.newStream(start, payloadLen, len(code0), StreamCSI)
+	if err != nil {
+		return nil, err
+	}
+	sd.code0, sd.code1 = code0, code1
+	return sd, nil
+}
+
 // DecodeLongRange decodes payloadLen bits that were transmitted as chip
-// codes code0/code1 (equal length L) starting at time start. Chips have the
-// decoder's configured BitDuration, and the frame layout is
-// preamble + payloadLen·L chips + postamble. Like DecodeCSI it is a
-// push-all-then-flush wrapper over the streaming core.
+// codes code0/code1 starting at time start. Like DecodeCSI it is a
+// push-all-then-flush wrapper, over a NewLongRangeStream.
 //
 // The decision metric compares |corr(code1)| against |corr(code0)|, which
 // is polarity-free: code orthogonality guarantees the wrong code correlates
 // only with noise regardless of the channel's sign.
 func (d *Decoder) DecodeLongRange(s *csi.Series, start float64, payloadLen int, code0, code1 []float64) (*LongRangeResult, error) {
-	if len(code0) == 0 || len(code0) != len(code1) {
-		return nil, fmt.Errorf("uplink: code lengths must match and be positive (%d, %d)",
-			len(code0), len(code1))
-	}
-	sd, err := d.batchStream(s, start, payloadLen, len(code0), StreamCSI)
+	sd, err := d.NewLongRangeStream(start, payloadLen, code0, code1)
 	if err != nil {
 		return nil, err
 	}
-	sd.code0, sd.code1 = code0, code1
 	res, err := sd.pushAll(s)
 	if err != nil {
 		return nil, err
 	}
-	return &LongRangeResult{Payload: res.Payload, Margins: sd.margins, Good: res.Good}, nil
+	return &LongRangeResult{Payload: res.Payload, Margins: sd.Margins(), Good: res.Good}, nil
 }
 
 // codeCorr correlates a channel's chip means across payload bit b with

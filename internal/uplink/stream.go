@@ -194,6 +194,11 @@ func (sd *StreamDecoder) Done() bool { return sd.decoded }
 // closes). The slice is owned by the stream; do not mutate it.
 func (sd *StreamDecoder) Bits() []BitDecision { return sd.emitted }
 
+// Margins returns a long-range stream's per-bit decision margins
+// (|corr1 − corr0| relative to the total correlation energy) once its
+// frame has decoded, and nil otherwise. The slice is owned by the stream.
+func (sd *StreamDecoder) Margins() []float64 { return sd.margins }
+
 // Push feeds one measurement. Mid-frame pushes buffer and return nil; the
 // first push whose timestamp reaches the frame end decodes the frame and
 // returns every payload bit at once (the pipeline is frame-global, so
@@ -263,11 +268,14 @@ func (sd *StreamDecoder) Flush() (*Result, error) {
 	return sd.res, nil
 }
 
-// pushAll drives the stream over a whole series: push every measurement,
-// then flush. Push and the batch wrappers share one timestamp contract —
+// pushAll drives the stream over a whole series: check the series (see
+// checkSeries), push every measurement, then flush. Push and the batch wrappers share one timestamp contract —
 // non-decreasing, equal timestamps legal — matching what
 // csi.Series.Append documents for the capture side.
 func (sd *StreamDecoder) pushAll(s *csi.Series) (*Result, error) {
+	if err := checkSeries(s); err != nil {
+		return nil, err
+	}
 	for _, m := range s.Measurements {
 		if _, err := sd.Push(m); err != nil {
 			return nil, err

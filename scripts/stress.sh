@@ -3,7 +3,8 @@
 #
 # Re-runs the concurrency-sensitive suites under the race detector across a
 # scheduling matrix: the serving stack (internal/serve/..., cmd/wbload,
-# cmd/wbserved) and the eval worker-invariance properties, each with
+# cmd/wbserved), the eval worker-invariance properties and the parallel
+# trial engine (internal/parallel), each with
 # -race -count=COUNT at GOMAXPROCS 1, 2 and 8, with -v off and on (-v
 # changes output buffering and with it goroutine timing). Every run
 # executes even after an earlier one fails; the failing runs are reported
@@ -20,7 +21,7 @@ runs=0
 failed=0
 for procs in 1 2 8; do
 	for v in "" -v; do
-		for pkgs in "./internal/serve/... ./cmd/wbload/ ./cmd/wbserved/" "-run WorkerInvariance ./internal/eval/"; do
+		for pkgs in "./internal/serve/... ./cmd/wbload/ ./cmd/wbserved/" "-run WorkerInvariance ./internal/eval/" "./internal/parallel/"; do
 			runs=$((runs + 1))
 			desc="GOMAXPROCS=$procs go test -race -count=$count${v:+ $v} $pkgs"
 			# $v and $pkgs are word-split on purpose: each is zero or more arguments.
