@@ -55,12 +55,14 @@ bench:
 # and long range) and BenchmarkDetectAck one ACK detection, with
 # -benchmem, and the same package run re-asserts
 # TestStreamPushSteadyStateAllocs (steady-state Push must not allocate),
-# TestFrameCloseAllocs (the frame close's allocation count must not grow
-# with the channel count) and TestDetectAckAllocs (an ACK detection's
-# allocation count must not grow with the trace). The tests are skipped
-# under -race, so this plain-build run is the gate.
+# TestFrameCloseAllocs (the frame close allocates at most 7 times, and
+# no more often as the channel count grows) and TestDetectAckAllocs (an
+# ACK detection's allocation count must not grow with the trace). The
+# frame close fans its lanes out over GOMAXPROCS, so everything runs at
+# -cpu 1 (the serial kernel) and 2. The tests are skipped under -race, so
+# this plain-build run is the gate.
 bench-stream:
-	$(GO) test -bench 'BenchmarkStream|BenchmarkFrameClose|BenchmarkDetectAck' -benchmem -run 'TestStreamPushSteadyStateAllocs|TestFrameCloseAllocs|TestDetectAckAllocs' ./internal/uplink/
+	$(GO) test -cpu 1,2 -bench 'BenchmarkStream|BenchmarkFrameClose|BenchmarkDetectAck' -benchmem -run 'TestStreamPushSteadyStateAllocs|TestFrameCloseAllocs|TestDetectAckAllocs' ./internal/uplink/
 
 # Simulation fixed-cost contract: BenchmarkObserve reports one packet's
 # 3x30 composite channel, BenchmarkCircuitStep one envelope sample through
@@ -133,11 +135,14 @@ bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Scheduling stress gate: the serving stack, the eval worker-invariance
-# properties and the parallel trial engine under -race
-# -count=$(STRESS_COUNT) at GOMAXPROCS 1, 2 and 8,
-# with -v off and on. Every run executes; the failures are listed together
-# at the end and fail the target. `make check` runs one pass
-# (STRESS_COUNT=1); run it longer with e.g. `make stress STRESS_COUNT=50`.
+# properties, the parallel trial engine and lane split, and the frame
+# close's core-count invariance under -race at GOMAXPROCS 1, 2 and 8, with
+# -v off and on. Each suite runs at -count=$(STRESS_COUNT) or at its floor
+# in scripts/stress.sh, whichever is larger (internal/parallel 300, the
+# serving stack 5, the rest 1). Every run executes; the failures are
+# listed together at the end and fail the target. `make check` runs the
+# floors (STRESS_COUNT=1); run it longer with e.g. `make stress
+# STRESS_COUNT=50`.
 STRESS_COUNT = 10
 
 stress:

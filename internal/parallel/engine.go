@@ -10,6 +10,10 @@
 // slice in index order therefore produces output bit-identical to the
 // serial loop it replaces — determinism is preserved by construction and
 // locked in by the property tests in internal/eval.
+//
+// Split is the engine's small sibling for one loop inside a job: the
+// decoder's per-channel condition+score pass, cut into one contiguous
+// chunk per core on every frame close, with no allocation per call.
 package parallel
 
 import (

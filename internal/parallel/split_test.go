@@ -1,0 +1,109 @@
+package parallel
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+)
+
+// withProcs runs f at GOMAXPROCS procs and restores the previous value.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// splitCounts is a Split job: every index's visit count, and the number of
+// chunks fn was called with.
+type splitCounts struct {
+	visits []atomic.Int32
+	chunks *atomic.Int32
+}
+
+func countChunk(j splitCounts, lo, hi int) {
+	j.chunks.Add(1)
+	for i := lo; i < hi; i++ {
+		j.visits[i].Add(1)
+	}
+}
+
+func TestSplitRunsEveryIndexOnce(t *testing.T) {
+	var s Split[splitCounts]
+	for _, procs := range []int{1, 2, 3, 8} {
+		withProcs(procs, func() {
+			for _, n := range []int{0, 1, 2, 3, 7, 90} {
+				j := splitCounts{visits: make([]atomic.Int32, n), chunks: new(atomic.Int32)}
+				s.Run(n, j, countChunk)
+				for i := range j.visits {
+					if c := j.visits[i].Load(); c != 1 {
+						t.Fatalf("GOMAXPROCS=%d n=%d: index %d ran %d times", procs, n, i, c)
+					}
+				}
+				if got, want := j.chunks.Load(), int32(min(procs, n)); got != want {
+					t.Errorf("GOMAXPROCS=%d n=%d: %d chunks, want %d", procs, n, got, want)
+				}
+			}
+		})
+	}
+}
+
+// panicAt is a Split job that panics in every chunk starting at one of
+// its indices.
+type panicAt map[int]bool
+
+func panicChunk(j panicAt, lo, hi int) {
+	if j[lo] {
+		panic(fmt.Sprintf("chunk at %d", lo))
+	}
+}
+
+// TestSplitReraisesLowestPanic panics in chunks that, at GOMAXPROCS=4 over
+// 8 indices, run on other goroutines: Run must re-raise on the calling
+// goroutine, with the lowest panicking chunk's value.
+func TestSplitReraisesLowestPanic(t *testing.T) {
+	withProcs(4, func() {
+		var s Split[panicAt]
+		for _, tc := range []struct {
+			at   panicAt
+			want string
+		}{
+			{panicAt{6: true}, "chunk at 6"},
+			{panicAt{2: true, 6: true}, "chunk at 2"},
+			{panicAt{0: true, 4: true}, "chunk at 0"},
+		} {
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				s.Run(8, tc.at, panicChunk)
+				return nil
+			}()
+			if got != tc.want {
+				t.Errorf("panics at %v: recovered %v, want %q", tc.at, got, tc.want)
+			}
+			// The Split stays usable after a panic.
+			s.Run(8, panicAt{}, panicChunk)
+		}
+	})
+}
+
+// TestForEachCatchesSplitPanic runs an Engine job whose inner Split panics
+// in its last chunk, which runs on a goroutine the Split started: the
+// panic must come back as that job's error, not crash the process.
+func TestForEachCatchesSplitPanic(t *testing.T) {
+	withProcs(4, func() {
+		for _, workers := range []int{1, 2} {
+			err := New(workers).ForEach(3, func(i int) error {
+				var s Split[panicAt]
+				at := panicAt{}
+				if i == 1 {
+					at[6] = true // the last of 4 chunks over 8 indices
+				}
+				s.Run(8, at, panicChunk)
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), "job 1 panicked: chunk at 6") {
+				t.Errorf("workers=%d: err = %v, want job 1's panic", workers, err)
+			}
+		}
+	})
+}

@@ -10,12 +10,12 @@ import (
 
 // benchSeries builds one reusable synthetic transmission for decoder
 // micro-benchmarks.
-func benchSeries(b *testing.B) (*csi.Series, *tag.Modulator, []bool) {
-	b.Helper()
+func benchSeries(tb testing.TB) (*csi.Series, *tag.Modulator, []bool) {
+	tb.Helper()
 	payload := randomPayload(90, 1)
 	mod, err := tag.NewModulator(tag.FrameBits(payload), 1.0, 0.01)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := defaultSynth()
 	cfg.duration = mod.End() + 0.5
@@ -216,6 +216,9 @@ func benchFrameClose(b *testing.B, s *csi.Series, open func() (*StreamDecoder, e
 // BenchmarkFrameStages splits one frame close into its stages (see
 // StreamDecoder.decode), each timed alone over one pooled frameScratch:
 // a 90-bit frame of 3×30 CSI lanes and the same frame's 3 RSSI lanes.
+// condition+score fans the lanes out over GOMAXPROCS as the frame close
+// does; condition+score/serial runs all of them on the benchmark's
+// goroutine, the kernel's own cost (compare the two at -cpu 1,2).
 // The stream holds the filled frame arena throughout. Stages that rewrite
 // their input first restore it from a copy, and that copy is timed with
 // them: select restores the unsorted lane stats, decide the combined
@@ -266,6 +269,13 @@ func benchFrameStages(b *testing.B, mode StreamMode) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sd.scoreLanes(fs)
+		}
+	})
+	b.Run("condition+score/serial", func(b *testing.B) {
+		job := sd.laneJob(fs)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			scoreLaneRange(job, 0, len(sd.chans))
 		}
 	})
 	b.Run("select", func(b *testing.B) {

@@ -9,7 +9,10 @@
 //  2. Condition and score: per channel, in one fused pass, subtract a
 //     moving average (400 ms window) to remove environmental drift,
 //     normalize so the two switch states map to ±1 (§3.2 step 1), and
-//     correlate the bit means with the known Barker preamble.
+//     correlate the bit means with the known Barker preamble. The
+//     channels are independent, so they run in contiguous chunks on
+//     every core (parallel.Split); each writes only its own scratch
+//     slots, and the decode is bit-identical at any GOMAXPROCS.
 //  3. Select: keep the best G (antenna, sub-channel) pairs (§3.2 step 2a).
 //  4. Combine: maximum-ratio combining weights each good sub-channel by
 //     1/σ², with σ² estimated from its preamble residual (§3.2 step 2b).
@@ -18,8 +21,8 @@
 //     produces the decoded bit (§3.2 step 3).
 //
 // The frame close runs in one pooled frame scratch (stream.go), so it
-// allocates only the Result and bits it returns, whatever the channel
-// count. Every entry point runs through that chain. DecodeRSSI and
+// allocates only the Result and bits it returns, whatever the channel and
+// core counts. Every entry point runs through that chain. DecodeRSSI and
 // DecodeSingleChannel select one channel (§3.3, the Fig. 11 baseline);
 // DecodeVariant swaps the binning, combining or decision rule for the
 // ablations (ablation.go); DecodeLongRange stretches the frame to chip

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/csi"
 	"repro/internal/dsp"
+	"repro/internal/parallel"
 )
 
 // StreamMode selects the measurement source a StreamDecoder decodes from,
@@ -434,13 +435,7 @@ func (sd *StreamDecoder) decode(atFlush bool) error {
 	sd.decoded = true
 	fs := getScratch(len(sd.chans), sd.n, sd.nbits)
 	defer putScratch(fs)
-	sd.bin(fs.off)
-	if imp := sd.d.Impair; imp != nil {
-		for i, lane := range sd.chans {
-			imp.ImpairChannel(sd.laneID(i), sd.ts[:sd.n], lane[:sd.n])
-		}
-	}
-	stats := sd.scoreLanes(fs)
+	stats := sd.analyze(fs)
 	sel, err := sd.selectTop(stats)
 	sd.d.met.channelsAnalyzed.Add(int64(len(stats)))
 	sd.d.met.channelsRejected.Add(int64(len(stats) - len(sel)))
@@ -484,6 +479,7 @@ type frameScratch struct {
 	ok       []bool    // laid out like means
 	stats    []channelStats
 	combined []float64
+	split    parallel.Split[laneJob] // fans the lanes out over the cores
 }
 
 // lane returns lane i's views for frames of n samples over nbits bins:
@@ -537,20 +533,55 @@ func (sd *StreamDecoder) bin(off []int) {
 	binByTimestamp(off, ts, sd.start, sd.d.cfg.BitDuration)
 }
 
-// scoreLanes conditions and scores every channel lane in scan order. The
-// score is the magnitude of the preamble correlation, or for long range
-// the code discriminability.
+// analyze runs the stages up to the ranking over the closed frame: it
+// bins the frame, hands each lane to the fault seam (Decoder.Impair,
+// serially and in lane order, so its draws do not depend on the fan-out
+// after it), then conditions and scores every lane.
+func (sd *StreamDecoder) analyze(fs *frameScratch) []channelStats {
+	sd.bin(fs.off)
+	if imp := sd.d.Impair; imp != nil {
+		for i, lane := range sd.chans {
+			imp.ImpairChannel(sd.laneID(i), sd.ts[:sd.n], lane[:sd.n])
+		}
+	}
+	return sd.scoreLanes(fs)
+}
+
+// scoreLanes conditions and scores every channel lane. The lanes are
+// independent, so it fans them out in contiguous chunks over the cores
+// (parallel.Split, which joins them before it returns). A lane writes only
+// its own stats, cond, means and ok slots, and reads nothing another lane
+// writes, so the stats are the serial loop's bit for bit at any core
+// count. The score is the magnitude of the preamble correlation, or for
+// long range the code discriminability.
 func (sd *StreamDecoder) scoreLanes(fs *frameScratch) []channelStats {
-	n := sd.n
-	window := windowSamples(sd.ts[:n], sd.d.cfg.windowFor())
-	for i, lane := range sd.chans {
+	fs.split.Run(len(sd.chans), sd.laneJob(fs), scoreLaneRange)
+	return fs.stats
+}
+
+// laneJob is one fan-out over a frame's lanes: the stream whose arena
+// holds them, the scratch they write into, and the conditioning window in
+// samples.
+type laneJob struct {
+	sd     *StreamDecoder
+	fs     *frameScratch
+	window int
+}
+
+func (sd *StreamDecoder) laneJob(fs *frameScratch) laneJob {
+	return laneJob{sd: sd, fs: fs, window: windowSamples(sd.ts[:sd.n], sd.d.cfg.windowFor())}
+}
+
+// scoreLaneRange is scoreLanes over lanes [lo, hi), in lane order.
+func scoreLaneRange(j laneJob, lo, hi int) {
+	sd, fs, n := j.sd, j.fs, j.sd.n
+	for i := lo; i < hi; i++ {
 		cond, means, ok := fs.lane(i, n, sd.nbits)
-		fs.stats[i] = analyzeChannel(sd.laneID(i), lane[:n], cond, fs.off, window, means, ok)
+		fs.stats[i] = analyzeChannel(sd.laneID(i), sd.chans[i][:n], cond, fs.off, j.window, means, ok)
 		if sd.code0 != nil {
 			fs.stats[i].score = sd.codeScore(&fs.stats[i])
 		}
 	}
-	return fs.stats
 }
 
 // selectTop ranks the lanes and keeps the top G (§3.2 step 2a):

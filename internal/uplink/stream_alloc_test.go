@@ -71,17 +71,28 @@ func TestStreamPushSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// frameCloseMaxAllocs is what a frame close allocates: the Result, its
+// Payload and Good, the emitted bits, and the ranking sort's boxed slice,
+// swapper and comparator. The lane fan-out adds nothing: parallel.Split
+// starts its goroutines without allocating once its pooled scratch has
+// run one.
+const frameCloseMaxAllocs = 7
+
 // TestFrameCloseAllocs pins the frame close's allocations to what it hands
-// back — the Result with its Payload and Good, the emitted bits, and the
-// ranking sort — by holding the closing Push of a 3×30 CSI stream to no
-// more allocations than the same push on a 3×1 stream: nothing the frame
-// close allocates may scale with the channel count.
+// back: the closing Push of a 3×30 CSI stream allocates at most
+// frameCloseMaxAllocs times, and no more often than the same push on a
+// 3×1 stream, so nothing the frame close allocates may scale with the
+// channel count. Run it at several -cpu values: the lanes fan out over
+// GOMAXPROCS.
 func TestFrameCloseAllocs(t *testing.T) {
 	wide := frameCloseAllocs(t, 3, 30)
 	narrow := frameCloseAllocs(t, 3, 1)
-	t.Logf("frame-closing Push: %d allocations at 3×30, %d at 3×1", wide, narrow)
+	t.Logf("frame-closing Push at GOMAXPROCS=%d: %d allocations at 3×30, %d at 3×1", runtime.GOMAXPROCS(0), wide, narrow)
 	if wide > narrow {
 		t.Errorf("frame-closing Push allocates %d times at 3×30 but %d at 3×1; per-channel allocations are back", wide, narrow)
+	}
+	if wide > frameCloseMaxAllocs {
+		t.Errorf("frame-closing Push allocates %d times at 3×30, want at most %d", wide, frameCloseMaxAllocs)
 	}
 }
 

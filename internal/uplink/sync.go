@@ -43,15 +43,10 @@ func (d *Decoder) FindTransmission(s *csi.Series, from, to float64) (start float
 		return 0, false, nil
 	}
 	ts := sd.ts[:n]
-	window := windowSamples(ts, margin)
 	fs := getScratch(len(sd.chans), n, sd.nbits)
 	defer putScratch(fs)
 	stats := fs.stats
-	for i, lane := range sd.chans {
-		cond, means, ok := fs.lane(i, n, sd.nbits)
-		dsp.ConditionInto(cond, lane[:n], window)
-		stats[i] = channelStats{cond: cond, means: means, ok: ok}
-	}
+	fs.split.Run(len(sd.chans), sd.laneJob(fs), conditionLaneRange)
 	// Common-mode rejection: per-packet AGC noise moves every channel
 	// identically and would correlate on all of them at once, which is
 	// exactly what the many-channel rank test is meant to exclude. The
@@ -86,4 +81,16 @@ func (d *Decoder) FindTransmission(s *csi.Series, from, to float64) (start float
 		}
 	}
 	return bestStart, bestScore >= syncThreshold, nil
+}
+
+// conditionLaneRange conditions lanes [lo, hi) for FindTransmission's
+// scan, which bins and scores them once per candidate start. Like
+// scoreLaneRange, a lane writes only its own slots.
+func conditionLaneRange(j laneJob, lo, hi int) {
+	sd, fs, n := j.sd, j.fs, j.sd.n
+	for i := lo; i < hi; i++ {
+		cond, means, ok := fs.lane(i, n, sd.nbits)
+		dsp.ConditionInto(cond, sd.chans[i][:n], j.window)
+		fs.stats[i] = channelStats{cond: cond, means: means, ok: ok}
+	}
 }

@@ -3,12 +3,16 @@
 #
 # Re-runs the concurrency-sensitive suites under the race detector across a
 # scheduling matrix: the serving stack (internal/serve/..., cmd/wbload,
-# cmd/wbserved), the eval worker-invariance properties and the parallel
-# trial engine (internal/parallel), each with
-# -race -count=COUNT at GOMAXPROCS 1, 2 and 8, with -v off and on (-v
-# changes output buffering and with it goroutine timing). Every run
-# executes even after an earlier one fails; the failing runs are reported
-# together at the end, and the exit status is 1 if there were any.
+# cmd/wbserved), the eval worker-invariance properties, the parallel
+# trial engine and lane split (internal/parallel) and the frame close's
+# core-count invariance (internal/uplink), each under -race at GOMAXPROCS
+# 1, 2 and 8, with -v off and on (-v changes output buffering and with it
+# goroutine timing). Each suite runs at -count=COUNT or at its own floor,
+# whichever is larger: the cheap suites whose timing bugs took hundreds of
+# runs to show (a ForEach that skipped a job within 300) run that often
+# even in a one-pass gate. Every run executes even after an earlier one
+# fails; the failing runs are reported together at the end, and the exit
+# status is 1 if there were any.
 set -u
 
 count=${1:?usage: scripts/stress.sh COUNT [GO]}
@@ -17,22 +21,34 @@ go=${2:-go}
 logs=$(mktemp -d)
 trap 'rm -rf "$logs"' EXIT
 
+# One suite a line: its count floor, then its go test arguments.
+suites='5 ./internal/serve/... ./cmd/wbload/ ./cmd/wbserved/
+1 -run WorkerInvariance ./internal/eval/
+300 ./internal/parallel/
+1 -run ProcsInvariant ./internal/uplink/'
+
 runs=0
 failed=0
 for procs in 1 2 8; do
 	for v in "" -v; do
-		for pkgs in "./internal/serve/... ./cmd/wbload/ ./cmd/wbserved/" "-run WorkerInvariance ./internal/eval/" "./internal/parallel/"; do
+		while read -r floor pkgs; do
+			n=$count
+			if [ "$floor" -gt "$n" ]; then
+				n=$floor
+			fi
 			runs=$((runs + 1))
-			desc="GOMAXPROCS=$procs go test -race -count=$count${v:+ $v} $pkgs"
+			desc="GOMAXPROCS=$procs go test -race -count=$n${v:+ $v} $pkgs"
 			# $v and $pkgs are word-split on purpose: each is zero or more arguments.
-			if GOMAXPROCS=$procs "$go" test -race -count="$count" $v $pkgs >"$logs/$runs.log" 2>&1; then
+			if GOMAXPROCS=$procs "$go" test -race -count="$n" $v $pkgs >"$logs/$runs.log" 2>&1 </dev/null; then
 				echo "ok    $desc"
 			else
 				echo "FAIL  $desc"
 				echo "$desc" >"$logs/$runs.failed"
 				failed=$((failed + 1))
 			fi
-		done
+		done <<EOF
+$suites
+EOF
 	done
 done
 
