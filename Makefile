@@ -65,19 +65,25 @@ bench-stream:
 	$(GO) test -cpu 1,2 -bench 'BenchmarkStream|BenchmarkFrameClose|BenchmarkDetectAck' -benchmem -run 'TestStreamPushSteadyStateAllocs|TestFrameCloseAllocs|TestDetectAckAllocs' ./internal/uplink/
 
 # Simulation fixed-cost contract: BenchmarkObserve reports one packet's
-# 3x30 composite channel, BenchmarkCircuitStep one envelope sample through
-# the tag's receiver circuit, BenchmarkEngineSchedule one event's schedule
-# and dispatch, BenchmarkMeasure one fresh 3x30 CSI report and
-# BenchmarkMeasureInto one written into a reused report (as the figure
-# trials measure), all with -benchmem. TestObserveSteadyStateAllocs
-# asserts that Observe into a reused buffer allocates nothing,
-# TestScheduleSteadyStateAllocs that a warmed schedule and dispatch of a
-# pre-built closure allocates nothing, TestMeasureAllocs that a fresh 3x30
-# report allocates at most twice (row headers and one slab) and
-# TestMeasureIntoAllocs that a reused one allocates nothing. The tests
-# are skipped under -race, so this plain-build run is the gate.
+# 3x30 composite channel, BenchmarkAdvance the same channel moved on
+# without being evaluated (a capture outside the frame),
+# BenchmarkCircuitStep one envelope sample through the tag's receiver
+# circuit, BenchmarkEngineSchedule one event's schedule and dispatch,
+# BenchmarkMeasure one fresh 3x30 CSI report, BenchmarkMeasureInto one
+# written into a reused report (as the figure trials measure) and
+# BenchmarkSkipInto that report's draws made without computing it, all
+# with -benchmem. TestObserveSteadyStateAllocs asserts that Observe into
+# a reused buffer allocates nothing, TestAdvanceAllocs that Advance
+# allocates nothing, TestScheduleSteadyStateAllocs that a warmed schedule
+# and dispatch of a pre-built closure allocates nothing, TestMeasureAllocs
+# that a fresh 3x30 report allocates at most twice (row headers and one
+# slab), TestMeasureIntoAllocs and TestSkipIntoAllocs that a reused one
+# allocates nothing, and TestContentionRoundAllocs that a CSMA/CA round
+# allocates only the Transmission it hands its listeners and a collided
+# frame's requeue. The tests are skipped under -race, so this plain-build
+# run is the gate.
 bench-observe:
-	$(GO) test -bench 'BenchmarkObserve|BenchmarkCircuitStep|BenchmarkEngineSchedule|BenchmarkMeasure' -benchmem -run 'TestObserveSteadyStateAllocs|TestScheduleSteadyStateAllocs|TestMeasureAllocs|TestMeasureIntoAllocs' ./internal/radio/ ./internal/tag/ ./internal/sim/ ./internal/csi/
+	$(GO) test -bench 'BenchmarkObserve|BenchmarkAdvance|BenchmarkCircuitStep|BenchmarkEngineSchedule|BenchmarkMeasure|BenchmarkSkipInto' -benchmem -run 'TestObserveSteadyStateAllocs|TestAdvanceAllocs|TestScheduleSteadyStateAllocs|TestMeasureAllocs|TestMeasureIntoAllocs|TestSkipIntoAllocs|TestContentionRoundAllocs' ./internal/radio/ ./internal/tag/ ./internal/sim/ ./internal/csi/ ./internal/wifi/
 
 # Wire and session contract: BenchmarkParseMeasurement reports one 3x30
 # CSI m line and one 3x1 RSSI m line with -benchmem, and

@@ -121,11 +121,11 @@ type System struct {
 	logEnabled bool
 	onMeasure  []func(csi.Measurement)
 
-	// noSeries, set only by the figure trials' runner, keeps no series:
-	// each report is measured into report, which the next packet
-	// overwrites, and reaches the hooks alone.
-	noSeries bool
-	report   csi.Measurement
+	// stream, set by StreamTo, replaces the series: each report is
+	// measured into report, which the next packet overwrites, and pushed
+	// to stream before the hooks see it.
+	stream *uplink.StreamDecoder
+	report csi.Measurement
 }
 
 // NewSystem assembles a deployment from the config.
@@ -170,6 +170,12 @@ func NewSystem(cfg Config) (*System, error) {
 		placements: make(map[*wifi.Station]placement),
 		mods:       make([]*tag.Modulator, 1),
 		states:     make([]bool, 1),
+		h:          make([][]complex128, channel.Antennas()),
+	}
+	// Observe fills h in place, and a skipped capture reads its shape
+	// before any Observe has run (see StreamTo).
+	for a := range s.h {
+		s.h[a] = make([]complex128, channel.Subchannels())
 	}
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		// The injector gets its own stream derived from the seed by a
@@ -208,34 +214,26 @@ func NewSystem(cfg Config) (*System, error) {
 		// of reception, so both the channel snapshot and the
 		// measurement timestamp anchor there.
 		at := tx.Start + 10e-6
-		for i, mod := range s.mods {
-			s.states[i] = mod != nil && mod.StateAt(at)
-		}
-		h, herr := s.Channel.Observe(at, s.states, s.h)
-		if herr != nil {
-			// Programmer-error assert: s.states and the channel's tag
-			// set are resized together in AddTag, so a mismatch here is
-			// a bug in this file, not reachable from user input.
-			panic(herr)
-		}
-		// h is s.h from here on: the fade and the card consume it before
-		// the next packet overwrites it, and the card's report has rows
-		// of its own. Fades attenuate the observed channel before the card
-		// measures it; measurement corruption runs after, so the card's
-		// own noise stream stays aligned with the clean run.
-		s.h = h
-		s.faults.AttenuateChannel(at, h)
 		var m csi.Measurement
-		if s.noSeries {
-			s.Card.MeasureInto(&s.report, at, h)
+		if s.skips(at) {
+			// Nobody reads this report: make its draws and side effects
+			// (the channel's innovations, the fade tally, the card's
+			// noise) without computing the values.
+			s.Channel.Advance(at)
+			s.faults.AttenuateChannel(at, nil)
+			s.Card.SkipInto(&s.report, at, s.h)
 			m = s.report
 		} else {
-			m = s.Card.Measure(at, h)
+			m = s.measure(at)
 		}
 		if s.faults.CorruptMeasurement(at, &m) {
 			return // the flaky capture path dropped this packet's report
 		}
-		if !s.noSeries {
+		if s.stream != nil {
+			// A failed push poisons the stream, and Flush returns its
+			// error.
+			_, _ = s.stream.Push(m)
+		} else {
 			s.series.Append(m)
 		}
 		for _, fn := range s.onMeasure {
@@ -245,17 +243,70 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
+// measure evaluates the channel at time at and returns the card's report:
+// a fresh one for the series, or the reused report when a stream
+// replaces the series.
+func (s *System) measure(at float64) csi.Measurement {
+	for i, mod := range s.mods {
+		s.states[i] = mod != nil && mod.StateAt(at)
+	}
+	h, herr := s.Channel.Observe(at, s.states, s.h)
+	if herr != nil {
+		// Programmer-error assert: s.states and the channel's tag set are
+		// resized together in AddTag, so a mismatch here is a bug in this
+		// file, not reachable from user input.
+		panic(herr)
+	}
+	// h is s.h from here on: the fade and the card consume it before the
+	// next packet overwrites it, and the card's report has rows of its
+	// own. Fades attenuate the observed channel before the card measures
+	// it; measurement corruption runs after, so the card's own noise
+	// stream stays aligned with the clean run.
+	s.h = h
+	s.faults.AttenuateChannel(at, h)
+	if s.stream == nil {
+		return s.Card.Measure(at, h)
+	}
+	s.Card.MeasureInto(&s.report, at, h)
+	return s.report
+}
+
+// skips reports whether the capture at time at goes unread: a stream is
+// the system's only consumer and at falls outside its frame [Start, End),
+// where Push looks at nothing but the timestamp and the shape.
+func (s *System) skips(at float64) bool {
+	return s.stream != nil && len(s.onMeasure) == 0 &&
+		(at < s.stream.Start() || at >= s.stream.End())
+}
+
+// StreamTo subscribes sd to every capture, in order, in place of the
+// series: from here on the system keeps no series, measures each report
+// into one buffer the next packet overwrites, and pushes it to sd, whose
+// first push past the frame end closes the frame. Call it before Run,
+// with a stream opened on UplinkDecoder's decoder, and take the Result
+// from sd.Flush once Run returns.
+//
+// While sd is the only consumer (no OnMeasurement hook), a capture
+// outside sd's frame is not evaluated: the channel, the card and the
+// fault injector make the draws and keep the tallies the evaluated
+// capture would, so the run stays draw-for-draw the same, and sd still
+// counts the push and closes the frame on it. A hook makes every capture
+// evaluated again.
+func (s *System) StreamTo(sd *uplink.StreamDecoder) { s.stream = sd }
+
 // OnMeasurement registers a hook invoked for every measurement the reader
-// captures, in capture order, after it lands in the system's series (if
-// the system keeps one). This is the online path: a reader.LiveSession
-// subscribed here decodes during the simulation instead of
-// batch-processing Series() afterwards. Hooks run inside the measurement
-// listener, so they must not mutate the system, and must treat the
-// measurement's slices as read-only. The slices are valid only during the
-// call: on a system that keeps a series they belong to it, but on one
-// that keeps none (the figure trials') they are the one reused report the
-// next packet overwrites. A hook that keeps a measurement must copy it,
-// as reader.LiveSession's window and the uplink stream's frame arena do.
+// captures, in capture order, after it lands in the system's series or
+// stream. This is the online path: a reader.LiveSession subscribed here
+// decodes during the simulation instead of batch-processing Series()
+// afterwards. Hooks run inside the measurement listener, so they must not
+// mutate the system, and must treat the measurement's slices as
+// read-only. The slices are valid only during the call: on a system that
+// keeps a series they belong to it, but on one that streams (StreamTo)
+// they are the one reused report the next packet overwrites. A hook that
+// keeps a measurement must copy it, as reader.LiveSession's window and the
+// uplink stream's frame arena do. Registering a hook turns off StreamTo's
+// skipping of out-of-frame captures: the hook sees every capture
+// evaluated.
 func (s *System) OnMeasurement(fn func(csi.Measurement)) {
 	s.onMeasure = append(s.onMeasure, fn)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/csi"
 	"repro/internal/dsp"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -185,11 +184,10 @@ func RunLongRangeTrial(spec UplinkTrialSpec, codeLen int) (*UplinkTrialResult, e
 // runTrial is the one body behind the Run*Trial entry points: build the
 // system, start the spec's helper traffic, transmit frame(payload) from
 // 1 s, and decode it online. open opens the trial's stream on the
-// system's decoder before Run, and OnMeasurement subscribes it, so the
-// stream sees every capture in order and closes the frame at the first
-// push past its end; Flush hands back the Result. The system keeps no
-// series: each report is measured into one reused buffer, and the stream
-// copies the in-frame samples it needs.
+// system's decoder before Run, and StreamTo subscribes it, so the stream
+// sees every capture in order and closes the frame at the first push
+// past its end; Flush hands back the Result. The system keeps no series,
+// and evaluates the channel only for captures inside the frame.
 func runTrial(spec UplinkTrialSpec, frame func(payload []bool) []bool,
 	open func(dec *uplink.Decoder, start float64) (*uplink.StreamDecoder, error)) (*UplinkTrialResult, error) {
 	if spec.BitRate <= 0 || spec.PayloadLen <= 0 {
@@ -203,12 +201,14 @@ func runTrial(spec UplinkTrialSpec, frame func(payload []bool) []bool,
 	if err != nil {
 		return nil, err
 	}
-	sys.noSeries = true
 	if err := startHelperTraffic(sys, spec); err != nil {
 		return nil, err
 	}
 	payload := RandomPayload(spec.PayloadLen, spec.Config.Seed+7777)
-	const txStart = 1.0 // warm-up so the conditioning window has context
+	// The lead-in before the frame only advances the channel's fading and
+	// the medium's MAC state: the decoder conditions in-frame samples
+	// alone, so none of these captures reaches it.
+	const txStart = 1.0
 	mod, err := sys.TransmitUplink(frame(payload), txStart, spec.BitRate)
 	if err != nil {
 		return nil, err
@@ -221,8 +221,7 @@ func runTrial(spec UplinkTrialSpec, frame func(payload []bool) []bool,
 	if err != nil {
 		return nil, err
 	}
-	// A failed push poisons the stream, and Flush returns its error.
-	sys.OnMeasurement(func(m csi.Measurement) { _, _ = sd.Push(m) })
+	sys.StreamTo(sd)
 	sys.Run(mod.End() + 0.5)
 	res, err := sd.Flush()
 	if err != nil {

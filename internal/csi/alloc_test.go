@@ -32,3 +32,14 @@ func TestMeasureIntoAllocs(t *testing.T) {
 		t.Errorf("MeasureInto a 3x30 report: %v allocs, want 0", allocs)
 	}
 }
+
+// TestSkipIntoAllocs pins the skipped report: drawing a 3×30 packet's
+// noise into a report of the same shape allocates nothing.
+func TestSkipIntoAllocs(t *testing.T) {
+	card := NewCard(DefaultModel(), rng.New(1))
+	h := flatChannel(3, 30, 10)
+	m := card.Measure(0, h)
+	if allocs := testing.AllocsPerRun(100, func() { card.SkipInto(&m, 0, h) }); allocs != 0 {
+		t.Errorf("SkipInto a 3x30 report: %v allocs, want 0", allocs)
+	}
+}

@@ -31,3 +31,17 @@ func BenchmarkMeasureInto(b *testing.B) {
 	}
 	sinkMeasurement = m
 }
+
+// BenchmarkSkipInto times the same packet's draws made into a reused
+// report without computing it, as a system streaming to a decoder does
+// for a capture outside the frame.
+func BenchmarkSkipInto(b *testing.B) {
+	card := NewCard(DefaultModel(), rng.New(1))
+	h := randomChannel(rng.New(2), []int{30, 30, 30})
+	var m Measurement
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		card.SkipInto(&m, float64(i)*1e-3, h)
+	}
+	sinkMeasurement = m
+}

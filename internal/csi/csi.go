@@ -115,20 +115,7 @@ func (c *Card) Measure(t float64, h [][]complex128) Measurement {
 // as Measure, so a reused report carries the same values. Only a caller
 // that keeps no earlier report may reuse one.
 func (c *Card) MeasureInto(m *Measurement, t float64, h [][]complex128) {
-	if !m.hasShape(h) {
-		n := len(h)
-		for _, row := range h {
-			n += len(row)
-		}
-		slab := make([]float64, n)
-		m.CSI = make([][]float64, len(h))
-		m.RSSI = slab[:len(h):len(h)]
-		slab = slab[len(h):]
-		for a, row := range h {
-			m.CSI[a] = slab[:len(row):len(row)]
-			slab = slab[len(row):]
-		}
-	}
+	m.shape(h)
 	m.Timestamp = t
 	agc := 1 + c.rnd.Gaussian(0, c.model.AGCNoise)
 	for a, row := range h {
@@ -155,6 +142,49 @@ func (c *Card) MeasureInto(m *Measurement, t float64, h [][]complex128) {
 		}
 		rssi := powerDB(power) + c.rnd.Gaussian(0, c.model.RSSINoiseDB)
 		m.RSSI[a] = quantize(rssi, c.model.RSSIQuantDB)
+	}
+}
+
+// SkipInto stands in for MeasureInto on a packet whose report nobody
+// reads: it shapes m for h as MeasureInto does, stamps t, and makes the
+// same draws in the same order (AGC, each antenna's spurious test and
+// per-sub-channel noise, then its RSSI noise), so the card's stream stays
+// where MeasureInto would leave it. Only len(h) and its row lengths are
+// read, and m's values are left stale; the amplitudes, quantization and
+// RSSI are never computed.
+//
+//wblint:hotpath-root
+func (c *Card) SkipInto(m *Measurement, t float64, h [][]complex128) {
+	m.shape(h)
+	m.Timestamp = t
+	c.rnd.Gaussian(0, c.model.AGCNoise)
+	for _, row := range h {
+		if c.model.SpuriousProb > 0 && c.rnd.Float64() < c.model.SpuriousProb {
+			c.rnd.Bool()
+		}
+		for range row {
+			c.rnd.Gaussian(0, c.model.SubchannelNoise)
+		}
+		c.rnd.Gaussian(0, c.model.RSSINoiseDB)
+	}
+}
+
+// shape gives m a one-slab report of h's shape unless it already has one.
+func (m *Measurement) shape(h [][]complex128) {
+	if m.hasShape(h) {
+		return
+	}
+	n := len(h)
+	for _, row := range h {
+		n += len(row)
+	}
+	slab := make([]float64, n)
+	m.CSI = make([][]float64, len(h))
+	m.RSSI = slab[:len(h):len(h)]
+	slab = slab[len(h):]
+	for a, row := range h {
+		m.CSI[a] = slab[:len(row):len(row)]
+		slab = slab[len(row):]
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tag"
 	"repro/internal/units"
+	"repro/internal/uplink"
 	"repro/internal/wifi"
 )
 
@@ -75,12 +76,7 @@ func HelperLocations(opt Options) (*Table, error) {
 			if err != nil {
 				return false, err
 			}
-			sys.Run(mod.End() + 0.5)
-			dec, err := sys.UplinkDecoder(100)
-			if err != nil {
-				return false, err
-			}
-			res, err := dec.DecodeCSI(sys.Series(), mod.Start(), downlink.PayloadBits)
+			res, err := decodeOnline(sys, 100, mod.Start(), mod.End(), downlink.PayloadBits)
 			if err != nil {
 				return false, err
 			}
@@ -102,6 +98,24 @@ func HelperLocations(opt Options) (*Table, error) {
 			fmt.Sprintf("%.2f", float64(delivered)/float64(opt.Trials)))
 	}
 	return t, nil
+}
+
+// decodeOnline runs sys to half a second past the frame end while a CSI
+// stream for the frame from start decodes it, and returns the stream's
+// Result. The system keeps no series and evaluates only the in-frame
+// captures (core.System.StreamTo).
+func decodeOnline(sys *core.System, bitRate, start, end float64, payloadLen int) (*uplink.Result, error) {
+	dec, err := sys.UplinkDecoder(bitRate)
+	if err != nil {
+		return nil, err
+	}
+	sd, err := dec.NewStream(start, payloadLen, uplink.StreamCSI)
+	if err != nil {
+		return nil, err
+	}
+	sys.StreamTo(sd)
+	sys.Run(end + 0.5)
+	return sd.Flush()
 }
 
 // AmbientRates are the bit rates tested for ambient-traffic operation
@@ -140,12 +154,7 @@ func AmbientTraffic(opt Options) (*Table, error) {
 			if err != nil {
 				return 0, 0, err
 			}
-			sys.Run(mod.End() + 0.5)
-			dec, err := sys.UplinkDecoder(rate)
-			if err != nil {
-				return 0, 0, err
-			}
-			res, err := dec.DecodeCSI(sys.Series(), mod.Start(), opt.PayloadLen)
+			res, err := decodeOnline(sys, rate, mod.Start(), mod.End(), opt.PayloadLen)
 			if err != nil {
 				return 0, 0, err
 			}

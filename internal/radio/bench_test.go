@@ -28,3 +28,19 @@ func BenchmarkObserve(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAdvance times the same channel moved on for one packet without
+// being evaluated, as core.System does for a capture outside the frame.
+func BenchmarkAdvance(b *testing.B) {
+	c, err := NewMultiChannel(DefaultChannelConfig(), Geometry{HelperToTag: 3}, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.AddTag(0.05); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Advance(float64(i) * 1e-3)
+	}
+}

@@ -159,3 +159,21 @@ func (c *MultiChannel) Observe(t float64, reflecting []bool, dst [][]complex128)
 	}
 	return dst, nil
 }
+
+// Advance evolves every path to time t exactly as Observe does, in the
+// same order and with the same innovation draws, and evaluates nothing:
+// a packet whose channel nobody reads still moves the fading processes
+// on, so the channel at the next Observe is the one it would have been.
+//
+//wblint:hotpath-root
+func (c *MultiChannel) Advance(t float64) {
+	for _, tp := range c.tags {
+		tp.helpTag.evolveTo(t, &c.ar)
+	}
+	for a := 0; a < c.antennas; a++ {
+		c.direct[a].evolveTo(t, &c.ar)
+		for _, tp := range c.tags {
+			tp.tagRead[a].evolveTo(t, &c.ar)
+		}
+	}
+}

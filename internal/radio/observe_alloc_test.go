@@ -41,3 +41,23 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Observe into a reused dst: %v allocs/call, want 0", allocs)
 	}
 }
+
+// TestAdvanceAllocs pins Advance's contract: moving the channel on for a
+// packet nobody reads allocates nothing.
+func TestAdvanceAllocs(t *testing.T) {
+	c, err := NewMultiChannel(DefaultChannelConfig(), Geometry{HelperToTag: 3}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddTag(0.05); err != nil {
+		t.Fatal(err)
+	}
+	at := 0.0
+	allocs := testing.AllocsPerRun(100, func() {
+		at += 1e-3
+		c.Advance(at)
+	})
+	if allocs != 0 {
+		t.Errorf("Advance: %v allocs/call, want 0", allocs)
+	}
+}

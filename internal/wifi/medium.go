@@ -66,6 +66,11 @@ type Medium struct {
 	listeners    []Listener
 	met          mediumMetrics
 
+	// roundFn and kickFn are round and kick bound once, so scheduling one
+	// forms no method value; ready and winners are round's scratch.
+	roundFn, kickFn func()
+	ready, winners  []*Station
+
 	// Impair, when non-nil, injects faults into contention and delivery.
 	// Set it before traffic starts (core wires the fault injector here).
 	Impair Impairment
@@ -110,7 +115,9 @@ func (m *Medium) Instrument(r *obs.Registry) {
 
 // NewMedium creates a medium bound to the engine and randomness stream.
 func NewMedium(eng *sim.Engine, rnd *rng.Stream) *Medium {
-	return &Medium{eng: eng, rnd: rnd}
+	m := &Medium{eng: eng, rnd: rnd}
+	m.roundFn, m.kickFn = m.round, m.kick
+	return m
 }
 
 // Engine returns the simulation engine driving this medium.
@@ -216,7 +223,7 @@ func (m *Medium) kick() {
 	if now := m.eng.Now(); at < now {
 		at = now
 	}
-	m.eng.ScheduleAt(at+DIFS, m.round)
+	m.eng.ScheduleAt(at+DIFS, m.roundFn)
 }
 
 // round resolves one contention round.
@@ -230,7 +237,7 @@ func (m *Medium) round() {
 		m.kick()
 		return
 	}
-	var ready []*Station
+	ready := m.ready[:0]
 	stallRelease := 0.0
 	for _, st := range m.stations {
 		if len(st.queue) == 0 {
@@ -249,15 +256,16 @@ func (m *Medium) round() {
 		}
 		ready = append(ready, st)
 	}
+	m.ready = ready
 	if len(ready) == 0 {
 		if stallRelease > 0 {
-			m.eng.ScheduleAt(stallRelease+DIFS, m.round)
+			m.eng.ScheduleAt(stallRelease+DIFS, m.roundFn)
 		}
 		return
 	}
 	// Each ready station draws a backoff; minimum wins, ties collide.
 	minSlot := -1
-	var winners []*Station
+	winners := m.winners[:0]
 	for _, st := range ready {
 		b := m.rnd.Intn(st.cw + 1)
 		switch {
@@ -269,13 +277,14 @@ func (m *Medium) round() {
 			winners = append(winners, st)
 		}
 	}
+	m.winners = winners
 	start := now + float64(minSlot)*SlotTime
 	if len(winners) == 1 {
 		m.deliver(winners[0], start)
 	} else {
 		m.collide(winners, start)
 	}
-	m.eng.ScheduleAt(m.busyUntil, m.kick)
+	m.eng.ScheduleAt(m.busyUntil, m.kickFn)
 }
 
 // deliver transmits the head-of-queue frame of st starting at start.
@@ -401,8 +410,11 @@ func (s *Station) onFailure(f *Frame) {
 	} else {
 		s.cw = CWMax
 	}
-	// Requeue at the head for in-order retry.
-	s.queue = append([]*Frame{f}, s.queue...)
+	// Requeue at the head for in-order retry, in one allocation.
+	q := make([]*Frame, len(s.queue)+1)
+	q[0] = f
+	copy(q[1:], s.queue)
+	s.queue = q
 	s.medium.kick()
 }
 
