@@ -112,10 +112,13 @@ chaos:
 
 # Pins the fault-injection observability contract (wbbench -faults):
 # faulted-sweep metrics must match testdata/faults_golden.json byte for
-# byte at every -workers value. Regenerate an intentional change with
+# byte at every -workers value, and the quick sweep must finish and
+# render its metrics under the profiles that starve the reader of
+# traffic (stalls, wire-flaky, bursty, wire-partition). Regenerate an
+# intentional change with
 # `go test ./internal/eval/ -run TestFaultsGolden -update`.
 faults-golden:
-	$(GO) test ./internal/eval/ -run 'TestFaultsGolden|TestFaultsWorkerInvariance'
+	$(GO) test ./internal/eval/ -run 'TestFaultsGolden|TestFaultsWorkerInvariance|TestStarvingFaultsFinishSweep'
 
 # Serving-layer concurrency gate, always run fresh (-count=1): 64
 # concurrent TCP sessions byte-identical to batch decode, overload

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/tag"
 	"repro/internal/units"
 	"repro/internal/uplink"
@@ -454,5 +455,36 @@ func TestFindTransmissionThroughSystem(t *testing.T) {
 	}
 	if found {
 		t.Error("phantom detection after the transmission ended")
+	}
+}
+
+// TestRunTrialStarvedFrame stalls the helper's traffic from before the
+// frame to past its end: no capture reaches the decoder, and every trial
+// kind reports the whole payload in error and nothing detected instead of
+// failing.
+func TestRunTrialStarvedFrame(t *testing.T) {
+	stall := &faults.Schedule{Windows: []faults.Window{{Kind: faults.Stall, Start: 0.5, End: 1000, Intensity: 1}}}
+	spec := UplinkTrialSpec{
+		Config:  Config{Seed: 3, Faults: stall},
+		BitRate: 100, HelperPacketsPerSecond: 1000, PayloadLen: 20,
+	}
+	for name, run := range map[string]func() (*UplinkTrialResult, error){
+		"csi":       func() (*UplinkTrialResult, error) { return RunUplinkTrial(spec) },
+		"variant":   func() (*UplinkTrialResult, error) { return RunUplinkVariantTrial(spec, uplink.PaperVariant) },
+		"single":    func() (*UplinkTrialResult, error) { return RunSingleChannelTrial(spec, 0, 7) },
+		"longrange": func() (*UplinkTrialResult, error) { return RunLongRangeTrial(spec, 4) },
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.BitErrors != spec.PayloadLen || len(res.Result.Payload) != 0 || res.Detected {
+			t.Errorf("%s: %d bit errors, %d bits decoded, detected %v; want all %d lost, undetected",
+				name, res.BitErrors, len(res.Result.Payload), res.Detected, spec.PayloadLen)
+		}
+	}
+	spec.Config.Faults = nil
+	if _, err := RunUplinkTrial(spec); err != nil {
+		t.Fatalf("the same trial unstalled: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/dsp"
@@ -155,8 +156,9 @@ func RunSingleChannelTrial(spec UplinkTrialSpec, antenna, subchannel int) (*Upli
 
 // RunLongRangeTrial executes one coded long-range transmission (§3.4) with
 // orthogonal codes of length codeLen. The decoder picks channels by code
-// discriminability, not by preamble, so the result always reports the
-// transmission detected, with a preamble correlation of 1.
+// discriminability, not by preamble, so the result reports the
+// transmission detected, with a preamble correlation of 1, whenever a
+// capture reached the frame.
 func RunLongRangeTrial(spec UplinkTrialSpec, codeLen int) (*UplinkTrialResult, error) {
 	code0, code1, err := dsp.WalshPair(codeLen)
 	if err != nil {
@@ -172,8 +174,8 @@ func RunLongRangeTrial(spec UplinkTrialSpec, codeLen int) (*UplinkTrialResult, e
 	out, err := runTrial(spec, frame, func(dec *uplink.Decoder, start float64) (*uplink.StreamDecoder, error) {
 		return dec.NewLongRangeStream(start, spec.PayloadLen, code0, code1)
 	})
-	if err != nil {
-		return nil, err
+	if err != nil || len(out.Result.Payload) == 0 {
+		return out, err // a starved frame: nothing detected
 	}
 	res := out.Result
 	out.Result = &uplink.Result{Payload: res.Payload, Good: res.Good, PreambleCorrelation: 1}
@@ -186,8 +188,9 @@ func RunLongRangeTrial(spec UplinkTrialSpec, codeLen int) (*UplinkTrialResult, e
 // 1 s, and decode it online. open opens the trial's stream on the
 // system's decoder before Run, and StreamTo subscribes it, so the stream
 // sees every capture in order and closes the frame at the first push
-// past its end; Flush hands back the Result. The system keeps no series,
-// and evaluates the channel only for captures inside the frame.
+// past its end; Flush hands back the Result, an empty one when no capture
+// reached the frame. The system keeps no series, and evaluates the
+// channel only for captures inside the frame.
 func runTrial(spec UplinkTrialSpec, frame func(payload []bool) []bool,
 	open func(dec *uplink.Decoder, start float64) (*uplink.StreamDecoder, error)) (*UplinkTrialResult, error) {
 	if spec.BitRate <= 0 || spec.PayloadLen <= 0 {
@@ -224,6 +227,11 @@ func runTrial(spec UplinkTrialSpec, frame func(payload []bool) []bool,
 	sys.StreamTo(sd)
 	sys.Run(mod.End() + 0.5)
 	res, err := sd.Flush()
+	if errors.Is(err, uplink.ErrNoMeasurements) {
+		// The helper's traffic never reached the frame: the trial lost
+		// its whole payload, a result rather than a failed experiment.
+		res, err = &uplink.Result{}, nil
+	}
 	if err != nil {
 		return nil, err
 	}

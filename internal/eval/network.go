@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -102,8 +103,9 @@ func HelperLocations(opt Options) (*Table, error) {
 
 // decodeOnline runs sys to half a second past the frame end while a CSI
 // stream for the frame from start decodes it, and returns the stream's
-// Result. The system keeps no series and evaluates only the in-frame
-// captures (core.System.StreamTo).
+// Result, an empty one when no capture reached the frame (a starved frame
+// lost its whole payload). The system keeps no series and evaluates only
+// the in-frame captures (core.System.StreamTo).
 func decodeOnline(sys *core.System, bitRate, start, end float64, payloadLen int) (*uplink.Result, error) {
 	dec, err := sys.UplinkDecoder(bitRate)
 	if err != nil {
@@ -115,7 +117,11 @@ func decodeOnline(sys *core.System, bitRate, start, end float64, payloadLen int)
 	}
 	sys.StreamTo(sd)
 	sys.Run(end + 0.5)
-	return sd.Flush()
+	res, err := sd.Flush()
+	if errors.Is(err, uplink.ErrNoMeasurements) {
+		return &uplink.Result{}, nil
+	}
+	return res, err
 }
 
 // AmbientRates are the bit rates tested for ambient-traffic operation
@@ -132,10 +138,14 @@ func AmbientTraffic(opt Options) (*Table, error) {
 			"the afternoon peak with no injected traffic",
 		Columns: []string{"time", "load pkt/s", "achievable bit rate"},
 	}
-	eng := opt.engine()
-	for _, hour := range []float64{12, 13, 14, 15, 16, 17, 18, 19, 20} {
-		load := wifi.OfficeLoad(hour)
-		rate, err := achievableRate(eng, AmbientRates, func(rate float64, trial int) (int, int, error) {
+	hours := []float64{12, 13, 14, 15, 16, 17, 18, 19, 20}
+	loads := make([]float64, len(hours))
+	for i, hour := range hours {
+		loads[i] = wifi.OfficeLoad(hour)
+	}
+	rates, err := achievableRates(opt.engine(), len(hours), opt.Trials, AmbientRates,
+		func(point, trial int, rate float64) (int, int, error) {
+			hour := hours[point]
 			sys, err := core.NewSystem(core.Config{
 				Seed:   opt.Seed + int64(trial)*6007 + int64(hour)*31 + int64(rate),
 				Faults: opt.Faults,
@@ -145,7 +155,7 @@ func AmbientTraffic(opt Options) (*Table, error) {
 			}
 			if err := (&wifi.PoissonSource{
 				Station: sys.Helper, Dst: wifi.MAC{9}, Payload: 400,
-				Rate: load, Rnd: rng.New(opt.Seed + int64(trial) + int64(hour*7)),
+				Rate: loads[point], Rnd: rng.New(opt.Seed + int64(trial) + int64(hour*7)),
 			}).Start(); err != nil {
 				return 0, 0, err
 			}
@@ -159,12 +169,13 @@ func AmbientTraffic(opt Options) (*Table, error) {
 				return 0, 0, err
 			}
 			return core.CountBitErrors(res.Payload, payload), opt.PayloadLen, nil
-		}, opt.Trials)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%02.0f:00", hour), fmt.Sprintf("%.0f", load),
-			fmt.Sprintf("%.0f bps", rate))
+		})
+	if err != nil {
+		return nil, err
+	}
+	for i, hour := range hours {
+		t.AddRow(fmt.Sprintf("%02.0f:00", hour), fmt.Sprintf("%.0f", loads[i]),
+			fmt.Sprintf("%.0f bps", rates[i]))
 	}
 	return t, nil
 }
@@ -187,9 +198,10 @@ func BeaconOnly(opt Options) (*Table, error) {
 			"70 beacons/s — the uplink needs no data traffic at all",
 		Columns: []string{"beacons/s", "achievable bit rate"},
 	}
-	eng := opt.engine()
-	for _, br := range []float64{10, 20, 30, 40, 50, 70} {
-		rate, err := achievableRate(eng, BeaconRatesTested, func(rate float64, trial int) (int, int, error) {
+	beacons := []float64{10, 20, 30, 40, 50, 70}
+	rates, err := achievableRates(opt.engine(), len(beacons), opt.Trials, BeaconRatesTested,
+		func(point, trial int, rate float64) (int, int, error) {
+			br := beacons[point]
 			if rate > br/1.4 {
 				// Fewer than ~1.4 beacons per bit cannot carry a bit.
 				return payload, payload, nil
@@ -209,11 +221,12 @@ func BeaconOnly(opt Options) (*Table, error) {
 				return 0, 0, err
 			}
 			return res.BitErrors, payload, nil
-		}, opt.Trials)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%.0f", br), fmt.Sprintf("%.0f bps", rate))
+		})
+	if err != nil {
+		return nil, err
+	}
+	for i, br := range beacons {
+		t.AddRow(fmt.Sprintf("%.0f", br), fmt.Sprintf("%.0f bps", rates[i]))
 	}
 	return t, nil
 }

@@ -97,7 +97,7 @@ func refAmbientTraffic(opt Options) (*Table, error) {
 	eng := opt.engine()
 	for _, hour := range []float64{12, 13, 14, 15, 16, 17, 18, 19, 20} {
 		load := wifi.OfficeLoad(hour)
-		rate, err := achievableRate(eng, AmbientRates, func(rate float64, trial int) (int, int, error) {
+		rate, err := refAchievableRate(eng, AmbientRates, func(rate float64, trial int) (int, int, error) {
 			sys, err := core.NewSystem(core.Config{
 				Seed:   opt.Seed + int64(trial)*6007 + int64(hour)*31 + int64(rate),
 				Faults: opt.Faults,

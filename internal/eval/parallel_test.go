@@ -6,6 +6,7 @@ package eval
 // regression here means some trial picked up hidden shared state.
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -56,28 +57,29 @@ func TestDownlinkBERWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestAchievableRateWorkerInvariance drives the rate-fold logic with a
+// TestAchievableRateWorkerInvariance drives the rate search with a
 // synthetic (cheap, deterministic) trial function across random seeds,
-// trial counts, and worker counts.
+// point, trial, and worker counts.
 func TestAchievableRateWorkerInvariance(t *testing.T) {
 	rates := []float64{100, 200, 500, 1000}
-	f := func(seed int64, trialsRaw, workersRaw uint8) bool {
+	f := func(seed int64, pointsRaw, trialsRaw, workersRaw uint8) bool {
+		points := 1 + int(pointsRaw)%4
 		trials := 1 + int(trialsRaw)%5
 		workers := 1 + int(workersRaw)%8
-		run := func(rate float64, trial int) (int, int, error) {
-			// Error count depends only on (seed, rate, trial), never on
-			// evaluation order.
-			return rng.TrialStream(seed+int64(rate), trial).Intn(3), 100, nil
+		run := func(point, trial int, rate float64) (int, int, error) {
+			// Error count depends only on (seed, point, rate, trial),
+			// never on evaluation order.
+			return rng.TrialStream(seed+int64(point)*7919+int64(rate), trial).Intn(3), 100, nil
 		}
-		a, err := achievableRate(parallel.New(1), rates, run, trials)
+		a, err := achievableRates(parallel.New(1), points, trials, rates, run)
 		if err != nil {
 			return false
 		}
-		b, err := achievableRate(parallel.New(workers), rates, run, trials)
+		b, err := achievableRates(parallel.New(workers), points, trials, rates, run)
 		if err != nil {
 			return false
 		}
-		return a == b
+		return slices.Equal(a, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -220,39 +221,66 @@ func FrequencyDiversity(opt Options) (*Table, error) {
 // StandardUplinkRates are the bit rates the evaluation tests (§7.2).
 var StandardUplinkRates = []float64{100, 200, 500, 1000}
 
-// achievableRate follows the paper's §7.2 methodology: each trial's
-// achievable rate is the highest tested rate that decodes with BER < 1e-2
-// in that trial, and the reported value is the mean across trials ("We
-// compute the average achievable bit rate by taking the mean of the
-// achievable bit rates across multiple runs"). Zero errors qualifies
-// regardless of the trial's bit count. The (trial, rate) grid fans out
-// across eng; run must be safe for concurrent calls.
-func achievableRate(eng *parallel.Engine, rates []float64, run func(rate float64, trial int) (errs, bits int, err error), trials int) (float64, error) {
+// firstQualifying runs chains independent searches at once, fanned out
+// across eng. Chain c tries steps 0, 1, ... in order and stops at the
+// first step s for which try(c, s) reports true; out[c] is that s, or -1
+// when no step qualifies. The steps after it never run, so a chain costs
+// only what its answer needs. A chain's first error ends it, and the
+// error returned is the lowest-indexed failing chain's. try must be safe
+// for concurrent calls on distinct chains.
+func firstQualifying(eng *parallel.Engine, chains, steps int, try func(chain, step int) (bool, error)) ([]int, error) {
+	return parallel.Map(eng, chains, func(c int) (int, error) {
+		for s := 0; s < steps; s++ {
+			ok, err := try(c, s)
+			if err != nil || ok {
+				return s, err
+			}
+		}
+		return -1, nil
+	})
+}
+
+// achievableRates follows the paper's §7.2 methodology at each of points
+// sweep points: a trial's achievable rate is the highest tested rate that
+// decodes with BER < 1e-2 in that trial, and the point's value is the mean
+// across trials ("We compute the average achievable bit rate by taking the
+// mean of the achievable bit rates across multiple runs"). Zero errors
+// qualifies regardless of the trial's bit count. Every (point, trial) is
+// one firstQualifying chain that tries the rates from the highest down,
+// so the first rate that qualifies is the maximum, and a lower rate,
+// whose frame is longer, runs only when every rate above it failed.
+// run(point, trial, rate) must be safe for concurrent calls; its errors
+// surface only from the rates a chain tries.
+func achievableRates(eng *parallel.Engine, points, trials int, rates []float64, run func(point, trial int, rate float64) (errs, bits int, err error)) ([]float64, error) {
 	if trials <= 0 {
 		trials = 1
 	}
-	qualifies, err := parallel.Map(eng, trials*len(rates), func(i int) (bool, error) {
-		trial, rate := i/len(rates), rates[i%len(rates)]
-		e, b, err := run(rate, trial)
+	desc := slices.Clone(rates)
+	slices.Sort(desc)
+	slices.Reverse(desc)
+	first, err := firstQualifying(eng, points*trials, len(desc), func(c, s int) (bool, error) {
+		e, b, err := run(c/trials, c%trials, desc[s])
 		if err != nil {
 			return false, err
 		}
 		return b > 0 && float64(e)/float64(b) < 1e-2, nil
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	var sum float64
-	for trial := 0; trial < trials; trial++ {
-		best := 0.0
-		for ri, rate := range rates {
-			if qualifies[trial*len(rates)+ri] && rate > best {
-				best = rate
+	means := make([]float64, points)
+	for p := range means {
+		var sum float64
+		for trial := 0; trial < trials; trial++ {
+			best := 0.0
+			if s := first[p*trials+trial]; s >= 0 {
+				best = desc[s]
 			}
+			sum += best
 		}
-		sum += best
+		means[p] = sum / float64(trials)
 	}
-	return sum / float64(trials), nil
+	return means, nil
 }
 
 // Fig12HelperRates are the helper packet rates swept in Fig. 12.
@@ -269,9 +297,9 @@ func RateVsHelperRate(opt Options) (*Table, error) {
 			"(tag 5 cm from reader)",
 		Columns: []string{"helper pkt/s", "achievable bit rate"},
 	}
-	eng := opt.engine()
-	for _, hr := range Fig12HelperRates {
-		rate, err := achievableRate(eng, StandardUplinkRates, func(rate float64, trial int) (int, int, error) {
+	rates, err := achievableRates(opt.engine(), len(Fig12HelperRates), opt.Trials, StandardUplinkRates,
+		func(point, trial int, rate float64) (int, int, error) {
+			hr := Fig12HelperRates[point]
 			res, err := core.RunUplinkTrial(core.UplinkTrialSpec{
 				Config: core.Config{
 					Seed:   opt.Seed + int64(trial)*3001 + int64(hr) + int64(rate),
@@ -286,11 +314,12 @@ func RateVsHelperRate(opt Options) (*Table, error) {
 				return 0, 0, err
 			}
 			return res.BitErrors, opt.PayloadLen, nil
-		}, opt.Trials)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%.0f", hr), fmt.Sprintf("%.0f bps", rate))
+		})
+	if err != nil {
+		return nil, err
+	}
+	for i, hr := range Fig12HelperRates {
+		t.AddRow(fmt.Sprintf("%.0f", hr), fmt.Sprintf("%.0f bps", rates[i]))
 	}
 	return t, nil
 }
@@ -316,45 +345,38 @@ func CorrelationRange(opt Options) (*Table, error) {
 			"required length grows steeply with distance",
 		Columns: []string{"distance", "min code length (BER < 1e-2)"},
 	}
-	eng := opt.engine()
-	for _, cm := range Fig20Distances {
-		found := 0
-		// The code-length search keeps its serial early exit (the next
-		// length only runs when the previous one failed); the trials
-		// within each length fan out.
-		for _, L := range Fig20CodeLengths {
-			errsPer, err := parallel.Map(eng, opt.Trials, func(trial int) (int, error) {
-				res, err := core.RunLongRangeTrial(core.UplinkTrialSpec{
-					Config: core.Config{
-						Seed:              opt.Seed + int64(trial)*4001 + int64(cm)*3 + int64(L),
-						TagReaderDistance: units.Centimeters(cm),
-						Faults:            opt.Faults,
-					},
-					BitRate:                500, // chip rate: 2 packets per chip
-					HelperPacketsPerSecond: helperRate,
-					PayloadLen:             payload,
-				}, L)
-				if err != nil {
-					return 0, err
-				}
-				return res.BitErrors, nil
-			})
+	// Each distance is one chain over the code lengths, shortest first:
+	// a length runs all its trials, and the next length runs only when
+	// this one failed.
+	first, err := firstQualifying(opt.engine(), len(Fig20Distances), len(Fig20CodeLengths), func(c, s int) (bool, error) {
+		cm, L := Fig20Distances[c], Fig20CodeLengths[s]
+		errs, bits := 0, 0
+		for trial := 0; trial < opt.Trials; trial++ {
+			res, err := core.RunLongRangeTrial(core.UplinkTrialSpec{
+				Config: core.Config{
+					Seed:              opt.Seed + int64(trial)*4001 + int64(cm)*3 + int64(L),
+					TagReaderDistance: units.Centimeters(cm),
+					Faults:            opt.Faults,
+				},
+				BitRate:                500, // chip rate: 2 packets per chip
+				HelperPacketsPerSecond: helperRate,
+				PayloadLen:             payload,
+			}, L)
 			if err != nil {
-				return nil, err
+				return false, err
 			}
-			errs, bits := 0, 0
-			for _, e := range errsPer {
-				errs += e
-				bits += payload
-			}
-			if float64(errs)/float64(bits) < 1e-2 {
-				found = L
-				break
-			}
+			errs += res.BitErrors
+			bits += payload
 		}
+		return float64(errs)/float64(bits) < 1e-2, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, cm := range Fig20Distances {
 		cell := "> 150"
-		if found > 0 {
-			cell = fmt.Sprintf("%d", found)
+		if s := first[i]; s >= 0 {
+			cell = fmt.Sprintf("%d", Fig20CodeLengths[s])
 		}
 		t.AddRow(fmt.Sprintf("%.0f cm", cm), cell)
 	}

@@ -22,6 +22,7 @@
 package inventory
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -30,6 +31,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/tag"
 	"repro/internal/units"
+	"repro/internal/uplink"
 )
 
 // Config tunes the inventory round structure.
@@ -66,9 +68,10 @@ const handleBits = 16 + 6
 type Result struct {
 	// Identified lists the captured tag IDs in discovery order.
 	Identified []uint64
-	// Rounds executed.
+	// Rounds executed, counting failed ones whose query the medium never
+	// granted.
 	Rounds int
-	// Slots consumed in total.
+	// Slots consumed in total (a failed round consumes none).
 	Slots int
 	// Singles, Collisions, Empties classify the slots.
 	Singles, Collisions, Empties int
@@ -197,6 +200,9 @@ func (inv *Inventory) Run() (*Result, error) {
 		}
 		nslots := 1 << uint(q)
 		singles, collisions, empties, err := inv.round(res, nslots)
+		if errors.Is(err, errNotGranted) {
+			continue // the query never went on air: a failed round, no slots
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -345,6 +351,9 @@ func (inv *Inventory) acknowledge(t *tagState, res *Result) error {
 		BitRate: uint16(inv.cfg.BitRate),
 	}
 	winStart, winDur, err := inv.sendDownlink(ack.Encode())
+	if errors.Is(err, errNotGranted) {
+		return nil // the ACK never went on air; the tag stays unidentified
+	}
 	if err != nil {
 		return err
 	}
@@ -369,6 +378,9 @@ func (inv *Inventory) acknowledge(t *tagState, res *Result) error {
 		return err
 	}
 	r, derr2 := dec.DecodeCSI(sys.Series(), mod.Start(), downlink.PayloadBits)
+	if errors.Is(derr2, uplink.ErrNoMeasurements) {
+		return nil // traffic stalled over the ID; retry next round
+	}
 	if derr2 != nil {
 		return derr2
 	}
@@ -380,6 +392,10 @@ func (inv *Inventory) acknowledge(t *tagState, res *Result) error {
 	res.Identified = append(res.Identified, t.id)
 	return nil
 }
+
+// errNotGranted is sendDownlink's error when the medium never granted the
+// message's protected window: the message never went on air.
+var errNotGranted = errors.New("inventory: downlink window never granted")
 
 // sendDownlink transmits one downlink message and returns its protected
 // window.
@@ -403,7 +419,7 @@ func (inv *Inventory) sendDownlink(msg downlink.Message) (start, dur float64, er
 	}
 	sys.Run(sys.Eng.Now() + 0.5)
 	if !granted {
-		return 0, 0, fmt.Errorf("inventory: downlink window never granted")
+		return 0, 0, errNotGranted
 	}
 	return start, chunks[0].Reservation, nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/units"
 	"repro/internal/wifi"
 )
@@ -160,5 +161,41 @@ func TestInventoryDeterministic(t *testing.T) {
 	b := runInventory(t, []uint64{0xAB, 0xCD}, 7)
 	if a.Rounds != b.Rounds || a.Slots != b.Slots || len(a.Identified) != len(b.Identified) {
 		t.Errorf("inventory not deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestInventoryStarvedRoundsFail runs the protocol under schedules that
+// lose every frame on the medium or stall the helper's traffic for the
+// whole run: a query the medium never grants is a failed round with no
+// slots, and a slot with no measurements reads as empty, so the inventory
+// spends its round budget and reports what it got instead of failing.
+func TestInventoryStarvedRoundsFail(t *testing.T) {
+	for _, w := range []faults.Window{
+		{Kind: faults.Burst, Start: 0.3, End: 1000, Intensity: 1},
+		{Kind: faults.Stall, Start: 0.3, End: 1000, Intensity: 1},
+	} {
+		sys, err := core.NewSystem(core.Config{
+			Seed: 5, TagReaderDistance: units.Centimeters(15),
+			Faults: &faults.Schedule{Windows: []faults.Window{w}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		(&wifi.CBRSource{
+			Station: sys.Helper, Dst: wifi.MAC{9}, Payload: 200, Interval: 0.001,
+		}).Start()
+		sys.Run(0.3)
+		inv, err := New(sys, []uint64{0xAB, 0xCD}, []units.Meters{0.15, 0.2}, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := inv.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", w.Kind, err)
+		}
+		if res.Rounds != DefaultConfig().MaxRounds || len(res.Identified) != 0 {
+			t.Errorf("%s: %d rounds, %d identified; want the whole budget of %d spent and none identified",
+				w.Kind, res.Rounds, len(res.Identified), DefaultConfig().MaxRounds)
+		}
 	}
 }

@@ -169,3 +169,30 @@ func (m *Multipath) Response(k int) complex128 {
 	}
 	return h
 }
+
+// responses writes Response(k) for every subcarrier offset k into dst,
+// which holds one entry per offset. It walks the taps once for every four
+// offsets, carrying four independent sums; each adds the same terms in
+// the same order as Response, so every value is bit-identical to it.
+func (m *Multipath) responses(dst []complex128) {
+	taps := m.taps
+	n := len(taps)
+	k := 0
+	for ; k+4 <= len(dst); k += 4 {
+		p0 := m.phasors[k*n:][:n]
+		p1 := m.phasors[(k+1)*n:][:n]
+		p2 := m.phasors[(k+2)*n:][:n]
+		p3 := m.phasors[(k+3)*n:][:n]
+		h0, h1, h2, h3 := m.los, m.los, m.los, m.los
+		for i, tap := range taps {
+			h0 += tap * p0[i]
+			h1 += tap * p1[i]
+			h2 += tap * p2[i]
+			h3 += tap * p3[i]
+		}
+		dst[k], dst[k+1], dst[k+2], dst[k+3] = h0, h1, h2, h3
+	}
+	for ; k < len(dst); k++ {
+		dst[k] = m.Response(k)
+	}
+}

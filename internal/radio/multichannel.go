@@ -40,6 +40,8 @@ type tagPath struct {
 	// help holds helpTag's response per sub-channel for the packet being
 	// observed; it is shared by every antenna.
 	help []complex128
+	// read holds one antenna's tagRead response per sub-channel.
+	read []complex128
 }
 
 // NewMultiChannel builds a channel with no tags; add them with AddTag. The
@@ -83,6 +85,7 @@ func (c *MultiChannel) AddTag(tagToReader units.Meters) (int, error) {
 		helpTag: NewMultipath(c.cfg.Multipath, c.offsets, c.stream.Split(fmt.Sprintf("tag%d-helptag", idx))),
 		tagRead: make([]*Multipath, c.antennas),
 		help:    make([]complex128, len(c.offsets)),
+		read:    make([]complex128, len(c.offsets)),
 	}
 	trCfg := c.cfg.Multipath
 	trCfg.RiceK = 10
@@ -129,9 +132,7 @@ func (c *MultiChannel) Observe(t float64, reflecting []bool, dst [][]complex128)
 	for i, tp := range c.tags {
 		tp.helpTag.evolveTo(t, &c.ar)
 		if reflecting[i] {
-			for k := range tp.help {
-				tp.help[k] = tp.helpTag.Response(k)
-			}
+			tp.helpTag.responses(tp.help)
 		}
 	}
 	if len(dst) != c.antennas {
@@ -145,14 +146,22 @@ func (c *MultiChannel) Observe(t float64, reflecting []bool, dst [][]complex128)
 		for _, tp := range c.tags {
 			tp.tagRead[a].evolveTo(t, &c.ar)
 		}
+		// The row first holds the direct path's responses; each entry is
+		// then scaled and summed with the reflecting tags' paths in place.
 		row := dst[a]
+		c.direct[a].responses(row)
+		for i, tp := range c.tags {
+			if reflecting[i] {
+				tp.tagRead[a].responses(tp.read)
+			}
+		}
 		for k := range row {
-			h := c.direct[a].Response(k) * complex(c.ampDir, 0)
+			h := row[k] * complex(c.ampDir, 0)
 			for i, tp := range c.tags {
 				if !reflecting[i] {
 					continue
 				}
-				h += tp.help[k] * tp.tagRead[a].Response(k) * complex(tp.ampBack, 0)
+				h += tp.help[k] * tp.read[k] * complex(tp.ampBack, 0)
 			}
 			row[k] = h * complex(c.scale, 0)
 		}

@@ -25,6 +25,7 @@ package uplink
 // postamble), not at end-of-trace the way the old batch path did.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -34,6 +35,12 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/parallel"
 )
+
+// ErrNoMeasurements is Flush's error when no measurement fell inside the
+// frame window: the helper's traffic stalled or was lost for the whole
+// frame, so there is nothing to decode. A caller measuring a link counts
+// it as a frame that lost its whole payload.
+var ErrNoMeasurements = errors.New("uplink: no measurements inside the transmission window")
 
 // StreamMode selects the measurement source a StreamDecoder decodes from,
 // mirroring the DecodeCSI / DecodeRSSI batch entry points.
@@ -260,7 +267,7 @@ func (sd *StreamDecoder) Flush() (*Result, error) {
 	sd.closed = true
 	if !sd.decoded {
 		if sd.n == 0 {
-			return nil, sd.fail(fmt.Errorf("uplink: no measurements inside the transmission window"))
+			return nil, sd.fail(ErrNoMeasurements)
 		}
 		if err := sd.decode(true); err != nil {
 			return nil, sd.fail(err)
