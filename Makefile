@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScheduleCodec -fuzztime=10s ./internal/faults/
 	$(GO) test -fuzz=FuzzStreamPush -fuzztime=10s ./internal/uplink/
 	$(GO) test -fuzz=FuzzWireProtocol -fuzztime=10s ./internal/serve/
+	$(GO) test -fuzz=FuzzReadSeries -fuzztime=10s ./internal/csi/
 	$(GO) test -fuzz=FuzzConditionTwoPass -fuzztime=10s ./internal/dsp/
 
 # Package microbenchmarks (decode stages, streaming, channel evaluation,
@@ -79,8 +80,8 @@ bench-stream:
 # that a fresh 3x30 report allocates at most twice (row headers and one
 # slab), TestMeasureIntoAllocs and TestSkipIntoAllocs that a reused one
 # allocates nothing, and TestContentionRoundAllocs that a CSMA/CA round
-# allocates only the Transmission it hands its listeners and a collided
-# frame's requeue. The tests are skipped under -race, so this plain-build
+# allocates only the Transmission it hands its listeners (a failed frame
+# is retried in place). The tests are skipped under -race, so this plain-build
 # run is the gate.
 bench-observe:
 	$(GO) test -bench 'BenchmarkObserve|BenchmarkAdvance|BenchmarkCircuitStep|BenchmarkEngineSchedule|BenchmarkMeasure|BenchmarkSkipInto' -benchmem -run 'TestObserveSteadyStateAllocs|TestAdvanceAllocs|TestScheduleSteadyStateAllocs|TestMeasureAllocs|TestMeasureIntoAllocs|TestSkipIntoAllocs|TestContentionRoundAllocs' ./internal/radio/ ./internal/tag/ ./internal/sim/ ./internal/csi/ ./internal/wifi/

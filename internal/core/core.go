@@ -284,7 +284,7 @@ func (s *System) skips(at float64) bool {
 // into one buffer the next packet overwrites, and pushes it to sd, whose
 // first push past the frame end closes the frame. Call it before Run,
 // with a stream opened on UplinkDecoder's decoder, and take the Result
-// from sd.Flush once Run returns.
+// from sd.Flush once Run returns; DecodeStream does all three.
 //
 // While sd is the only consumer (no OnMeasurement hook), a capture
 // outside sd's frame is not evaluated: the channel, the card and the

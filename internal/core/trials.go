@@ -183,14 +183,25 @@ func RunLongRangeTrial(spec UplinkTrialSpec, codeLen int) (*UplinkTrialResult, e
 	return out, nil
 }
 
+// DecodeStream decodes one frame online: it subscribes sd (StreamTo),
+// runs the system to half a second past the frame's end and returns
+// sd.Flush's Result. A frame no capture reached gives an empty Result:
+// the trial lost its whole payload, a result rather than a failed
+// experiment.
+func (s *System) DecodeStream(sd *uplink.StreamDecoder, end float64) (*uplink.Result, error) {
+	s.StreamTo(sd)
+	s.Run(end + 0.5)
+	res, err := sd.Flush()
+	if errors.Is(err, uplink.ErrNoMeasurements) {
+		return &uplink.Result{}, nil
+	}
+	return res, err
+}
+
 // runTrial is the one body behind the Run*Trial entry points: build the
 // system, start the spec's helper traffic, transmit frame(payload) from
 // 1 s, and decode it online. open opens the trial's stream on the
-// system's decoder before Run, and StreamTo subscribes it, so the stream
-// sees every capture in order and closes the frame at the first push
-// past its end; Flush hands back the Result, an empty one when no capture
-// reached the frame. The system keeps no series, and evaluates the
-// channel only for captures inside the frame.
+// system's decoder, and DecodeStream runs it.
 func runTrial(spec UplinkTrialSpec, frame func(payload []bool) []bool,
 	open func(dec *uplink.Decoder, start float64) (*uplink.StreamDecoder, error)) (*UplinkTrialResult, error) {
 	if spec.BitRate <= 0 || spec.PayloadLen <= 0 {
@@ -224,14 +235,7 @@ func runTrial(spec UplinkTrialSpec, frame func(payload []bool) []bool,
 	if err != nil {
 		return nil, err
 	}
-	sys.StreamTo(sd)
-	sys.Run(mod.End() + 0.5)
-	res, err := sd.Flush()
-	if errors.Is(err, uplink.ErrNoMeasurements) {
-		// The helper's traffic never reached the frame: the trial lost
-		// its whole payload, a result rather than a failed experiment.
-		res, err = &uplink.Result{}, nil
-	}
+	res, err := sys.DecodeStream(sd, mod.End())
 	if err != nil {
 		return nil, err
 	}

@@ -201,6 +201,25 @@ func (m *Measurement) hasShape(h [][]complex128) bool {
 	return true
 }
 
+// Clone returns a deep copy of m in a fresh report's one-slab layout,
+// for a caller that keeps a report it does not own (a capture's reused
+// report, a parser's reused row).
+func (m Measurement) Clone() Measurement {
+	n := len(m.RSSI)
+	for _, row := range m.CSI {
+		n += len(row)
+	}
+	slab := append(make([]float64, 0, n), m.RSSI...)
+	c := Measurement{Timestamp: m.Timestamp, CSI: make([][]float64, len(m.CSI))}
+	c.RSSI = slab[:len(slab):len(slab)]
+	for a, row := range m.CSI {
+		lo := len(slab)
+		slab = append(slab, row...)
+		c.CSI[a] = slab[lo:len(slab):len(slab)]
+	}
+	return c
+}
+
 // quantize rounds x to the nearest multiple of step; step <= 0 disables
 // quantization.
 func quantize(x, step float64) float64 {

@@ -3,6 +3,7 @@ package csi
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -285,5 +286,38 @@ func TestTrimBefore(t *testing.T) {
 	s.Append(Measurement{Timestamp: 9, CSI: [][]float64{{1}}, RSSI: []float64{1}})
 	if s.Len() != 3 || s.Measurements[2].Timestamp != 9 {
 		t.Errorf("append after trim: len=%d", s.Len())
+	}
+}
+
+// TestCloneIsOneSlab holds Clone to a deep copy in Measure's layout: the
+// RSSI entries and then each CSI row back to back in one array, each cut
+// with its capacity at its own end. A ragged report and an RSSI-only one
+// clone to their own shapes.
+func TestCloneIsOneSlab(t *testing.T) {
+	fresh := NewCard(DefaultModel(), rng.New(3)).Measure(0.25, flatChannel(3, 30, 10))
+	ragged := Measurement{Timestamp: 1, RSSI: []float64{-40, -41}, CSI: [][]float64{{1, 2, 3}, {}, {4}}}
+	rssiOnly := Measurement{Timestamp: 2, RSSI: []float64{-50, -51, -52}}
+	for _, m := range []Measurement{fresh, ragged, rssiOnly} {
+		c := m.Clone()
+		if !sameFloats(c.RSSI, m.RSSI) || len(c.CSI) != len(m.CSI) || math.Float64bits(c.Timestamp) != math.Float64bits(m.Timestamp) {
+			t.Fatalf("clone %+v of %+v", c, m)
+		}
+		next := unsafe.Pointer(unsafe.SliceData(c.RSSI))
+		rows := append([][]float64{c.RSSI}, c.CSI...)
+		for i, row := range rows {
+			if i > 0 && !sameFloats(row, m.CSI[i-1]) {
+				t.Fatalf("clone row %d %v of %v", i-1, row, m.CSI[i-1])
+			}
+			if cap(row) != len(row) || len(row) > 0 && unsafe.Pointer(&row[0]) != next {
+				t.Fatalf("clone of %+v: row %d is not cut from the slab in order", m, i)
+			}
+			if len(row) > 0 {
+				next = unsafe.Add(next, len(row)*8)
+				row[0]++ // the clone owns its floats
+			}
+		}
+		if sameFloats(c.RSSI, m.RSSI) && len(m.RSSI) > 0 {
+			t.Fatalf("clone shares its RSSI with the source")
+		}
 	}
 }

@@ -13,47 +13,37 @@ package csi
 //	<timestamp> <rssi[0]> ... <rssi[A-1]> <csi[0][0]> ... <csi[A-1][S-1]>
 //	...
 //
-// CSI values are flattened antenna-major. Blank lines and lines starting
-// with '#' are ignored.
+// Each data line is one measurement row (AppendRow, ParseRow): CSI values
+// are flattened antenna-major and fields are separated by spaces. Blank
+// lines and lines starting with '#' are ignored.
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // traceMagic identifies version 1 of the trace format.
 const traceMagic = "wbtrace 1"
 
+// maxAntennas and maxSubchannels bound a trace's dims line.
+const maxAntennas, maxSubchannels = 64, 1024
+
+// minLineLimit is the longest line ReadSeries accepts whatever the dims:
+// headers and comments up to it always fit.
+const minLineLimit = 1 << 20
+
 // WriteSeries serializes s to w in the wbtrace text format.
 func WriteSeries(w io.Writer, s *Series) error {
+	if err := s.CheckShape(); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
-	ants, subs := s.Antennas(), s.Subchannels()
-	fmt.Fprintf(bw, "%s\ndims %d %d\n", traceMagic, ants, subs)
+	fmt.Fprintf(bw, "%s\ndims %d %d\n", traceMagic, s.Antennas(), s.Subchannels())
 	var buf []byte
-	for i, m := range s.Measurements {
-		if len(m.CSI) != ants || len(m.RSSI) != ants {
-			return fmt.Errorf("csi: measurement %d has %d CSI / %d RSSI rows, want %d",
-				i, len(m.CSI), len(m.RSSI), ants)
-		}
-		buf = strconv.AppendFloat(buf[:0], m.Timestamp, 'g', -1, 64)
-		for _, v := range m.RSSI {
-			buf = append(buf, ' ')
-			buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
-		}
-		for a, row := range m.CSI {
-			if len(row) != subs {
-				return fmt.Errorf("csi: measurement %d antenna %d has %d sub-channels, want %d",
-					i, a, len(row), subs)
-			}
-			for _, v := range row {
-				buf = append(buf, ' ')
-				buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
-			}
-		}
-		buf = append(buf, '\n')
+	for _, m := range s.Measurements {
+		buf = append(AppendRow(buf[:0], m), '\n')
 		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
@@ -61,75 +51,70 @@ func WriteSeries(w io.Writer, s *Series) error {
 	return bw.Flush()
 }
 
-// ReadSeries parses a wbtrace stream written by WriteSeries.
+// ReadSeries parses a wbtrace stream written by WriteSeries, each row by
+// ParseRow into a fresh one-slab clone of a zero measurement of the dims'
+// shape. A line may be minLineLimit bytes long, or twice the dims' widest
+// row if that is longer.
 func ReadSeries(r io.Reader) (*Series, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line, err := nextLine(sc)
+	br, n := bufio.NewReaderSize(r, minLineLimit), 0
+	// next returns the next non-blank, non-comment line, trimmed and valid
+	// until the following call, or io.ErrUnexpectedEOF at the end. br's
+	// buffer size is the longest line accepted.
+	next := func() ([]byte, error) {
+		for {
+			line, err := br.ReadSlice('\n')
+			switch {
+			case err == io.EOF && len(line) == 0:
+				return nil, io.ErrUnexpectedEOF
+			case err == bufio.ErrBufferFull:
+				return nil, fmt.Errorf("line %d is longer than %d bytes", n+1, br.Size())
+			case err != nil && err != io.EOF:
+				return nil, err
+			}
+			n++
+			if line = bytes.TrimSpace(line); len(line) > 0 && line[0] != '#' {
+				return line, nil
+			}
+		}
+	}
+	line, err := next()
 	if err != nil {
 		return nil, fmt.Errorf("csi: reading trace header: %w", err)
 	}
-	if line != traceMagic {
+	if string(line) != traceMagic {
 		return nil, fmt.Errorf("csi: bad trace magic %q", line)
 	}
-	line, err = nextLine(sc)
-	if err != nil {
+	if line, err = next(); err != nil {
 		return nil, fmt.Errorf("csi: reading trace dims: %w", err)
 	}
 	var ants, subs int
-	if _, err := fmt.Sscanf(line, "dims %d %d", &ants, &subs); err != nil {
+	if _, err := fmt.Sscanf(string(line), "dims %d %d", &ants, &subs); err != nil {
 		return nil, fmt.Errorf("csi: bad dims line %q: %w", line, err)
 	}
-	if ants < 0 || subs < 0 || ants > 64 || subs > 1024 {
+	if ants < 0 || subs < 0 || ants > maxAntennas || subs > maxSubchannels {
 		return nil, fmt.Errorf("csi: implausible dims %d antennas × %d sub-channels", ants, subs)
 	}
-	want := 1 + ants + ants*subs
+	// A 'g'/-1 float takes at most 24 bytes and a separator; twice that
+	// leaves room for aligned rows. The wider reader takes over the bytes
+	// the first one has buffered.
+	br = bufio.NewReaderSize(br, 2*25*(1+ants+ants*subs))
+	zero := Measurement{RSSI: make([]float64, ants), CSI: make([][]float64, ants)}
+	for a := range zero.CSI {
+		zero.CSI[a] = make([]float64, subs)
+	}
 	s := &Series{}
-	for lineNo := 3; sc.Scan(); lineNo++ {
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
+	for {
+		line, err := next()
+		if err == io.ErrUnexpectedEOF {
+			return s, nil
 		}
-		fields := strings.Fields(text)
-		if len(fields) != want {
-			return nil, fmt.Errorf("csi: line %d has %d fields, want %d", lineNo, len(fields), want)
+		if err != nil {
+			return nil, fmt.Errorf("csi: reading trace: %w", err)
 		}
-		vals := make([]float64, want)
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("csi: line %d field %d: %w", lineNo, i, err)
-			}
-			vals[i] = v
-		}
-		m := Measurement{
-			Timestamp: vals[0],
-			RSSI:      vals[1 : 1+ants],
-			CSI:       make([][]float64, ants),
-		}
-		for a := 0; a < ants; a++ {
-			off := 1 + ants + a*subs
-			m.CSI[a] = vals[off : off+subs]
+		m := zero.Clone()
+		if err := ParseRow(line, &m); err != nil {
+			return nil, fmt.Errorf("csi: line %d: %w", n, err)
 		}
 		s.Append(m)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("csi: reading trace: %w", err)
-	}
-	return s, nil
-}
-
-// nextLine returns the next non-blank, non-comment line.
-func nextLine(sc *bufio.Scanner) (string, error) {
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		return line, nil
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	return "", io.ErrUnexpectedEOF
 }

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -101,11 +100,8 @@ func HelperLocations(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// decodeOnline runs sys to half a second past the frame end while a CSI
-// stream for the frame from start decodes it, and returns the stream's
-// Result, an empty one when no capture reached the frame (a starved frame
-// lost its whole payload). The system keeps no series and evaluates only
-// the in-frame captures (core.System.StreamTo).
+// decodeOnline decodes the frame from start to end on sys with a CSI
+// stream (core.System.DecodeStream).
 func decodeOnline(sys *core.System, bitRate, start, end float64, payloadLen int) (*uplink.Result, error) {
 	dec, err := sys.UplinkDecoder(bitRate)
 	if err != nil {
@@ -115,13 +111,7 @@ func decodeOnline(sys *core.System, bitRate, start, end float64, payloadLen int)
 	if err != nil {
 		return nil, err
 	}
-	sys.StreamTo(sd)
-	sys.Run(end + 0.5)
-	res, err := sd.Flush()
-	if errors.Is(err, uplink.ErrNoMeasurements) {
-		return &uplink.Result{}, nil
-	}
-	return res, err
+	return sys.DecodeStream(sd, end)
 }
 
 // AmbientRates are the bit rates tested for ambient-traffic operation

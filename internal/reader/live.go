@@ -57,7 +57,7 @@ func (ls *LiveSession) OnMeasurement(m csi.Measurement) {
 	if ls.retention > 0 {
 		// The measurement's slices belong to the capture pipeline; the
 		// retained window needs its own copies.
-		ls.window.Append(cloneMeasurement(m))
+		ls.window.Append(m.Clone())
 		ls.window.TrimBefore(m.Timestamp - ls.retention)
 	}
 	if _, err := ls.sd.Push(m); err != nil {
@@ -88,18 +88,4 @@ func (ls *LiveSession) Finish() (*uplink.Result, error) {
 		return nil, ls.err
 	}
 	return ls.sd.Flush()
-}
-
-// cloneMeasurement deep-copies a measurement so the retained window owns
-// its slices.
-func cloneMeasurement(m csi.Measurement) csi.Measurement {
-	out := csi.Measurement{
-		Timestamp: m.Timestamp,
-		CSI:       make([][]float64, len(m.CSI)),
-		RSSI:      append([]float64(nil), m.RSSI...),
-	}
-	for a := range m.CSI {
-		out.CSI[a] = append([]float64(nil), m.CSI[a]...)
-	}
-	return out
 }

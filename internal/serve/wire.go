@@ -5,9 +5,11 @@ package serve
 // exactly (byte-identical decode is an acceptance criterion, so the wire
 // must not quantize). The reading side keeps the same contract: every
 // wire float the parsers here read equals strconv.ParseFloat of its token
-// bit for bit, errors included. fieldScanner.float converts plain
-// decimals itself, exactly, and falls back to strconv for every other
-// token (see wire_ref_test.go for the oracle).
+// bit for bit, errors included. An m line is the verb and then one
+// measurement row, so it is written by csi.AppendRow and read by
+// csi.ParseRow, whose exact decimal reader is that contract on the hot
+// path; the other lines' floats go through strconv itself (see
+// wire_ref_test.go for the oracle).
 //
 //	client → server
 //	  hello wbserve/1 <csi|rssi> <bitrate> <start> <payload-bits> <antennas> <subchannels> [prio=<0-9>] [resume=1]
@@ -38,8 +40,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"strconv"
 
 	"repro/internal/csi"
@@ -89,90 +89,13 @@ func (f *fieldScanner) rest() string {
 	return string(f.b[f.i:])
 }
 
-// float64Pow10 and uint64Pow10 hold the powers of ten up to 10^19, all
-// exact in both types.
-var (
-	float64Pow10 = [20]float64{
-		1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-		1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
-	}
-	uint64Pow10 = [20]uint64{
-		1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-		1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
-	}
-)
-
-// float reads the next token as a float64, equal bit for bit to
-// strconv.ParseFloat(token, 64). A plain decimal of at most 19 digits —
-// optional '-', digits, optional '.', digits — is converted in place as
-// mant/10^frac, correctly rounded: by one float64 division when mant <
-// 2^53, since both operands are then exact (strconv's own exact case),
-// and otherwise by one 128-by-64-bit integer division rounded half to
-// even with the remainder as the sticky bit. Every other token goes to
-// strconv, which supplies its value or its error.
+// float reads the next token with strconv.ParseFloat.
 func (f *fieldScanner) float() (float64, error) {
-	b, i := f.b, f.i
-	for i < len(b) && b[i] == ' ' {
-		i++
+	tok, ok := f.next()
+	if !ok {
+		return 0, fmt.Errorf("serve: line is missing a numeric field")
 	}
-	start := i
-	neg := i < len(b) && b[i] == '-'
-	if neg {
-		i++
-	}
-	var mant uint64 // wraps past 19 digits, which fall back below
-	j := i
-	for ; i < len(b) && b[i]-'0' < 10; i++ {
-		mant = mant*10 + uint64(b[i]-'0')
-	}
-	digits, frac := i-j, 0
-	if i < len(b) && b[i] == '.' {
-		i++
-		j = i
-		for ; i < len(b) && b[i]-'0' < 10; i++ {
-			mant = mant*10 + uint64(b[i]-'0')
-		}
-		frac = i - j
-		digits += frac
-	}
-	if digits == 0 || digits > 19 || i < len(b) && b[i] != ' ' {
-		f.i = start
-		tok, ok := f.next()
-		if !ok {
-			return 0, fmt.Errorf("serve: line is missing a numeric field")
-		}
-		return strconv.ParseFloat(string(tok), 64)
-	}
-	f.i = i
-	if mant < 1<<53 {
-		v := float64(mant) / float64Pow10[frac]
-		if neg {
-			v = -v
-		}
-		return v, nil
-	}
-	// Normalise mant and 10^frac to a set top bit; the quotient
-	// (mant<<63)/den then has 63 or 64 bits, of which the top 53 are the
-	// result and the rest round it.
-	den := uint64Pow10[frac]
-	ms, ds := bits.LeadingZeros64(mant), bits.LeadingZeros64(den)
-	n, d := mant<<ms, den<<ds
-	q, r := bits.Div64(n>>1, n<<63, d)
-	shift := 11 - bits.LeadingZeros64(q)
-	m, dropped, half := q>>shift, q&(1<<shift-1), uint64(1)<<(shift-1)
-	if dropped > half || dropped == half && (r != 0 || m&1 == 1) {
-		m++
-	}
-	exp := shift - 63 + ds - ms // the value is m * 2^exp
-	if m == 1<<53 {
-		m >>= 1
-		exp++
-	}
-	v := uint64(exp+52+1023)<<52 | m&(1<<52-1)
-	if neg {
-		v |= 1 << 63
-	}
-	return math.Float64frombits(v), nil
+	return strconv.ParseFloat(string(tok), 64)
 }
 
 func (f *fieldScanner) int() (int, error) {
@@ -331,44 +254,24 @@ func ParseMeasurement(line []byte, m *csi.Measurement) error {
 	if tok, ok := f.next(); !ok || string(tok) != "m" {
 		return fmt.Errorf("serve: expected an m line, got %q", line)
 	}
-	var err error
-	if m.Timestamp, err = f.float(); err != nil {
-		return fmt.Errorf("serve: m timestamp: %v", err)
+	err := csi.ParseRow(line[f.i:], m)
+	re, ok := err.(*csi.RowError)
+	if !ok {
+		return err
 	}
-	for a := range m.RSSI {
-		if m.RSSI[a], err = f.float(); err != nil {
-			return fmt.Errorf("serve: m rssi[%d]: %v", a, err)
-		}
-	}
-	for a := range m.CSI {
-		for k := range m.CSI[a] {
-			if m.CSI[a][k], err = f.float(); err != nil {
-				return fmt.Errorf("serve: m csi[%d][%d]: %v", a, k, err)
-			}
-		}
-	}
-	if _, extra := f.next(); extra {
+	switch re.Err {
+	case csi.ErrLongRow:
 		return fmt.Errorf("serve: m line has more fields than the declared shape")
+	case csi.ErrShortRow:
+		return fmt.Errorf("serve: m %s: serve: line is missing a numeric field", re.Field)
 	}
-	return nil
+	return fmt.Errorf("serve: m %s: %v", re.Field, re.Err)
 }
 
 // AppendMeasurement formats an m line (client side), without the
 // trailing newline.
 func AppendMeasurement(dst []byte, m csi.Measurement) []byte {
-	dst = append(dst, 'm', ' ')
-	dst = strconv.AppendFloat(dst, m.Timestamp, 'g', -1, 64)
-	for _, v := range m.RSSI {
-		dst = append(dst, ' ')
-		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-	}
-	for _, row := range m.CSI {
-		for _, v := range row {
-			dst = append(dst, ' ')
-			dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-		}
-	}
-	return dst
+	return csi.AppendRow(append(dst, 'm', ' '), m)
 }
 
 // ResponseKind discriminates parsed server lines.

@@ -192,24 +192,10 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if !ok {
 			break
 		}
-		tr.Series.Append(CloneMeasurement(m))
+		tr.Series.Append(m.Clone())
 		if p.hasState {
 			tr.States = append(tr.States, state)
 		}
 	}
 	return tr, nil
-}
-
-// CloneMeasurement deep-copies a measurement so retained rows own their
-// slices — required for anything keeping a Parser's reused row.
-func CloneMeasurement(m csi.Measurement) csi.Measurement {
-	out := csi.Measurement{
-		Timestamp: m.Timestamp,
-		CSI:       make([][]float64, len(m.CSI)),
-		RSSI:      append([]float64(nil), m.RSSI...),
-	}
-	for a := range m.CSI {
-		out.CSI[a] = append([]float64(nil), m.CSI[a]...)
-	}
-	return out
 }

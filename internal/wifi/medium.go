@@ -287,10 +287,11 @@ func (m *Medium) round() {
 	m.eng.ScheduleAt(m.busyUntil, m.kickFn)
 }
 
-// deliver transmits the head-of-queue frame of st starting at start.
+// deliver transmits the head-of-queue frame of st starting at start. A
+// delivered frame leaves the queue before the listeners hear of it; a
+// lost one stays at the head for its retry (onFailure).
 func (m *Medium) deliver(st *Station, start float64) {
 	f := st.queue[0]
-	st.queue = st.queue[1:]
 	st.SentFrames++
 	rate := st.Rate
 	if f.Header.Type == TypeCTSToSelf || f.Header.Type == TypeBeacon {
@@ -317,12 +318,15 @@ func (m *Medium) deliver(st *Station, start float64) {
 	if !lost && f.Header.Type == TypeData && f.Header.Addr1 != BroadcastMAC {
 		m.busyUntil = end + AckAirTime()
 	}
+	if !lost {
+		st.queue = st.queue[1:]
+	}
 	tx := &Transmission{Station: st, Frame: f, Rate: rate, Start: start, End: end, Lost: lost}
 	m.notify(tx)
 	if lost {
 		st.LostFrames++
 		m.met.lost.Inc()
-		st.onFailure(f)
+		st.onFailure()
 	} else {
 		st.DeliveredFrames++
 		st.DeliveredBytes += f.Length()
@@ -366,9 +370,7 @@ func (m *Medium) collide(winners []*Station, start float64) {
 	}
 	m.busyUntil = end
 	for _, st := range winners {
-		f := st.queue[0]
-		st.queue = st.queue[1:]
-		st.onFailure(f)
+		st.onFailure()
 		if len(st.queue) == 0 && st.OnQueueIdle != nil {
 			st.OnQueueIdle()
 		}
@@ -390,14 +392,18 @@ func (s *Station) onSuccess() {
 	}
 }
 
-// onFailure doubles the contention window and requeues the frame at the
-// head until retries are exhausted.
-func (s *Station) onFailure(f *Frame) {
+// onFailure doubles the contention window and leaves the head-of-queue
+// frame there for in-order retry, or drops it once its retries are
+// exhausted. The frame is still queued while the listeners hear of its
+// failure; no listener reads or fills a queue (Enqueue, QueueLen and
+// OnQueueIdle run from scheduled events and delivery callbacks only).
+func (s *Station) onFailure() {
 	if s.Adapter != nil {
 		s.Rate = s.Adapter.OnFailure(s.Rate)
 	}
 	s.retries++
 	if s.retries > MaxRetries {
+		s.queue = s.queue[1:]
 		s.DroppedFrames++
 		s.medium.met.dropped.Inc()
 		s.retries = 0
@@ -410,11 +416,6 @@ func (s *Station) onFailure(f *Frame) {
 	} else {
 		s.cw = CWMax
 	}
-	// Requeue at the head for in-order retry, in one allocation.
-	q := make([]*Frame, len(s.queue)+1)
-	q[0] = f
-	copy(q[1:], s.queue)
-	s.queue = q
 	s.medium.kick()
 }
 
