@@ -3,12 +3,12 @@
 # analyzers (wblint), the full test suite under the race detector (which
 # also exercises the serial-vs-parallel equivalence properties), a short
 # fuzz smoke over the decoder and message-framing fuzz targets, the
-# benchmark module's vet and tests, and a one-pass run of the scheduling
-# stress matrix.
+# benchmark module's vet and tests, the command-line tools end to end on a
+# pipe, and a one-pass run of the scheduling stress matrix.
 
 GO ?= go
 
-.PHONY: all build vet test lint race fuzz bench bench-stream bench-observe bench-wire metrics-golden chaos faults-golden serve chaos-serve bench-module stress check
+.PHONY: all build vet test lint race fuzz bench bench-stream bench-observe bench-wire metrics-golden chaos faults-golden serve chaos-serve bench-module cli stress check
 
 all: check
 
@@ -144,6 +144,14 @@ chaos-serve:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# CLI pipe gate: the real commands on a real pipe. wbtrace's default trace
+# piped into wbdecode (the CSI half, the RSSI half, and -follow) must
+# decode the alternating 300-bit payload with a ground-truth BER of
+# 0/300, and piped into wbload must come back byte-identical from 8
+# self-hosted sessions. See scripts/cli.sh.
+cli:
+	sh scripts/cli.sh $(GO)
+
 # Scheduling stress gate: the serving stack, the eval worker-invariance
 # properties, the parallel trial engine and lane split, and the frame
 # close's core-count invariance under -race at GOMAXPROCS 1, 2 and 8, with
@@ -158,5 +166,5 @@ STRESS_COUNT = 10
 stress:
 	sh scripts/stress.sh $(STRESS_COUNT) $(GO)
 
-check: vet build lint race fuzz bench-stream bench-observe bench-wire metrics-golden chaos faults-golden serve chaos-serve bench-module
+check: vet build lint race fuzz bench-stream bench-observe bench-wire metrics-golden chaos faults-golden serve chaos-serve bench-module cli
 	$(MAKE) stress STRESS_COUNT=1

@@ -1,28 +1,31 @@
 // Command wbdecode runs the Wi-Fi Backscatter uplink decoder offline over
-// a CSV measurement trace (the format cmd/wbtrace emits: one row per
-// packet with a timestamp and per-(antenna, sub-channel) CSI amplitudes or
-// per-antenna RSSI). This is the decoder as a standalone artifact: a trace
-// collected elsewhere — including a real Intel CSI Tool capture exported
-// to the same schema — decodes without the simulator.
+// a wbtrace measurement trace (the format cmd/wbtrace emits and
+// csi.WriteSeries writes: one row per packet with a timestamp, the
+// per-antenna RSSI and the per-(antenna, sub-channel) CSI amplitudes).
+// -mode picks which half of the row to decode. This is the decoder as a
+// standalone artifact: a trace collected elsewhere — including a real
+// Intel CSI Tool capture exported to the same format — decodes without the
+// simulator.
 //
 // With an explicit -payload the trace is decoded incrementally: rows are
-// parsed one at a time into a reused record and pushed straight into an
-// uplink.StreamDecoder, so memory stays constant in the trace length —
-// the decoder buffers only the measurements inside the transmission
-// window, and wbdecode itself holds one row plus fixed-size ground-truth
-// counters. That is what makes `-follow` work on a live pipe: bits print
-// the moment the frame closes, while the producer is still writing.
-// Without -payload the length is inferred from the trace span, which
-// requires reading the whole trace first (the only materialized path).
+// parsed one at a time into a reused record (csi.RowReader) and pushed
+// straight into an uplink.StreamDecoder, so memory stays constant in the
+// trace length — the decoder buffers only the measurements inside the
+// transmission window. That is what makes `-follow` work on a live pipe:
+// bits print the moment the frame closes, while the producer is still
+// writing. Without -payload the length is inferred from the trace span,
+// which requires reading the whole trace first (the only materialized
+// path).
 //
 // Usage:
 //
-//	wbtrace -what csi > trace.csv
-//	wbdecode -rate 100 -start 1.0 -payload 300 < trace.csv
-//	wbtrace -what csi | wbdecode -rate 100 -start 1.0 -payload 300 -follow
+//	wbtrace > run.wbtrace
+//	wbdecode -rate 100 -start 1.0 -payload 300 < run.wbtrace
+//	wbtrace | wbdecode -rate 100 -start 1.0 -payload 300 -follow
 //
-// When the trace carries a tag_state column (ground truth from the
-// simulator), wbdecode also reports the bit error rate.
+// When the trace's header carries the tag's frame bits (a "# frame "
+// comment, as cmd/wbtrace writes), wbdecode also reports the payload's
+// bit error rate against them.
 package main
 
 import (
@@ -33,7 +36,8 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/tracecsv"
+	"repro/internal/csi"
+	"repro/internal/tag"
 	"repro/internal/uplink"
 )
 
@@ -51,64 +55,57 @@ func main() {
 	}
 }
 
-// truthAccum accumulates ground truth from the tag_state column in fixed
-// space: per-bit one/total counters over the frame, majority at the end.
-// It replicates trace.groundTruth bit for bit (same int() truncation).
-type truthAccum struct {
-	start, bitDur float64
-	ones, total   []int
-}
+// framePrefix starts the header comment that carries the tag's on-air
+// frame bits.
+const framePrefix = "# frame "
 
-func newTruthAccum(start, bitDur float64, nbits int) *truthAccum {
-	return &truthAccum{start: start, bitDur: bitDur, ones: make([]int, nbits), total: make([]int, nbits)}
-}
-
-func (ta *truthAccum) add(ts float64, state bool) {
-	j := int((ts - ta.start) / ta.bitDur)
-	if j < 0 || j >= len(ta.total) {
-		return
+// truthPayload returns the payload bits of the first "# frame " comment,
+// or nil when there is none.
+func truthPayload(comments []string) ([]bool, error) {
+	for _, c := range comments {
+		bits, ok := strings.CutPrefix(c, framePrefix)
+		if !ok {
+			continue
+		}
+		pre, post := len(tag.Preamble), len(tag.Postamble)
+		if len(bits) < pre+post || strings.Trim(bits, "01") != "" {
+			return nil, fmt.Errorf("bad frame comment %q", c)
+		}
+		payload := make([]bool, len(bits)-pre-post)
+		for i := range payload {
+			payload[i] = bits[pre+i] == '1'
+		}
+		return payload, nil
 	}
-	ta.total[j]++
-	if state {
-		ta.ones[j]++
-	}
-}
-
-func (ta *truthAccum) bits() []bool {
-	bits := make([]bool, len(ta.total))
-	for j := range bits {
-		bits[j] = ta.ones[j]*2 > ta.total[j]
-	}
-	return bits
+	return nil, nil
 }
 
 func run(in io.Reader, out io.Writer, rate, start float64, payloadLen int, mode string, follow bool) error {
 	if rate <= 0 {
 		return fmt.Errorf("rate must be positive")
 	}
-	var smode uplink.StreamMode
-	switch mode {
-	case "csi":
-		smode = uplink.StreamCSI
-	case "rssi":
-		smode = uplink.StreamRSSI
-	default:
-		return fmt.Errorf("unknown -mode %q", mode)
-	}
-	bitDur := 1 / rate
-	if payloadLen <= 0 {
-		if follow {
-			return fmt.Errorf("-follow requires an explicit -payload (inferring the length needs the whole trace)")
-		}
-		return runInferred(in, out, rate, start, mode)
-	}
-
-	// Streaming path: constant memory in the trace length. One reused row,
-	// the decoder's frame-bounded arena, and fixed-size truth counters.
-	p, err := tracecsv.NewParser(in)
+	smode, err := uplink.ParseStreamMode(mode)
 	if err != nil {
 		return err
 	}
+	if payloadLen <= 0 && follow {
+		return fmt.Errorf("-follow requires an explicit -payload (inferring the length needs the whole trace)")
+	}
+	rr, err := csi.NewRowReader(in)
+	if err != nil {
+		return err
+	}
+	truth, err := truthPayload(rr.Comments())
+	if err != nil {
+		return err
+	}
+	bitDur := 1 / rate
+	if payloadLen <= 0 {
+		return runInferred(rr, out, bitDur, start, smode, truth)
+	}
+
+	// Streaming path: constant memory in the trace length. One reused row
+	// and the decoder's frame-bounded arena.
 	dec, err := uplink.NewDecoder(uplink.DefaultConfig(bitDur))
 	if err != nil {
 		return err
@@ -117,11 +114,7 @@ func run(in io.Reader, out io.Writer, rate, start float64, payloadLen int, mode 
 	if err != nil {
 		return err
 	}
-	nbits := 13 + payloadLen + 13
-	var truth *truthAccum
-	if p.HasState() {
-		truth = newTruthAccum(start, bitDur, nbits)
-	}
+	m := rr.Measurement()
 	count := 0
 	emittedLive := false
 	// A pipe cut mid-row (the producer died) is EOF-equivalent for
@@ -130,21 +123,18 @@ func run(in io.Reader, out io.Writer, rate, start float64, payloadLen int, mode 
 	// error propagates after the summary, so the exit status is nonzero.
 	var truncated error
 	for {
-		m, state, ok, err := p.Next()
-		if err != nil {
-			if errors.Is(err, tracecsv.ErrTruncatedRow) {
-				truncated = err
-				break
-			}
-			return err
-		}
-		if !ok {
+		err := rr.Next(&m)
+		if err == io.EOF {
 			break
 		}
-		count++
-		if truth != nil {
-			truth.add(m.Timestamp, state)
+		if errors.Is(err, csi.ErrTruncatedRow) {
+			truncated = err
+			break
 		}
+		if err != nil {
+			return err
+		}
+		count++
 		bits, err := sd.Push(m)
 		if err != nil {
 			return err
@@ -183,8 +173,10 @@ func printLive(out io.Writer, bits []uplink.BitDecision) {
 	}
 }
 
-// summarize prints the decode report shared by both paths.
-func summarize(out io.Writer, dec *uplink.Decoder, res *uplink.Result, measurements, payloadLen int, truth *truthAccum) {
+// summarize prints the decode report shared by both paths. The BER line
+// needs the trace's frame bits (truth), and a payload of the decoded
+// length.
+func summarize(out io.Writer, dec *uplink.Decoder, res *uplink.Result, measurements, payloadLen int, truth []bool) {
 	fmt.Fprintf(out, "measurements:        %d\n", measurements)
 	fmt.Fprintf(out, "payload bits:        %d\n", payloadLen)
 	fmt.Fprintf(out, "measurements/bit:    %.1f\n", res.MeasurementsPerBit)
@@ -192,11 +184,14 @@ func summarize(out io.Writer, dec *uplink.Decoder, res *uplink.Result, measureme
 		res.PreambleCorrelation, dec.Detected(res))
 	fmt.Fprintf(out, "channels used:       %v\n", res.Good)
 	fmt.Fprintf(out, "bits: %s\n", bitString(res.Payload))
-	if truth != nil {
-		tbits := truth.bits()
+	switch {
+	case truth == nil:
+	case len(truth) != payloadLen:
+		fmt.Fprintf(out, "ground truth BER:    n/a (the trace's frame carries %d payload bits)\n", len(truth))
+	default:
 		errs := 0
-		for i := 0; i < payloadLen; i++ {
-			if res.Payload[i] != tbits[13+i] {
+		for i, b := range truth {
+			if res.Payload[i] != b {
 				errs++
 			}
 		}
@@ -207,16 +202,15 @@ func summarize(out io.Writer, dec *uplink.Decoder, res *uplink.Result, measureme
 
 // runInferred is the materialized path: payload length comes from the
 // trace span, so the whole trace must be read before decoding.
-func runInferred(in io.Reader, out io.Writer, rate, start float64, mode string) error {
-	tr, err := tracecsv.ReadTrace(in)
+func runInferred(rr *csi.RowReader, out io.Writer, bitDur, start float64, mode uplink.StreamMode, truth []bool) error {
+	s, err := rr.ReadAll()
 	if err != nil {
 		return err
 	}
-	if tr.Series.Len() == 0 {
+	if s.Len() == 0 {
 		return fmt.Errorf("trace is empty")
 	}
-	bitDur := 1 / rate
-	last := tr.Series.Measurements[tr.Series.Len()-1].Timestamp
+	last := s.Measurements[s.Len()-1].Timestamp
 	payloadLen := int((last-start)/bitDur) - 26
 	if payloadLen <= 0 {
 		return fmt.Errorf("trace too short to infer a payload length")
@@ -225,24 +219,15 @@ func runInferred(in io.Reader, out io.Writer, rate, start float64, mode string) 
 	if err != nil {
 		return err
 	}
-	var res *uplink.Result
-	switch mode {
-	case "csi":
-		res, err = dec.DecodeCSI(&tr.Series, start, payloadLen)
-	case "rssi":
-		res, err = dec.DecodeRSSI(&tr.Series, start, payloadLen)
+	decode := dec.DecodeCSI
+	if mode == uplink.StreamRSSI {
+		decode = dec.DecodeRSSI
 	}
+	res, err := decode(s, start, payloadLen)
 	if err != nil {
 		return err
 	}
-	var truth *truthAccum
-	if tr.HasState {
-		truth = newTruthAccum(start, bitDur, 13+payloadLen+13)
-		for i, m := range tr.Series.Measurements {
-			truth.add(m.Timestamp, tr.States[i])
-		}
-	}
-	summarize(out, dec, res, tr.Series.Len(), payloadLen, truth)
+	summarize(out, dec, res, s.Len(), payloadLen, truth)
 	return nil
 }
 

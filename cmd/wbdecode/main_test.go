@@ -6,81 +6,69 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/tracecsv"
+	"repro/internal/csi"
+	"repro/internal/tag"
 	"repro/internal/uplink"
 )
 
-// buildCSV synthesizes a small but decodable CSI trace: 2 antennas × 4
+// buildTrace synthesizes a small but decodable wbtrace: 2 antennas × 4
 // sub-channels, 1000 pkt/s, a framed transmission of alternating payload
-// bits starting at t=1.0 at 100 bps. Channel (0,1) carries the modulation.
-func buildCSV(t *testing.T, withState bool, rssiOnly bool) (string, []bool) {
+// bits starting at t=1.0 at 100 bps. CSI channel (0,1) and the RSSI of
+// antenna 0 carry the modulation. withFrame writes the frame bits as the
+// "# frame " header comment, cmd/wbtrace's ground truth.
+func buildTrace(t *testing.T, withFrame bool) (string, []bool) {
 	t.Helper()
-	// Frame: 13-bit Barker preamble + payload + 13-bit inverted postamble.
-	barker := []bool{true, true, true, true, true, false, false, true, true, false, true, false, true}
 	payload := make([]bool, 20)
 	for i := range payload {
 		payload[i] = i%2 == 0
 	}
-	frame := append([]bool{}, barker...)
-	frame = append(frame, payload...)
-	for _, b := range barker {
-		frame = append(frame, !b)
-	}
-	var sb strings.Builder
-	if rssiOnly {
-		sb.WriteString("packet,timestamp,tag_state,rssi_a0,rssi_a1\n")
-	} else {
-		sb.WriteString("packet,timestamp")
-		if withState {
-			sb.WriteString(",tag_state")
-		}
-		for a := 0; a < 2; a++ {
-			for k := 0; k < 4; k++ {
-				fmt.Fprintf(&sb, ",csi_a%d_s%d", a, k)
-			}
-		}
-		sb.WriteString("\n")
-	}
+	frame := tag.FrameBits(payload)
+	var s csi.Series
 	const bitDur = 0.01
 	for i := 0; i < 2000; i++ {
 		ts := float64(i) * 0.001
-		bit := 0
+		bit := 0.0
 		j := int((ts - 1.0) / bitDur)
 		if j >= 0 && j < len(frame) && frame[j] {
 			bit = 1
 		}
 		// Deterministic dither so conditioning has texture.
 		dither := 0.02 * math.Sin(float64(i)*0.7)
-		if rssiOnly {
-			fmt.Fprintf(&sb, "%d,%.6f,%d,%.2f,%.2f\n", i, ts, bit,
-				30+2*float64(bit)+dither, 28+dither)
-			continue
+		m := csi.Measurement{
+			Timestamp: ts,
+			RSSI:      []float64{30 + 2*bit + dither, 28 + dither},
+			CSI:       [][]float64{make([]float64, 4), make([]float64, 4)},
 		}
-		fmt.Fprintf(&sb, "%d,%.6f", i, ts)
-		if withState {
-			fmt.Fprintf(&sb, ",%d", bit)
-		}
-		for a := 0; a < 2; a++ {
-			for k := 0; k < 4; k++ {
-				v := 10.0 + dither
-				if a == 0 && k == 1 {
-					v += 2 * float64(bit) // the modulated channel
-				}
-				fmt.Fprintf(&sb, ",%.4f", v)
+		for a := range m.CSI {
+			for k := range m.CSI[a] {
+				m.CSI[a][k] = 10 + dither
 			}
 		}
-		sb.WriteString("\n")
+		m.CSI[0][1] += 2 * bit // the modulated channel
+		s.Append(m)
+	}
+	var sb strings.Builder
+	if withFrame {
+		sb.WriteString(framePrefix + bitString(frame) + "\n")
+	}
+	if err := csi.WriteSeries(&sb, &s); err != nil {
+		t.Fatal(err)
 	}
 	return sb.String(), payload
 }
 
+// headerLines is the number of lines buildTrace writes before the first
+// row when withFrame is set: the frame comment, the magic and the dims.
+const headerLines = 3
+
 func TestRunDecodesCSITrace(t *testing.T) {
-	csvData, _ := buildCSV(t, true, false)
+	trace, _ := buildTrace(t, true)
 	var out strings.Builder
-	if err := run(strings.NewReader(csvData), &out, 100, 1.0, 20, "csi", false); err != nil {
+	if err := run(strings.NewReader(trace), &out, 100, 1.0, 20, "csi", false); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
@@ -93,44 +81,48 @@ func TestRunDecodesCSITrace(t *testing.T) {
 }
 
 func TestRunDecodesRSSITrace(t *testing.T) {
-	csvData, _ := buildCSV(t, true, true)
+	trace, _ := buildTrace(t, true)
 	var out strings.Builder
-	if err := run(strings.NewReader(csvData), &out, 100, 1.0, 20, "rssi", false); err != nil {
+	if err := run(strings.NewReader(trace), &out, 100, 1.0, 20, "rssi", false); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "10101010101010101010") {
+	if !strings.Contains(out.String(), "10101010101010101010") ||
+		!strings.Contains(out.String(), "ground truth BER:    0/20") {
 		t.Errorf("RSSI decode wrong:\n%s", out.String())
 	}
 }
 
 func TestRunInfersPayloadLength(t *testing.T) {
-	csvData, _ := buildCSV(t, false, false)
+	trace, _ := buildTrace(t, false)
 	var out strings.Builder
-	if err := run(strings.NewReader(csvData), &out, 100, 1.0, 0, "csi", false); err != nil {
+	if err := run(strings.NewReader(trace), &out, 100, 1.0, 0, "csi", false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "payload bits:") {
 		t.Errorf("inferred run produced no output:\n%s", out.String())
 	}
-	// Without tag_state there is no ground-truth line.
+	// Without the frame comment there is no ground-truth line.
 	if strings.Contains(out.String(), "ground truth") {
-		t.Error("ground truth printed without a tag_state column")
+		t.Error("ground truth printed without a frame comment")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	if err := run(strings.NewReader("a,b\n"), &strings.Builder{}, 100, 1, 10, "csi", false); err == nil {
-		t.Error("headers without measurements should error")
+		t.Error("input without a wbtrace header should error")
 	}
-	if err := run(strings.NewReader("timestamp,csi_a0_s0\n"), &strings.Builder{}, 100, 1, 10, "csi", false); err == nil {
+	if err := run(strings.NewReader("wbtrace 1\ndims 1 1\n"), &strings.Builder{}, 100, 1, 10, "csi", false); err == nil {
 		t.Error("empty trace should error")
 	}
-	csvData, _ := buildCSV(t, true, false)
-	if err := run(strings.NewReader(csvData), &strings.Builder{}, 0, 1, 10, "csi", false); err == nil {
+	trace, _ := buildTrace(t, true)
+	if err := run(strings.NewReader(trace), &strings.Builder{}, 0, 1, 10, "csi", false); err == nil {
 		t.Error("zero rate should error")
 	}
-	if err := run(strings.NewReader(csvData), &strings.Builder{}, 100, 1, 10, "nope", false); err == nil {
+	if err := run(strings.NewReader(trace), &strings.Builder{}, 100, 1, 10, "nope", false); err == nil {
 		t.Error("unknown mode should error")
+	}
+	if err := run(strings.NewReader("# frame 1x\n"+trace), &strings.Builder{}, 100, 1, 10, "csi", false); err == nil {
+		t.Error("malformed frame comment should error")
 	}
 }
 
@@ -139,9 +131,9 @@ func TestRunErrors(t *testing.T) {
 // before the trace ends) ahead of the summary block, and the live bits
 // agree with the summary's bit string.
 func TestRunFollowPrintsBitsBeforeSummary(t *testing.T) {
-	csvData, payload := buildCSV(t, true, false)
+	trace, payload := buildTrace(t, true)
 	var out strings.Builder
-	if err := run(strings.NewReader(csvData), &out, 100, 1.0, 20, "csi", true); err != nil {
+	if err := run(strings.NewReader(trace), &out, 100, 1.0, 20, "csi", true); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
@@ -165,8 +157,8 @@ func TestRunFollowPrintsBitsBeforeSummary(t *testing.T) {
 // TestRunFollowRequiresPayload pins the flag interaction: inferring the
 // payload length needs the whole trace, which contradicts -follow.
 func TestRunFollowRequiresPayload(t *testing.T) {
-	csvData, _ := buildCSV(t, false, false)
-	err := run(strings.NewReader(csvData), &strings.Builder{}, 100, 1.0, 0, "csi", true)
+	trace, _ := buildTrace(t, false)
+	err := run(strings.NewReader(trace), &strings.Builder{}, 100, 1.0, 0, "csi", true)
 	if err == nil || !strings.Contains(err.Error(), "-follow requires") {
 		t.Errorf("follow without payload: got %v", err)
 	}
@@ -176,11 +168,11 @@ func TestRunFollowRequiresPayload(t *testing.T) {
 // ends inside the frame the bits only exist at Flush, and -follow still
 // prints every one of them.
 func TestRunFollowTruncatedTrace(t *testing.T) {
-	csvData, _ := buildCSV(t, true, false)
+	trace, _ := buildTrace(t, true)
 	// Keep the header plus rows up to t=1.25s: mid-frame for a 20-bit
 	// payload (frame spans 1.0–1.46s).
-	lines := strings.Split(csvData, "\n")
-	trunc := lines[:1+1250]
+	lines := strings.Split(trace, "\n")
+	trunc := lines[:headerLines+1250]
 	var out strings.Builder
 	if err := run(strings.NewReader(strings.Join(trunc, "\n")), &out, 100, 1.0, 20, "csi", true); err != nil {
 		t.Fatal(err)
@@ -194,17 +186,17 @@ func TestRunFollowTruncatedTrace(t *testing.T) {
 // CLI layer: the explicit-payload streaming path and the legacy
 // materialized decode print identical summaries.
 func TestStreamingMatchesMaterialized(t *testing.T) {
-	csvData, _ := buildCSV(t, true, false)
+	trace, payload := buildTrace(t, true)
 	var streamed strings.Builder
-	if err := run(strings.NewReader(csvData), &streamed, 100, 1.0, 20, "csi", false); err != nil {
+	if err := run(strings.NewReader(trace), &streamed, 100, 1.0, 20, "csi", false); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := tracecsv.ReadTrace(strings.NewReader(csvData))
+	s, err := csi.ReadSeries(strings.NewReader(trace))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Series.Len() != 2000 {
-		t.Fatalf("parsed %d rows", tr.Series.Len())
+	if s.Len() != 2000 {
+		t.Fatalf("parsed %d rows", s.Len())
 	}
 	// The inference path materializes; with this trace span it infers a
 	// payload of int((1.999-1.0)/0.01)-26 = 73 bits, so compare against a
@@ -215,15 +207,11 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := dec.DecodeCSI(&tr.Series, 1.0, 20)
+		res, err := dec.DecodeCSI(s, 1.0, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		truth := newTruthAccum(1.0, 0.01, 13+20+13)
-		for i, m := range tr.Series.Measurements {
-			truth.add(m.Timestamp, tr.States[i])
-		}
-		summarize(&batchOut, dec, res, tr.Series.Len(), 20, truth)
+		summarize(&batchOut, dec, res, s.Len(), 20, payload)
 	}()
 	if streamed.String() != batchOut.String() {
 		t.Errorf("streamed CLI output differs from materialized decode:\n--- streamed ---\n%s--- batch ---\n%s",
@@ -232,19 +220,24 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 }
 
 func TestParseTraceShapes(t *testing.T) {
-	csvData, _ := buildCSV(t, true, false)
-	tr, err := tracecsv.ReadTrace(strings.NewReader(csvData))
+	trace, payload := buildTrace(t, true)
+	rr, err := csi.NewRowReader(strings.NewReader(trace))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Series.Len() != 2000 {
-		t.Errorf("parsed %d measurements", tr.Series.Len())
+	truth, err := truthPayload(rr.Comments())
+	if err != nil || !slices.Equal(truth, payload) {
+		t.Errorf("frame comment gave payload %v, %v; want %v", truth, err, payload)
 	}
-	if tr.Series.Antennas() != 2 || tr.Series.Subchannels() != 4 {
-		t.Errorf("shape = (%d, %d)", tr.Series.Antennas(), tr.Series.Subchannels())
+	s, err := rr.ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !tr.HasState || len(tr.States) != 2000 {
-		t.Error("tag_state column not parsed")
+	if s.Len() != 2000 {
+		t.Errorf("parsed %d measurements", s.Len())
+	}
+	if s.Antennas() != 2 || s.Subchannels() != 4 {
+		t.Errorf("shape = (%d, %d)", s.Antennas(), s.Subchannels())
 	}
 }
 
@@ -281,8 +274,9 @@ func runOnPipe(t *testing.T, data string, payload int) (string, error) {
 //   - after the frame: bits were already emitted live at frame close —
 //     full output, exit 0.
 func TestRunFollowPipeTruncation(t *testing.T) {
-	csvData, _ := buildCSV(t, true, false)
-	lines := strings.Split(csvData, "\n")
+	trace, _ := buildTrace(t, true)
+	lines := strings.Split(trace, "\n")
+	rows := func(n int) string { return strings.Join(lines[:headerLines+n], "\n") }
 
 	cases := []struct {
 		name      string
@@ -291,10 +285,10 @@ func TestRunFollowPipeTruncation(t *testing.T) {
 		truncated bool
 		wantBits  int
 	}{
-		{"before frame", strings.Join(lines[:1+800], "\n"), true, false, 0},
-		{"inside frame", strings.Join(lines[:1+1250], "\n"), false, false, 20},
-		{"inside frame mid-row", strings.Join(lines[:1+1250], "\n") + "\n" + lines[1251][:10], true, true, 20},
-		{"after frame", strings.Join(lines[:1+1600], "\n"), false, false, 20},
+		{"before frame", rows(800), true, false, 0},
+		{"inside frame", rows(1250), false, false, 20},
+		{"inside frame mid-row", rows(1250) + "\n" + lines[headerLines+1250][:10], true, true, 20},
+		{"after frame", rows(1600), false, false, 20},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -302,7 +296,7 @@ func TestRunFollowPipeTruncation(t *testing.T) {
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("run error = %v, want error: %v\n%s", err, tc.wantErr, out)
 			}
-			if tc.truncated && !errors.Is(err, tracecsv.ErrTruncatedRow) {
+			if tc.truncated && !errors.Is(err, csi.ErrTruncatedRow) {
 				t.Errorf("mid-row cut should report ErrTruncatedRow, got %v", err)
 			}
 			if n := strings.Count(out, "bit "); n != tc.wantBits {
@@ -313,5 +307,30 @@ func TestRunFollowPipeTruncation(t *testing.T) {
 				t.Errorf("salvaged bits missing their summary:\n%s", out)
 			}
 		})
+	}
+}
+
+// TestRunBERCountsUncoveredBits pins the ground truth of a trace cut
+// inside the frame: the truth comes from the header's frame bits, not
+// from the rows, so a payload bit no row covers is still scored. The cut
+// at t=1.25 s leaves payload bits 12–19 (frame bits 25–32) without a
+// row; the decoder reads each as 0, so their four 1-bits are errors.
+func TestRunBERCountsUncoveredBits(t *testing.T) {
+	trace, payload := buildTrace(t, true)
+	lines := strings.Split(trace, "\n")
+	cut := strings.Join(lines[:headerLines+1250], "\n")
+	var out strings.Builder
+	if err := run(strings.NewReader(cut), &out, 100, 1.0, 20, "csi", false); err != nil {
+		t.Fatal(err)
+	}
+	uncoveredOnes := 0
+	for _, b := range payload[12:] {
+		if b {
+			uncoveredOnes++
+		}
+	}
+	want := fmt.Sprintf("ground truth BER:    %d/20", uncoveredOnes)
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("want %q in:\n%s", want, out.String())
 	}
 }

@@ -6,9 +6,12 @@
 //
 // Usage:
 //
-//	wbtrace -what csi > trace.csv
+//	wbtrace > run.wbtrace
 //	wbserved -addr 127.0.0.1:4711 &
-//	wbload -addr 127.0.0.1:4711 -n 64 -rate 100 -start 1.0 -payload 300 trace.csv
+//	wbload -addr 127.0.0.1:4711 -n 64 -rate 100 -start 1.0 -payload 300 run.wbtrace
+//
+// The trace is a wbtrace file (csi.ReadSeries), and -mode picks which half
+// of its rows the sessions decode.
 //
 // With -addr "" wbload self-hosts an in-process server on a loopback
 // listener, which makes the equivalence check a one-command experiment
@@ -23,7 +26,7 @@
 // of a chaos run is byte-reproducible regardless of -workers:
 //
 //	wbload -n 8 -workers 8 -chaos wire-flaky -seed 7 -payload 20 \
-//	       -metrics chaos.json trace.csv
+//	       -metrics chaos.json run.wbtrace
 package main
 
 import (
@@ -36,11 +39,11 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/csi"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/serve/chaosproxy"
-	"repro/internal/tracecsv"
 	"repro/internal/uplink"
 )
 
@@ -113,24 +116,18 @@ func runLoad(in io.Reader, w io.Writer, cfg loadConfig) ([]serve.ReplayStats, er
 	if workers <= 0 {
 		workers = cfg.sessions
 	}
-	var smode uplink.StreamMode
-	switch cfg.mode {
-	case "csi":
-		smode = uplink.StreamCSI
-	case "rssi":
-		smode = uplink.StreamRSSI
-	default:
-		return nil, fmt.Errorf("unknown mode %q (want csi or rssi)", cfg.mode)
+	smode, err := uplink.ParseStreamMode(cfg.mode)
+	if err != nil {
+		return nil, err
 	}
 	sched, err := faults.ParseSpec(cfg.chaos)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := tracecsv.ReadTrace(in)
+	series, err := csi.ReadSeries(in)
 	if err != nil {
 		return nil, fmt.Errorf("reading trace: %w", err)
 	}
-	series := &tr.Series
 	if series.Len() == 0 {
 		return nil, fmt.Errorf("trace has no measurements")
 	}

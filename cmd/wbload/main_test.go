@@ -7,32 +7,23 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/csi"
+	"repro/internal/tag"
 )
 
-// buildCSV synthesizes the same small decodable trace the wbdecode tests
-// use: 2 antennas × 4 sub-channels at 1000 pkt/s, a framed transmission
-// of 20 alternating payload bits at 100 bps starting at t=1.0, with the
-// modulation carried on channel (0,1).
-func buildCSV(t *testing.T) string {
+// buildTrace synthesizes the same small decodable wbtrace the wbdecode
+// tests use: 2 antennas × 4 sub-channels at 1000 pkt/s, a framed
+// transmission of 20 alternating payload bits at 100 bps starting at
+// t=1.0, with the modulation carried on CSI channel (0,1).
+func buildTrace(t *testing.T) string {
 	t.Helper()
-	barker := []bool{true, true, true, true, true, false, false, true, true, false, true, false, true}
 	payload := make([]bool, 20)
 	for i := range payload {
 		payload[i] = i%2 == 0
 	}
-	frame := append([]bool{}, barker...)
-	frame = append(frame, payload...)
-	for _, b := range barker {
-		frame = append(frame, !b)
-	}
-	var sb strings.Builder
-	sb.WriteString("packet,timestamp")
-	for a := 0; a < 2; a++ {
-		for k := 0; k < 4; k++ {
-			fmt.Fprintf(&sb, ",csi_a%d_s%d", a, k)
-		}
-	}
-	sb.WriteString("\n")
+	frame := tag.FrameBits(payload)
+	var s csi.Series
 	const bitDur = 0.01
 	for i := 0; i < 2000; i++ {
 		ts := float64(i) * 0.001
@@ -42,17 +33,22 @@ func buildCSV(t *testing.T) string {
 			bit = 1
 		}
 		dither := 0.02 * math.Sin(float64(i)*0.7)
-		fmt.Fprintf(&sb, "%d,%.6f", i, ts)
-		for a := 0; a < 2; a++ {
-			for k := 0; k < 4; k++ {
-				amp := 10.0 + dither
-				if a == 0 && k == 1 {
-					amp += 2 * bit
-				}
-				fmt.Fprintf(&sb, ",%.4f", amp)
+		m := csi.Measurement{
+			Timestamp: ts,
+			RSSI:      []float64{30 + dither, 28 + dither},
+			CSI:       [][]float64{make([]float64, 4), make([]float64, 4)},
+		}
+		for a := range m.CSI {
+			for k := range m.CSI[a] {
+				m.CSI[a][k] = 10 + dither
 			}
 		}
-		sb.WriteString("\n")
+		m.CSI[0][1] += 2 * bit
+		s.Append(m)
+	}
+	var sb strings.Builder
+	if err := csi.WriteSeries(&sb, &s); err != nil {
+		t.Fatal(err)
 	}
 	return sb.String()
 }
@@ -65,9 +61,9 @@ func baseConfig() loadConfig {
 // TestRunSelfHostedEquivalence is the replay loop against an in-process
 // server: every session must come back byte-identical to batch.
 func TestRunSelfHostedEquivalence(t *testing.T) {
-	csv := buildCSV(t)
+	trace := buildTrace(t)
 	var out strings.Builder
-	if err := run(strings.NewReader(csv), &out, baseConfig()); err != nil {
+	if err := run(strings.NewReader(trace), &out, baseConfig()); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "8/8 sessions byte-identical") {
@@ -90,6 +86,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"non-positive n", mod(func(c *loadConfig) { c.sessions = 0 }), ""},
 		{"unknown mode", mod(func(c *loadConfig) { c.mode = "fsk" }), ""},
 		{"headerless trace", baseConfig(), "a,b\n"},
+		{"empty trace", baseConfig(), "wbtrace 1\ndims 2 4\n"},
 		{"bad chaos spec", mod(func(c *loadConfig) { c.chaos = "no-such-profile" }), ""},
 	}
 	for _, tc := range cases {
@@ -105,7 +102,7 @@ func TestRunFlagValidation(t *testing.T) {
 // batch, at one worker and at eight. runLoad's per-lane stats prove the
 // faults actually fired: every lane was cut and resumed at least once.
 func TestChaosResumeEquivalence(t *testing.T) {
-	csv := buildCSV(t)
+	trace := buildTrace(t)
 	for _, workers := range []int{1, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -114,7 +111,7 @@ func TestChaosResumeEquivalence(t *testing.T) {
 			cfg.chaos = "wire-flaky"
 			cfg.seed = 7
 			var out strings.Builder
-			stats, err := runLoad(strings.NewReader(csv), &out, cfg)
+			stats, err := runLoad(strings.NewReader(trace), &out, cfg)
 			if err != nil {
 				t.Fatalf("chaos run: %v\noutput:\n%s", err, out.String())
 			}
@@ -141,7 +138,7 @@ func TestChaosResumeEquivalence(t *testing.T) {
 // regardless of worker count — every counter in it is a per-lane
 // function of the fault plan, not of scheduling.
 func TestChaosMetricsDeterministic(t *testing.T) {
-	csv := buildCSV(t)
+	trace := buildTrace(t)
 	dir := t.TempDir()
 	snapshots := make([][]byte, 0, 3)
 	for i, workers := range []int{1, 8, 8} {
@@ -151,7 +148,7 @@ func TestChaosMetricsDeterministic(t *testing.T) {
 		cfg.seed = 42
 		cfg.metrics = filepath.Join(dir, fmt.Sprintf("metrics-%d.json", i))
 		var out strings.Builder
-		if err := run(strings.NewReader(csv), &out, cfg); err != nil {
+		if err := run(strings.NewReader(trace), &out, cfg); err != nil {
 			t.Fatalf("chaos run %d: %v\noutput:\n%s", i, err, out.String())
 		}
 		blob, err := os.ReadFile(cfg.metrics)
@@ -179,13 +176,13 @@ func TestChaosMetricsDeterministic(t *testing.T) {
 // grammar end to end: a single certain early cut still yields a
 // byte-identical decode.
 func TestChaosInlineSchedule(t *testing.T) {
-	csv := buildCSV(t)
+	trace := buildTrace(t)
 	cfg := baseConfig()
 	cfg.sessions = 2
 	cfg.chaos = "burst@0:1x1;csidrop@0:20x0.5"
 	cfg.seed = 3
 	var out strings.Builder
-	stats, err := runLoad(strings.NewReader(csv), &out, cfg)
+	stats, err := runLoad(strings.NewReader(trace), &out, cfg)
 	if err != nil {
 		t.Fatalf("inline chaos run: %v\noutput:\n%s", err, out.String())
 	}

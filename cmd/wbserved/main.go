@@ -12,7 +12,8 @@
 // Usage:
 //
 //	wbserved -addr 127.0.0.1:4711 -max-sessions 64 -idle 30s
-//	wbload -addr 127.0.0.1:4711 -n 64 -rate 100 -start 1.0 -payload 20 trace.csv
+//	wbtrace > run.wbtrace
+//	wbload -addr 127.0.0.1:4711 -n 64 -rate 100 -start 1.0 -payload 300 run.wbtrace
 //
 // Resilience knobs (DESIGN.md §13): -resume-ttl bounds how long a cut
 // client's parked checkpoint survives (the server's maintenance loop

@@ -1,13 +1,22 @@
-// Command wbtrace dumps simulated traces: the per-packet CSI amplitude of
-// every sub-channel (the raw data behind Figs. 3 and 6) or the per-antenna
-// RSSI as CSV, a binary frame capture of everything on the medium, or a
-// summary of an existing capture.
+// Command wbtrace dumps simulated traces: every measurement of an uplink
+// run — the per-packet CSI amplitude of every sub-channel (the raw data
+// behind Figs. 3 and 6) and the per-antenna RSSI — as a wbtrace file, a
+// binary frame capture of everything on the medium, or a summary of an
+// existing capture.
 //
 // Usage:
 //
-//	wbtrace [-tag-dist cm] [-packets N] [-what csi|rssi|frames] [-seed N]
+//	wbtrace [-tag-dist cm] [-packets N] [-what trace|frames] [-seed N]
 //	        [-faults profile|spec] [-metrics out.json] > out
 //	wbtrace -summarize trace.wbt
+//
+// The tag sends an alternating payload of N/10 bits at 100 bps from t=1 s,
+// and the run ends 0.5 s after the frame. -what trace (the default)
+// writes the run's measurements in the wbtrace format (csi.WriteSeries)
+// after one header comment, "# frame " and the tag's on-air frame bits
+// (preamble, payload, postamble) as 0s and 1s: the ground truth
+// cmd/wbdecode scores its decode against. -what frames writes at most N
+// records of the medium's frames.
 //
 // -faults impairs the captured channel with a deterministic fault schedule
 // (named profile like "lossy" or explicit spec; see internal/faults), so
@@ -18,16 +27,15 @@
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"strconv"
 
 	"repro/internal/capture"
 	"repro/internal/core"
+	"repro/internal/csi"
 	"repro/internal/faults"
 	"repro/internal/tag"
 	"repro/internal/units"
@@ -36,8 +44,8 @@ import (
 
 func main() {
 	tagDist := flag.Float64("tag-dist", 5, "tag to reader distance in cm")
-	packets := flag.Int("packets", 3000, "number of packets to capture")
-	what := flag.String("what", "csi", "csi, rssi (CSV) or frames (binary capture)")
+	packets := flag.Int("packets", 3000, "trace size: a packets/10-bit payload, and at most this many -what frames records")
+	what := flag.String("what", "trace", "trace (wbtrace measurements) or frames (binary capture)")
 	seed := flag.Int64("seed", 1, "random seed")
 	summarize := flag.String("summarize", "", "summarize an existing frame capture and exit")
 	faultsSpec := flag.String("faults", "", "fault profile or schedule to impair the capture (empty = clean)")
@@ -91,10 +99,8 @@ func run(out io.Writer, tagDist float64, packets int, what string, seed int64, f
 	if tagDist <= 0 {
 		return fmt.Errorf("-tag-dist must be positive (got %g)", tagDist)
 	}
-	switch what {
-	case "csi", "rssi", "frames":
-	default:
-		return fmt.Errorf("unknown -what %q (use csi, rssi, or frames)", what)
+	if what != "trace" && what != "frames" {
+		return fmt.Errorf("unknown -what %q (use trace or frames)", what)
 	}
 	sched, err := faults.ParseSpec(faultsSpec)
 	if err != nil {
@@ -118,7 +124,8 @@ func run(out io.Writer, tagDist float64, packets int, what string, seed int64, f
 	for i := range payload {
 		payload[i] = i%2 == 0
 	}
-	mod, err := sys.TransmitUplink(tag.FrameBits(payload), 1.0, 100)
+	frame := tag.FrameBits(payload)
+	mod, err := sys.TransmitUplink(frame, 1.0, 100)
 	if err != nil {
 		return err
 	}
@@ -136,8 +143,6 @@ func run(out io.Writer, tagDist float64, packets int, what string, seed int64, f
 			return err
 		}
 	}
-	s := sys.Series()
-
 	if what == "frames" {
 		cw := capture.NewWriter(out)
 		for i, tx := range sys.TxLog() {
@@ -153,68 +158,16 @@ func run(out io.Writer, tagDist float64, packets int, what string, seed int64, f
 		}
 		return cw.Flush()
 	}
-	w := csv.NewWriter(out)
-	defer w.Flush()
-	switch what {
-	case "csi":
-		header := []string{"packet", "timestamp", "tag_state"}
-		for a := 0; a < s.Antennas(); a++ {
-			for k := 0; k < s.Subchannels(); k++ {
-				header = append(header, fmt.Sprintf("csi_a%d_s%d", a, k))
-			}
+	line := []byte("# frame ")
+	for _, b := range frame {
+		c := byte('0')
+		if b {
+			c = '1'
 		}
-		if err := w.Write(header); err != nil {
-			return err
-		}
-		for i, m := range s.Measurements {
-			if i >= packets {
-				break
-			}
-			row := []string{
-				strconv.Itoa(i),
-				strconv.FormatFloat(m.Timestamp, 'f', 6, 64),
-				boolTo01(mod.StateAt(m.Timestamp)),
-			}
-			for a := range m.CSI {
-				for _, v := range m.CSI[a] {
-					row = append(row, strconv.FormatFloat(v, 'f', 4, 64))
-				}
-			}
-			if err := w.Write(row); err != nil {
-				return err
-			}
-		}
-	case "rssi":
-		header := []string{"packet", "timestamp", "tag_state"}
-		for a := 0; a < s.Antennas(); a++ {
-			header = append(header, fmt.Sprintf("rssi_a%d", a))
-		}
-		if err := w.Write(header); err != nil {
-			return err
-		}
-		for i, m := range s.Measurements {
-			if i >= packets {
-				break
-			}
-			row := []string{
-				strconv.Itoa(i),
-				strconv.FormatFloat(m.Timestamp, 'f', 6, 64),
-				boolTo01(mod.StateAt(m.Timestamp)),
-			}
-			for _, v := range m.RSSI {
-				row = append(row, strconv.FormatFloat(v, 'f', 2, 64))
-			}
-			if err := w.Write(row); err != nil {
-				return err
-			}
-		}
+		line = append(line, c)
 	}
-	return nil
-}
-
-func boolTo01(b bool) string {
-	if b {
-		return "1"
+	if _, err := out.Write(append(line, '\n')); err != nil {
+		return err
 	}
-	return "0"
+	return csi.WriteSeries(out, sys.Series())
 }

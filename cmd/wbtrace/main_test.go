@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/capture"
+	"repro/internal/csi"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -17,11 +18,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		packets int
 		what    string
 	}{
-		{"zero packets", 5, 0, "csi"},
-		{"negative packets", 5, -3, "csi"},
-		{"zero distance", 0, 100, "csi"},
-		{"negative distance", -2, 100, "rssi"},
+		{"zero packets", 5, 0, "trace"},
+		{"negative packets", 5, -3, "trace"},
+		{"zero distance", 0, 100, "trace"},
+		{"negative distance", -2, 100, "frames"},
 		{"unknown what", 5, 100, "spectrogram"},
+		{"retired what", 5, 100, "csi"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -37,21 +39,30 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-func TestRunEmitsCSV(t *testing.T) {
-	for _, what := range []string{"csi", "rssi"} {
-		t.Run(what, func(t *testing.T) {
-			var out bytes.Buffer
-			if err := run(&out, 5, 50, what, 1, "", ""); err != nil {
-				t.Fatal(err)
-			}
-			lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-			if len(lines) != 51 { // header + 50 rows
-				t.Fatalf("got %d lines, want 51", len(lines))
-			}
-			if !strings.HasPrefix(lines[0], "packet,timestamp,tag_state,"+what+"_a0") {
-				t.Errorf("unexpected header %q", lines[0])
-			}
-		})
+// TestRunEmitsTrace pins the trace output: a "# frame " header comment
+// with the tag's on-air frame bits, then a wbtrace that reads back
+// through csi.ReadSeries and covers the whole frame.
+func TestRunEmitsTrace(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out, 5, 50, "trace", 1, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := strings.Cut(out.String(), "\n")
+	// Preamble (Barker 13), the alternating 5-bit payload, postamble.
+	want := "# frame " + "1111100110101" + "10101" + "0000011001010"
+	if first != want {
+		t.Errorf("header line %q, want %q", first, want)
+	}
+	s, err := csi.ReadSeries(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Antennas() != 3 || s.Subchannels() != 30 {
+		t.Errorf("trace shape %d×%d, want 3×30", s.Antennas(), s.Subchannels())
+	}
+	// A 5-bit payload's 31-bit frame runs from 1.0 s to 1.31 s at 100 bps.
+	if s.Len() == 0 || s.Measurements[s.Len()-1].Timestamp < 1.31 {
+		t.Errorf("%d measurements do not cover the frame", s.Len())
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // against literal zero: MeanAbs and friends return exactly 0 for degenerate
 // input, and the `scale == 0` division guard is the idiom for it.
 //
-// Use the tolerance helpers (dsp.ApproxEqual / dsp.ApproxZero) instead.
+// Use the tolerance helper dsp.ApproxEqual instead.
 var FloatSafeAnalyzer = &Analyzer{
 	Name: "floatsafe",
 	Doc:  "no exact ==/!= on computed floating-point values; use the dsp tolerance helpers",

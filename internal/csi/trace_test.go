@@ -2,7 +2,9 @@ package csi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"reflect"
@@ -122,11 +124,118 @@ func TestReadSeriesRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: ReadSeries accepted malformed input", name)
 		}
 	}
-	// A row's error names its line and field.
-	in := "wbtrace 1\n# comment\ndims 1 1\n\n0 1 2\n0\t1 2\n"
+	// A row's error names its line and field. A row follows the bad one,
+	// so the damage is not a truncated last row (TestTruncatedFinalRow).
+	in := "wbtrace 1\n# comment\ndims 1 1\n\n0 1 2\n0\t1 2\n1 1 2\n"
 	want := `csi: line 6: timestamp: strconv.ParseFloat: parsing "0\t1": invalid syntax`
 	if _, err := ReadSeries(strings.NewReader(in)); err == nil || err.Error() != want {
 		t.Errorf("ReadSeries(%q) = %v, want %s", in, err, want)
+	}
+}
+
+// smallTrace is a 4-row 2×2 trace whose header carries two comments.
+const smallTrace = "# recorded\nwbtrace 1\n# shape\ndims 2 2\n# data\n" +
+	"0 -40 -41 1 2 3 4\n" +
+	"0.001 -40 -41 2 2 3 4\n" +
+	"0.002 -40 -41 3 2 3 4\n" +
+	"0.003 -40 -41 4 2 3 4\n"
+
+func TestRowReaderStreamsRows(t *testing.T) {
+	rr, err := NewRowReader(strings.NewReader(smallTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rr.Comments(), []string{"# recorded", "# shape"}; !slices.Equal(got, want) {
+		t.Errorf("header comments %q, want %q", got, want)
+	}
+	m := rr.Measurement()
+	if len(m.RSSI) != 2 || len(m.CSI) != 2 || len(m.CSI[1]) != 2 {
+		t.Fatalf("measurement shape %d×%d, want 2×2", len(m.CSI), len(m.CSI[0]))
+	}
+	first := &m.CSI[0][0]
+	for i := 0; ; i++ {
+		err := rr.Next(&m)
+		if err == io.EOF {
+			if i != 4 {
+				t.Errorf("read %d rows, want 4", i)
+			}
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Timestamp != 0.001*float64(i) || m.RSSI[1] != -41 || m.CSI[0][0] != float64(1+i) {
+			t.Errorf("row %d parsed as %+v", i, m)
+		}
+		if &m.CSI[0][0] != first {
+			t.Fatal("Next reallocated the caller's measurement")
+		}
+	}
+}
+
+func TestReadSeriesClonesRows(t *testing.T) {
+	s, err := ReadSeries(strings.NewReader(smallTrace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 4 || s.Antennas() != 2 || s.Subchannels() != 2 {
+		t.Fatalf("read %d rows of %d×%d, want 4 of 2×2", s.Len(), s.Antennas(), s.Subchannels())
+	}
+	// Rows are clones, not views of the reader's reused measurement.
+	if &s.Measurements[0].CSI[0][0] == &s.Measurements[1].CSI[0][0] || s.Measurements[0].CSI[0][0] != 1 {
+		t.Error("rows share backing storage")
+	}
+}
+
+// TestTruncatedFinalRow pins the pipe-cut contract: a final row cut
+// mid-line is ErrTruncatedRow after every earlier row was delivered,
+// while the same damage mid-trace is a plain *RowError, and a complete
+// final row without a newline is an ordinary row.
+func TestTruncatedFinalRow(t *testing.T) {
+	lines := strings.Split(strings.TrimSuffix(smallTrace, "\n"), "\n")
+	rows := lines[5:]
+	header := strings.Join(lines[:5], "\n") + "\n"
+	read := func(in string) (int, error) {
+		rr, err := NewRowReader(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, n := rr.Measurement(), 0
+		for {
+			if err := rr.Next(&m); err != nil {
+				if err == io.EOF {
+					err = nil
+				}
+				return n, err
+			}
+			n++
+		}
+	}
+
+	cut := header + strings.Join(rows[:3], "\n") + "\n" + rows[3][:8]
+	n, err := read(cut)
+	if !errors.Is(err, ErrTruncatedRow) {
+		t.Fatalf("final-row cut: got %v, want ErrTruncatedRow", err)
+	}
+	if n != 3 {
+		t.Errorf("delivered %d complete rows before the cut, want 3", n)
+	}
+	if _, err := ReadSeries(strings.NewReader(cut)); !errors.Is(err, ErrTruncatedRow) {
+		t.Errorf("ReadSeries on a cut trace: %v", err)
+	}
+
+	bad := header + rows[0] + "\n" + rows[1][:8] + "\n" + rows[2] + "\n"
+	n, err = read(bad)
+	var rowErr *RowError
+	if errors.Is(err, ErrTruncatedRow) || !errors.As(err, &rowErr) {
+		t.Errorf("mid-trace damage: got %v, want a plain *RowError", err)
+	}
+	if n != 1 {
+		t.Errorf("delivered %d rows before the damage, want 1", n)
+	}
+
+	if n, err := read(strings.TrimSuffix(smallTrace, "\n")); err != nil || n != 4 {
+		t.Errorf("complete last row without a newline: %d rows, %v; want 4, nil", n, err)
 	}
 }
 
@@ -157,6 +266,7 @@ func FuzzReadSeries(f *testing.F) {
 	dims, rows, _ := bytes.Cut(rows, []byte("\n"))
 	row, _, _ := bytes.Cut(rows, []byte("\n"))
 	f.Add([]byte(fmt.Sprintf("%s\n# one row\n%s\n\n%s\n", header, dims, row)))
+	f.Add([]byte(fmt.Sprintf("%s\n%s\n%s\n%s", header, dims, row, row[:len(row)/2])))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		s, err := ReadSeries(bytes.NewReader(in))
 		if err != nil {

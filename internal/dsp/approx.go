@@ -33,8 +33,3 @@ func ApproxEqual(a, b, tol float64) bool {
 	}
 	return math.Abs(a-b) <= tol*scale
 }
-
-// ApproxZero reports whether x is within tol of zero.
-func ApproxZero(x, tol float64) bool {
-	return math.Abs(x) <= tol
-}

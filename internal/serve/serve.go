@@ -419,13 +419,6 @@ func (srv *Server) sessionClosed(s *Session) {
 	srv.wg.Done()
 }
 
-// Draining reports whether the server has left the running state.
-func (srv *Server) Draining() bool {
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	return srv.state != stateRunning
-}
-
 // Drain executes the shutdown state machine: running → draining (stop
 // admitting and the maintenance loop, Finish every live session so
 // in-frame captures flush their partial frames) → closed. Sessions still running at the DrainTimeout
@@ -567,13 +560,6 @@ func (srv *Server) removeConn(c closer) {
 	srv.mu.Lock()
 	delete(srv.conns, c)
 	srv.mu.Unlock()
-}
-
-// ActiveSessions returns the number of currently admitted sessions.
-func (srv *Server) ActiveSessions() int {
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	return len(srv.sessions)
 }
 
 // PublishMetrics writes the server's counters into an obs registry —

@@ -62,6 +62,17 @@ func (m StreamMode) String() string {
 	return "csi"
 }
 
+// ParseStreamMode parses a mode's String form: "csi" or "rssi".
+func ParseStreamMode(s string) (StreamMode, error) {
+	switch s {
+	case "csi":
+		return StreamCSI, nil
+	case "rssi":
+		return StreamRSSI, nil
+	}
+	return 0, fmt.Errorf("uplink: unknown stream mode %q (want csi or rssi)", s)
+}
+
 // BitDecision is one decoded payload bit emitted by the streaming core.
 type BitDecision struct {
 	// Index is the payload bit position (0-based, framing excluded).

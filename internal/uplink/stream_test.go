@@ -376,3 +376,14 @@ func TestStreamMetrics(t *testing.T) {
 		t.Errorf("stream.flush_bits = %d after truncated flush, want 20", got)
 	}
 }
+
+func TestParseStreamModeInvertsString(t *testing.T) {
+	for _, mode := range []StreamMode{StreamCSI, StreamRSSI} {
+		if got, err := ParseStreamMode(mode.String()); err != nil || got != mode {
+			t.Errorf("ParseStreamMode(%q) = %v, %v; want %v", mode.String(), got, err, mode)
+		}
+	}
+	if _, err := ParseStreamMode("fsk"); err == nil {
+		t.Error("unknown mode parsed")
+	}
+}

@@ -135,9 +135,6 @@ func (m *Medium) FreeAt() float64 {
 	return m.busyUntil
 }
 
-// NAVActiveAt reports whether a NAV reservation covers time t.
-func (m *Medium) NAVActiveAt(t float64) bool { return t < m.navUntil }
-
 // Station is one 802.11 device attached to the medium.
 type Station struct {
 	Name string
