@@ -133,6 +133,35 @@ func TestReadSeriesRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestRowReaderHeaderErrors checks that NewRowReader itself refuses a
+// header it cannot use, before any row is read, and says which part of
+// the header is wrong.
+func TestRowReaderHeaderErrors(t *testing.T) {
+	for _, tc := range []struct{ name, in, want string }{
+		{"empty", "", "csi: reading trace header: unexpected EOF"},
+		{"comments only", "# a\n\n# b\n", "csi: reading trace header: unexpected EOF"},
+		{"csv header", "timestamp,csi_a0_s0\n0,1\n", `csi: bad trace magic "timestamp,csi_a0_s0"`},
+		{"no dims", "wbtrace 1\n# shape\n", "csi: reading trace dims: unexpected EOF"},
+		{"row for dims", "wbtrace 1\n0 -40 1\n", `csi: bad dims line "0 -40 1": input does not match format`},
+		{"too many antennas", fmt.Sprintf("wbtrace 1\ndims %d 1\n", maxAntennas+1), "csi: implausible dims"},
+	} {
+		rr, err := NewRowReader(strings.NewReader(tc.in))
+		if err == nil {
+			t.Errorf("%s: NewRowReader accepted the header", tc.name)
+			continue
+		}
+		if rr != nil {
+			t.Errorf("%s: NewRowReader returned a reader with its error", tc.name)
+		}
+		if !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want prefix %q", tc.name, err, tc.want)
+		}
+		if errors.Is(err, ErrTruncatedRow) {
+			t.Errorf("%s: a header error is not a truncated row: %v", tc.name, err)
+		}
+	}
+}
+
 // smallTrace is a 4-row 2×2 trace whose header carries two comments.
 const smallTrace = "# recorded\nwbtrace 1\n# shape\ndims 2 2\n# data\n" +
 	"0 -40 -41 1 2 3 4\n" +
