@@ -52,18 +52,23 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
 # Streaming decode contract: BenchmarkStream* report the per-push and
-# per-stream cost, BenchmarkFrameClose the frame-closing push alone (CSI
-# and long range) and BenchmarkDetectAck one ACK detection, with
-# -benchmem, and the same package run re-asserts
-# TestStreamPushSteadyStateAllocs (steady-state Push must not allocate),
-# TestFrameCloseAllocs (the frame close allocates at most 7 times, and
-# no more often as the channel count grows) and TestDetectAckAllocs (an
-# ACK detection's allocation count must not grow with the trace). The
-# frame close fans its lanes out over GOMAXPROCS, so everything runs at
-# -cpu 1 (the serial kernel) and 2. The tests are skipped under -race, so
-# this plain-build run is the gate.
+# per-stream cost, BenchmarkDecodeCSI and BenchmarkDecodeLongRange a whole
+# batch decode (the presized frame arena plus its close),
+# BenchmarkFrameClose the frame-closing push alone (CSI and long range)
+# and BenchmarkDetectAck one ACK detection, with -benchmem, and the same
+# package run re-asserts TestStreamPushSteadyStateAllocs (steady-state
+# Push must not allocate), TestFrameCloseAllocs (the frame close
+# allocates at most 7 times, and no more often as the channel count
+# grows), TestDetectAckAllocs (an ACK detection's allocation count must
+# not grow with the trace) and the frame arena's layout tests, TestArena*
+# (no lane stride is a multiple of 4 KiB, and lanes hold what was pushed
+# through every growth) and TestBatchArenaSizedOnce (a batch decode and a
+# preamble window take one slab and never grow it). The frame close fans
+# its lanes out over GOMAXPROCS, so everything runs at -cpu 1 (the serial
+# kernel) and 2. The allocation tests are skipped under -race, so this
+# plain-build run is the gate.
 bench-stream:
-	$(GO) test -cpu 1,2 -bench 'BenchmarkStream|BenchmarkFrameClose|BenchmarkDetectAck' -benchmem -run 'TestStreamPushSteadyStateAllocs|TestFrameCloseAllocs|TestDetectAckAllocs' ./internal/uplink/
+	$(GO) test -cpu 1,2 -bench 'BenchmarkStream|BenchmarkDecodeCSI$$|BenchmarkDecodeLongRange|BenchmarkFrameClose|BenchmarkDetectAck' -benchmem -run 'TestStreamPushSteadyStateAllocs|TestFrameCloseAllocs|TestDetectAckAllocs|TestArena|TestBatchArenaSizedOnce' ./internal/uplink/
 
 # Simulation fixed-cost contract: BenchmarkObserve reports one packet's
 # 3x30 composite channel, BenchmarkAdvance the same channel moved on

@@ -13,9 +13,11 @@
 // trace length — the decoder buffers only the measurements inside the
 // transmission window. That is what makes `-follow` work on a live pipe:
 // bits print the moment the frame closes, while the producer is still
-// writing. Without -payload the length is inferred from the trace span,
-// which requires reading the whole trace first (the only materialized
-// path).
+// writing. Without -payload the length is the payload of the header's
+// "# frame " comment (cmd/wbtrace writes one), decoded on the same
+// streaming path; only a trace without that comment has its length
+// inferred from the trace span, which requires reading the whole trace
+// first (the only materialized path).
 //
 // Usage:
 //
@@ -44,9 +46,9 @@ import (
 func main() {
 	rate := flag.Float64("rate", 100, "tag bit rate in bits/s")
 	start := flag.Float64("start", 1.0, "transmission start time in seconds")
-	payload := flag.Int("payload", 0, "payload bits (0 = infer from trace span)")
+	payload := flag.Int("payload", 0, "payload bits (0 = the trace's # frame comment, or else inferred from the trace span)")
 	mode := flag.String("mode", "csi", "csi or rssi")
-	follow := flag.Bool("follow", false, "print bits as they decode (requires -payload)")
+	follow := flag.Bool("follow", false, "print bits as they decode (requires -payload or a # frame comment)")
 	flag.Parse()
 
 	if err := run(os.Stdin, os.Stdout, *rate, *start, *payload, *mode, *follow); err != nil {
@@ -88,9 +90,6 @@ func run(in io.Reader, out io.Writer, rate, start float64, payloadLen int, mode 
 	if err != nil {
 		return err
 	}
-	if payloadLen <= 0 && follow {
-		return fmt.Errorf("-follow requires an explicit -payload (inferring the length needs the whole trace)")
-	}
 	rr, err := csi.NewRowReader(in)
 	if err != nil {
 		return err
@@ -99,9 +98,15 @@ func run(in io.Reader, out io.Writer, rate, start float64, payloadLen int, mode 
 	if err != nil {
 		return err
 	}
+	if payloadLen <= 0 {
+		payloadLen = len(truth)
+	}
 	bitDur := 1 / rate
 	if payloadLen <= 0 {
-		return runInferred(rr, out, bitDur, start, smode, truth)
+		if follow {
+			return fmt.Errorf("-follow requires an explicit -payload or a # frame comment (inferring the length needs the whole trace)")
+		}
+		return runInferred(rr, out, bitDur, start, smode)
 	}
 
 	// Streaming path: constant memory in the trace length. One reused row
@@ -200,9 +205,10 @@ func summarize(out io.Writer, dec *uplink.Decoder, res *uplink.Result, measureme
 	}
 }
 
-// runInferred is the materialized path: payload length comes from the
-// trace span, so the whole trace must be read before decoding.
-func runInferred(rr *csi.RowReader, out io.Writer, bitDur, start float64, mode uplink.StreamMode, truth []bool) error {
+// runInferred is the materialized path for a trace without a frame
+// comment: payload length comes from the trace span, so the whole trace
+// must be read before decoding.
+func runInferred(rr *csi.RowReader, out io.Writer, bitDur, start float64, mode uplink.StreamMode) error {
 	s, err := rr.ReadAll()
 	if err != nil {
 		return err
@@ -227,7 +233,7 @@ func runInferred(rr *csi.RowReader, out io.Writer, bitDur, start float64, mode u
 	if err != nil {
 		return err
 	}
-	summarize(out, dec, res, s.Len(), payloadLen, truth)
+	summarize(out, dec, res, s.Len(), payloadLen, nil)
 	return nil
 }
 

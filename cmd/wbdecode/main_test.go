@@ -154,8 +154,37 @@ func TestRunFollowPrintsBitsBeforeSummary(t *testing.T) {
 	}
 }
 
-// TestRunFollowRequiresPayload pins the flag interaction: inferring the
-// payload length needs the whole trace, which contradicts -follow.
+// TestRunTakesPayloadFromFrame pins where the payload length comes from
+// without -payload: the header's frame comment. The trace runs 0.54 s past
+// the 20-bit frame, so inferring the length from its span would decode 73
+// bits; instead the output is the explicit -payload 20 run's, and -follow
+// works too.
+func TestRunTakesPayloadFromFrame(t *testing.T) {
+	trace, _ := buildTrace(t, true)
+	var explicit, fromFrame, followed strings.Builder
+	if err := run(strings.NewReader(trace), &explicit, 100, 1.0, 20, "csi", false); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(strings.NewReader(trace), &fromFrame, 100, 1.0, 0, "csi", false); err != nil {
+		t.Fatal(err)
+	}
+	if fromFrame.String() != explicit.String() {
+		t.Errorf("without -payload:\n%s\nwith -payload 20:\n%s", fromFrame.String(), explicit.String())
+	}
+	if !strings.Contains(fromFrame.String(), "ground truth BER:    0/20") {
+		t.Errorf("ground truth BER not clean:\n%s", fromFrame.String())
+	}
+	if err := run(strings.NewReader(trace), &followed, 100, 1.0, 0, "csi", true); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(followed.String(), "bit "); n != 20 {
+		t.Errorf("-follow without -payload printed %d bit lines, want 20:\n%s", n, followed.String())
+	}
+}
+
+// TestRunFollowRequiresPayload pins the flag interaction: without a frame
+// comment, inferring the payload length needs the whole trace, which
+// contradicts -follow.
 func TestRunFollowRequiresPayload(t *testing.T) {
 	trace, _ := buildTrace(t, false)
 	err := run(strings.NewReader(trace), &strings.Builder{}, 100, 1.0, 0, "csi", true)

@@ -3,8 +3,7 @@ package dsp
 import "sync"
 
 // The decode hot path conditions ~90 channel series per frame, each
-// needing one same-length prefix-sum buffer, and the streaming decoder's
-// frame arena is built from the same buffers. Allocating those per call
+// needing one same-length prefix-sum buffer. Allocating those per call
 // dominated the allocation profile of parallel sweeps, so scratch buffers
 // come from a shared sync.Pool instead. Only buffers that never escape
 // their function (or that callers explicitly return with PutSlice) are

@@ -45,7 +45,7 @@ func (d *Decoder) DetectAck(s *csi.Series, start float64) (bool, float64, error)
 		// Too few measurements to cover the burst.
 		return false, 0, nil
 	}
-	fs := getScratch(len(sd.chans), sd.n, sd.nbits)
+	fs := getScratch(sd.nchan(), sd.n, sd.nbits)
 	defer putScratch(fs)
 	sd.bin(fs.off)
 	stats := sd.scoreLanes(fs)

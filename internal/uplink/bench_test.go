@@ -110,7 +110,7 @@ func BenchmarkStreamPush(b *testing.B) {
 	if len(inFrame) == 0 {
 		b.Fatal("no in-frame measurements")
 	}
-	// Warm up: one full frame grows the arena and primes the dsp pool, so
+	// Warm up: one full frame grows the arena and primes the slab pool, so
 	// the measured pushes land in recycled buffers.
 	sd, _ := d.NewStream(mod.Start(), 90, StreamCSI)
 	for _, m := range inFrame {
@@ -246,7 +246,7 @@ func benchFrameStages(b *testing.B, mode StreamMode) {
 		}
 	}
 	defer sd.release()
-	fs := getScratch(len(sd.chans), sd.n, sd.nbits)
+	fs := getScratch(sd.nchan(), sd.n, sd.nbits)
 	defer putScratch(fs)
 	// One pass through every stage leaves the inputs each stage needs.
 	sd.bin(fs.off)
@@ -275,7 +275,7 @@ func benchFrameStages(b *testing.B, mode StreamMode) {
 		job := sd.laneJob(fs)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			scoreLaneRange(job, 0, len(sd.chans))
+			scoreLaneRange(job, 0, sd.nchan())
 		}
 	})
 	b.Run("select", func(b *testing.B) {

@@ -46,7 +46,7 @@ func CloseLanes(sd *StreamDecoder, s *csi.Series) ([]LaneStats, error) {
 		}
 	}
 	defer sd.release()
-	fs := getScratch(len(sd.chans), sd.n, sd.nbits)
+	fs := getScratch(sd.nchan(), sd.n, sd.nbits)
 	defer putScratch(fs)
 	return copyLanes(sd.analyze(fs)), nil
 }
@@ -60,7 +60,7 @@ func (d *Decoder) AckLanes(s *csi.Series, start float64) []LaneStats {
 	if sd.n < len(preambleLevels) {
 		return nil
 	}
-	fs := getScratch(len(sd.chans), sd.n, sd.nbits)
+	fs := getScratch(sd.nchan(), sd.n, sd.nbits)
 	defer putScratch(fs)
 	sd.bin(fs.off)
 	return copyLanes(sd.scoreLanes(fs))

@@ -11,9 +11,13 @@ package uplink
 // fall inside the expected frame window [start, start+nbits·BitDuration).
 // Out-of-frame pushes are validated, counted, and dropped, so a stream fed
 // an arbitrarily long trace holds at most one frame's worth of samples —
-// memory is bounded by the frame, not the trace. The frame arena lives in
-// pooled dsp scratch slices and goes back to the pool the moment the frame
-// decodes (or the stream fails or flushes).
+// memory is bounded by the frame, not the trace. The frame arena is one
+// slab from its own pool (arena.go): a lane of timestamps and one lane per
+// channel, at a stride of an odd number of cache lines so the lanes never
+// sit a multiple of 4 KiB apart. A batch entry point sizes it once for the
+// frame's sorted range of measurements; a pushed stream doubles it up to
+// the frame. It goes back to the pool the moment the frame decodes (or
+// the stream fails or flushes).
 //
 // The latency contract: the paper's pipeline is frame-global — the
 // conditioning normalization, the preamble correlation that ranks
@@ -127,15 +131,20 @@ type StreamDecoder struct {
 	last    float64
 	hasLast bool
 
-	// The frame arena: pooled buffers holding only in-frame samples.
-	// ts[i] and chans[c][i] describe the i-th in-frame measurement; the
-	// channel order is a·subs+k for CSI (matching the batch scan order),
-	// a for RSSI, and a single slot in single-channel mode.
-	ts     []float64
-	chans  [][]float64
-	n      int
-	arena  int // current buffer capacity
-	closed bool
+	// The frame arena (arena.go): one pooled slab holding only in-frame
+	// samples, a lane of timestamps and one lane per channel, stride
+	// floats apart. times()[i] and lane(c)[i] describe the i-th in-frame
+	// measurement; the channel order is a·subs+k for CSI (matching the
+	// batch scan order), a for RSSI, and a single lane in single-channel
+	// mode. frameLen, when the caller knows it, is the in-frame
+	// measurement count the first store sizes the arena for; reserves
+	// counts the slabs the arena has taken.
+	slab     []float64
+	stride   int
+	n        int
+	frameLen int
+	reserves int
+	closed   bool
 
 	decoded bool
 	emitted []BitDecision
@@ -181,16 +190,17 @@ func (d *Decoder) newStream(start float64, payloadLen, chips int, mode StreamMod
 }
 
 // newWindow loads the measurements of a checked series timestamped in
-// [from, to), found by frameRange's sorted search, into the arena of a
-// preamble-only CSI stream (13 frame bins from from). The preamble
-// detectors score it without Push or decode and release the arena.
+// [from, to), found by frameMeasurements' sorted search, into the arena
+// of a preamble-only CSI stream (13 frame bins from from), sized once for
+// them. The preamble detectors score it without Push or decode and
+// release the arena.
 func (d *Decoder) newWindow(s *csi.Series, from, to float64) *StreamDecoder {
 	sd := &StreamDecoder{d: d, start: from, end: to, nbits: len(preambleLevels),
 		ants: s.Antennas(), subs: s.Subchannels()}
-	ms := s.Measurements
-	i := sort.Search(len(ms), func(i int) bool { return ms[i].Timestamp >= from })
-	for ; i < len(ms) && ms[i].Timestamp < to; i++ {
-		sd.store(ms[i])
+	lo, hi := frameMeasurements(s.Measurements, from, to)
+	sd.frameLen = hi - lo
+	for _, m := range s.Measurements[lo:hi] {
+		sd.store(m)
 	}
 	return sd
 }
@@ -222,8 +232,8 @@ func (sd *StreamDecoder) Margins() []float64 { return sd.margins }
 // first push whose timestamp reaches the frame end decodes the frame and
 // returns every payload bit at once (the pipeline is frame-global, so
 // that is the earliest any bit can be final — see the file comment).
-// Steady-state pushes do not allocate: samples land in pooled buffers
-// that grow geometrically up to the frame size.
+// Steady-state pushes do not allocate: samples land in a pooled slab
+// that grows geometrically up to the frame size.
 func (sd *StreamDecoder) Push(m csi.Measurement) ([]BitDecision, error) {
 	if sd.err != nil {
 		return nil, sd.err
@@ -288,13 +298,17 @@ func (sd *StreamDecoder) Flush() (*Result, error) {
 }
 
 // pushAll drives the stream over a whole series: check the series (see
-// checkSeries), push every measurement, then flush. Push and the batch wrappers share one timestamp contract —
-// non-decreasing, equal timestamps legal — matching what
-// csi.Series.Append documents for the capture side.
+// checkSeries), size the arena once for the frame's sorted range of
+// measurements, push every measurement, then flush. Push and the batch
+// wrappers share one timestamp contract — non-decreasing, equal
+// timestamps legal — matching what csi.Series.Append documents for the
+// capture side.
 func (sd *StreamDecoder) pushAll(s *csi.Series) (*Result, error) {
 	if err := checkSeries(s); err != nil {
 		return nil, err
 	}
+	lo, hi := frameMeasurements(s.Measurements, sd.start, sd.end)
+	sd.frameLen = hi - lo
 	for _, m := range s.Measurements {
 		if _, err := sd.Push(m); err != nil {
 			return nil, err
@@ -368,72 +382,6 @@ func (sd *StreamDecoder) laneID(i int) ChannelID {
 	}
 }
 
-// store appends one in-frame measurement to the arena.
-func (sd *StreamDecoder) store(m csi.Measurement) {
-	if sd.n == sd.arena {
-		sd.grow()
-	}
-	i := sd.n
-	sd.ts[i] = m.Timestamp
-	switch {
-	case sd.single:
-		sd.chans[0][i] = m.CSI[sd.antenna][sd.subchannel]
-	case sd.mode == StreamRSSI:
-		for a := 0; a < sd.ants; a++ {
-			sd.chans[a][i] = m.RSSI[a]
-		}
-	default:
-		for a := 0; a < sd.ants; a++ {
-			row := m.CSI[a]
-			base := a * sd.subs
-			for k := 0; k < sd.subs; k++ {
-				sd.chans[base+k][i] = row[k]
-			}
-		}
-	}
-	sd.n++
-}
-
-// grow doubles the arena's pooled buffers. Growth tops out at the frame's
-// measurement count because out-of-frame pushes are never stored.
-func (sd *StreamDecoder) grow() {
-	c := sd.arena * 2
-	if c == 0 {
-		c = 128
-	}
-	if sd.chans == nil {
-		sd.chans = make([][]float64, sd.nchan())
-	}
-	//wblint:ignore PH004 the arena deliberately lives on sd across pushes; StreamDecoder.release returns every buffer to the pool on decode/flush/fail
-	sd.ts = growPooled(sd.ts, sd.n, c)
-	for i := range sd.chans {
-		//wblint:ignore PH004 same arena ownership as sd.ts: released by StreamDecoder.release on every exit path
-		sd.chans[i] = growPooled(sd.chans[i], sd.n, c)
-	}
-	sd.arena = c
-}
-
-// growPooled moves n live samples into a larger pooled buffer, releasing
-// the old one.
-func growPooled(old []float64, n, c int) []float64 {
-	buf := dsp.GetSlice(c)
-	copy(buf, old[:n])
-	dsp.PutSlice(old)
-	//wblint:ignore PH003 ownership stays with the StreamDecoder's frame arena; StreamDecoder.release returns it to the pool at decode/flush/fail time
-	return buf
-}
-
-// release returns the frame arena to the pool.
-func (sd *StreamDecoder) release() {
-	dsp.PutSlice(sd.ts)
-	sd.ts = nil
-	for i := range sd.chans {
-		dsp.PutSlice(sd.chans[i])
-		sd.chans[i] = nil
-	}
-	sd.n, sd.arena = 0, 0
-}
-
 // decode runs the pipeline over the buffered frame, once per stream. It
 // is the only decode implementation in the package; every entry point
 // reaches it, and it runs the same five stages for all of them:
@@ -451,7 +399,7 @@ func (sd *StreamDecoder) release() {
 // which the preamble detectors share.
 func (sd *StreamDecoder) decode(atFlush bool) error {
 	sd.decoded = true
-	fs := getScratch(len(sd.chans), sd.n, sd.nbits)
+	fs := getScratch(sd.nchan(), sd.n, sd.nbits)
 	defer putScratch(fs)
 	stats := sd.analyze(fs)
 	sel, err := sd.selectTop(stats)
@@ -543,7 +491,7 @@ func resize[T any](s []T, n int) []T {
 // bins by timestamp (§3.2), or by arrival count for the equal-count
 // ablation, writing the nbits+1 bin boundaries into off.
 func (sd *StreamDecoder) bin(off []int) {
-	ts := sd.ts[:sd.n]
+	ts := sd.times()
 	if sd.v.Binning == BinEqualCount {
 		binEqualCount(off, ts, sd.start, sd.d.cfg.BitDuration)
 		return
@@ -558,8 +506,8 @@ func (sd *StreamDecoder) bin(off []int) {
 func (sd *StreamDecoder) analyze(fs *frameScratch) []channelStats {
 	sd.bin(fs.off)
 	if imp := sd.d.Impair; imp != nil {
-		for i, lane := range sd.chans {
-			imp.ImpairChannel(sd.laneID(i), sd.ts[:sd.n], lane[:sd.n])
+		for i := range sd.nchan() {
+			imp.ImpairChannel(sd.laneID(i), sd.times(), sd.lane(i))
 		}
 	}
 	return sd.scoreLanes(fs)
@@ -573,7 +521,7 @@ func (sd *StreamDecoder) analyze(fs *frameScratch) []channelStats {
 // count. The score is the magnitude of the preamble correlation, or for
 // long range the code discriminability.
 func (sd *StreamDecoder) scoreLanes(fs *frameScratch) []channelStats {
-	fs.split.Run(len(sd.chans), sd.laneJob(fs), scoreLaneRange)
+	fs.split.Run(sd.nchan(), sd.laneJob(fs), scoreLaneRange)
 	return fs.stats
 }
 
@@ -587,7 +535,7 @@ type laneJob struct {
 }
 
 func (sd *StreamDecoder) laneJob(fs *frameScratch) laneJob {
-	return laneJob{sd: sd, fs: fs, window: windowSamples(sd.ts[:sd.n], sd.d.cfg.windowFor())}
+	return laneJob{sd: sd, fs: fs, window: windowSamples(sd.times(), sd.d.cfg.windowFor())}
 }
 
 // scoreLaneRange is scoreLanes over lanes [lo, hi), in lane order.
@@ -595,7 +543,7 @@ func scoreLaneRange(j laneJob, lo, hi int) {
 	sd, fs, n := j.sd, j.fs, j.sd.n
 	for i := lo; i < hi; i++ {
 		cond, means, ok := fs.lane(i, n, sd.nbits)
-		fs.stats[i] = analyzeChannel(sd.laneID(i), sd.chans[i][:n], cond, fs.off, j.window, means, ok)
+		fs.stats[i] = analyzeChannel(sd.laneID(i), sd.lane(i), cond, fs.off, j.window, means, ok)
 		if sd.code0 != nil {
 			fs.stats[i].score = sd.codeScore(&fs.stats[i])
 		}

@@ -42,11 +42,11 @@ func (d *Decoder) FindTransmission(s *csi.Series, from, to float64) (start float
 	if n < len(preambleLevels) {
 		return 0, false, nil
 	}
-	ts := sd.ts[:n]
-	fs := getScratch(len(sd.chans), n, sd.nbits)
+	ts := sd.times()
+	fs := getScratch(sd.nchan(), n, sd.nbits)
 	defer putScratch(fs)
 	stats := fs.stats
-	fs.split.Run(len(sd.chans), sd.laneJob(fs), conditionLaneRange)
+	fs.split.Run(sd.nchan(), sd.laneJob(fs), conditionLaneRange)
 	// Common-mode rejection: per-packet AGC noise moves every channel
 	// identically and would correlate on all of them at once, which is
 	// exactly what the many-channel rank test is meant to exclude. The
@@ -90,7 +90,7 @@ func conditionLaneRange(j laneJob, lo, hi int) {
 	sd, fs, n := j.sd, j.fs, j.sd.n
 	for i := lo; i < hi; i++ {
 		cond, means, ok := fs.lane(i, n, sd.nbits)
-		dsp.ConditionInto(cond, sd.chans[i][:n], j.window)
+		dsp.ConditionInto(cond, sd.lane(i), j.window)
 		fs.stats[i] = channelStats{cond: cond, means: means, ok: ok}
 	}
 }

@@ -3,8 +3,9 @@
 #
 # Runs the command-line tools end to end on a real pipe: wbtrace's default
 # trace (a 300-bit alternating payload at 100 bps from t=1 s) into
-# wbdecode, decoding the CSI half, the RSSI half and the CSI half with
-# -follow, and into wbload's 8 self-hosted sessions. Each decode must print
+# wbdecode, decoding the CSI half with the payload length taken from the
+# trace's frame comment, then with -payload: the CSI half, the RSSI half
+# and the CSI half with -follow, and into wbload's 8 self-hosted sessions. Each decode must print
 # the payload as its bits line and a clean ground-truth BER; wbload must
 # report every session byte-identical to its batch decode. The binaries
 # are built into a temporary directory, which is removed on exit. Every
@@ -44,6 +45,7 @@ check() {
 }
 
 ber='ground truth BER:    0/300 = 0.00e+00'
+check "wbdecode" "bits: $payload" "$ber"
 check "wbdecode -payload 300" "bits: $payload" "$ber"
 check "wbdecode -mode rssi -payload 300" "bits: $payload" "$ber"
 check "wbdecode -payload 300 -follow" "bits: $payload" "$ber" "bit 299 = 0  (.* measurements)"
