@@ -61,8 +61,9 @@ bench:
 # allocates at most 7 times, and no more often as the channel count
 # grows), TestDetectAckAllocs (an ACK detection's allocation count must
 # not grow with the trace) and the frame arena's layout tests, TestArena*
-# (no lane stride is a multiple of 4 KiB, and lanes hold what was pushed
-# through every growth) and TestBatchArenaSizedOnce (a batch decode and a
+# (no lane stride is a multiple of 4 KiB, a pushed stream sizes itself
+# for an ordinary frame in at most two slabs, and lanes hold what was
+# pushed through every growth) and TestBatchArenaSizedOnce (a batch decode and a
 # preamble window take one slab and never grow it). The frame close fans
 # its lanes out over GOMAXPROCS, so everything runs at -cpu 1 (the serial
 # kernel) and 2. The allocation tests are skipped under -race, so this
@@ -86,10 +87,13 @@ bench-stream:
 # slab), TestMeasureIntoAllocs and TestSkipIntoAllocs that a reused one
 # allocates nothing, and TestContentionRoundAllocs that a CSMA/CA round
 # allocates only the Transmission it hands its listeners (a failed frame
-# is retried in place). The tests are skipped under -race, so this plain-build
-# run is the gate.
+# is retried in place), and TestStreamedCaptureAllocs that a system whose
+# every consumer streams (core.System.StreamTo) adds no allocation per
+# capture: what its captures add over the same traffic uncaptured does
+# not grow with twice as many of them. The tests are skipped under -race,
+# so this plain-build run is the gate.
 bench-observe:
-	$(GO) test -bench 'BenchmarkObserve|BenchmarkAdvance|BenchmarkCircuitStep|BenchmarkEngineSchedule|BenchmarkMeasure|BenchmarkSkipInto' -benchmem -run 'TestObserveSteadyStateAllocs|TestAdvanceAllocs|TestScheduleSteadyStateAllocs|TestMeasureAllocs|TestMeasureIntoAllocs|TestSkipIntoAllocs|TestContentionRoundAllocs' ./internal/radio/ ./internal/tag/ ./internal/sim/ ./internal/csi/ ./internal/wifi/
+	$(GO) test -bench 'BenchmarkObserve|BenchmarkAdvance|BenchmarkCircuitStep|BenchmarkEngineSchedule|BenchmarkMeasure|BenchmarkSkipInto' -benchmem -run 'TestObserveSteadyStateAllocs|TestAdvanceAllocs|TestScheduleSteadyStateAllocs|TestMeasureAllocs|TestMeasureIntoAllocs|TestSkipIntoAllocs|TestContentionRoundAllocs|TestStreamedCaptureAllocs' ./internal/radio/ ./internal/tag/ ./internal/sim/ ./internal/csi/ ./internal/wifi/ ./internal/core/
 
 # Wire and session contract: BenchmarkParseMeasurement reports one 3x30
 # CSI m line and one 3x1 RSSI m line with -benchmem, and

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/csi"
 	"repro/internal/faults"
@@ -121,11 +122,13 @@ type System struct {
 	logEnabled bool
 	onMeasure  []func(csi.Measurement)
 
-	// stream, set by StreamTo, replaces the series: each report is
-	// measured into report, which the next packet overwrites, and pushed
-	// to stream before the hooks see it.
-	stream *uplink.StreamDecoder
-	report csi.Measurement
+	// streams, subscribed by StreamTo and sorted by frame start, replace
+	// the series: from the first subscription on (noSeries), each report
+	// is measured into report, which the next packet overwrites, and
+	// pushed to every open stream before the hooks see it.
+	streams  []*uplink.StreamDecoder
+	noSeries bool
+	report   csi.Measurement
 }
 
 // NewSystem assembles a deployment from the config.
@@ -229,10 +232,8 @@ func NewSystem(cfg Config) (*System, error) {
 		if s.faults.CorruptMeasurement(at, &m) {
 			return // the flaky capture path dropped this packet's report
 		}
-		if s.stream != nil {
-			// A failed push poisons the stream, and Flush returns its
-			// error.
-			_, _ = s.stream.Push(m)
+		if s.noSeries {
+			s.push(m)
 		} else {
 			s.series.Append(m)
 		}
@@ -244,8 +245,8 @@ func NewSystem(cfg Config) (*System, error) {
 }
 
 // measure evaluates the channel at time at and returns the card's report:
-// a fresh one for the series, or the reused report when a stream
-// replaces the series.
+// a fresh one for the series, or the reused report when streams replace
+// the series.
 func (s *System) measure(at float64) csi.Measurement {
 	for i, mod := range s.mods {
 		s.states[i] = mod != nil && mod.StateAt(at)
@@ -264,39 +265,84 @@ func (s *System) measure(at float64) csi.Measurement {
 	// stream stays aligned with the clean run.
 	s.h = h
 	s.faults.AttenuateChannel(at, h)
-	if s.stream == nil {
+	if !s.noSeries {
 		return s.Card.Measure(at, h)
 	}
 	s.Card.MeasureInto(&s.report, at, h)
 	return s.report
 }
 
-// skips reports whether the capture at time at goes unread: a stream is
-// the system's only consumer and at falls outside its frame [Start, End),
-// where Push looks at nothing but the timestamp and the shape.
+// skips reports whether the capture at time at goes unread: streams are
+// the system's only consumers and at falls outside the frame [Start, End)
+// of every open one, where Push looks at nothing but the timestamp and the
+// shape.
 func (s *System) skips(at float64) bool {
-	return s.stream != nil && len(s.onMeasure) == 0 &&
-		(at < s.stream.Start() || at >= s.stream.End())
+	if !s.noSeries || len(s.onMeasure) > 0 {
+		return false
+	}
+	for _, sd := range s.streams {
+		if sd.Start() > at {
+			break // sorted by start: no later frame has begun
+		}
+		if at < sd.End() && !sd.Closed() {
+			return false
+		}
+	}
+	return true
 }
 
-// StreamTo subscribes sd to every capture, in order, in place of the
-// series: from here on the system keeps no series, measures each report
-// into one buffer the next packet overwrites, and pushes it to sd, whose
-// first push past the frame end closes the frame. Call it before Run,
-// with a stream opened on UplinkDecoder's decoder, and take the Result
-// from sd.Flush once Run returns; DecodeStream does all three.
+// push feeds m to every open stream, in start order, and drops the streams
+// that have closed. A failed push poisons its stream, and Flush returns
+// the error.
+func (s *System) push(m csi.Measurement) {
+	open := s.streams[:0]
+	for _, sd := range s.streams {
+		if sd.Closed() {
+			continue
+		}
+		_, _ = sd.Push(m)
+		if !sd.Closed() {
+			open = append(open, sd)
+		}
+	}
+	clear(s.streams[len(open):])
+	s.streams = open
+}
+
+// StreamTo subscribes sd to every capture from here on, in order, in place
+// of the series: from the first subscription the system keeps no series,
+// measures each report into one buffer the next packet overwrites, and
+// pushes it to every open stream. A stream's first push past its frame end
+// closes the frame (unless it decodes at Flush), and the stream leaves the
+// system once it is flushed or has failed. Subscribe a stream, opened on
+// an UplinkDecoder, before its frame starts: before Run, or during it
+// from an event, as a transaction does for its response. Take the Result
+// from its Flush; DecodeStream does all three for one frame.
 //
-// While sd is the only consumer (no OnMeasurement hook), a capture
-// outside sd's frame is not evaluated: the channel, the card and the
-// fault injector make the draws and keep the tallies the evaluated
-// capture would, so the run stays draw-for-draw the same, and sd still
-// counts the push and closes the frame on it. A hook makes every capture
-// evaluated again.
-func (s *System) StreamTo(sd *uplink.StreamDecoder) { s.stream = sd }
+// While streams are the only consumers (no OnMeasurement hook), a capture
+// outside every open stream's frame is not evaluated: the channel, the
+// card and the fault injector make the draws and keep the tallies the
+// evaluated capture would, so the run stays draw-for-draw the same, and
+// the streams still count the push and close their frames on it. A hook
+// makes every capture evaluated again.
+func (s *System) StreamTo(sd *uplink.StreamDecoder) {
+	s.keepNoSeries()
+	i := len(s.streams)
+	for i > 0 && s.streams[i-1].Start() > sd.Start() {
+		i--
+	}
+	s.streams = slices.Insert(s.streams, i, sd)
+}
+
+// keepNoSeries stops the series for good and drops what it held.
+func (s *System) keepNoSeries() {
+	s.noSeries = true
+	s.series = csi.Series{}
+}
 
 // OnMeasurement registers a hook invoked for every measurement the reader
 // captures, in capture order, after it lands in the system's series or
-// stream. This is the online path: a reader.LiveSession subscribed here
+// streams. This is the online path: a reader.LiveSession subscribed here
 // decodes during the simulation instead of batch-processing Series()
 // afterwards. Hooks run inside the measurement listener, so they must not
 // mutate the system, and must treat the measurement's slices as
@@ -346,11 +392,9 @@ func (s *System) EnableTxLog() { s.logEnabled = true }
 // called before running).
 func (s *System) TxLog() []*wifi.Transmission { return s.txLog }
 
-// Series returns the measurement series collected so far.
+// Series returns the measurement series collected so far: empty on a
+// system that streams (StreamTo, RunQuery).
 func (s *System) Series() *csi.Series { return &s.series }
-
-// ResetSeries discards collected measurements (between trials).
-func (s *System) ResetSeries() { s.series = csi.Series{} }
 
 // AddTag places another tag at the given distance from the reader and
 // returns its index (tag 0 always exists). Tags added here share the

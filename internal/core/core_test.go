@@ -41,10 +41,6 @@ func TestSystemCollectsMeasurements(t *testing.T) {
 	if n < 900 || n > 1100 {
 		t.Errorf("collected %d measurements in 1 s at 1000 pkt/s", n)
 	}
-	sys.ResetSeries()
-	if sys.Series().Len() != 0 {
-		t.Error("ResetSeries should clear measurements")
-	}
 }
 
 func TestSystemIgnoresReaderOwnPackets(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -51,11 +52,7 @@ func (tr *streamTrial) record(m csi.Measurement) {
 	if m.Timestamp < tr.sd.Start() || m.Timestamp >= tr.sd.End() {
 		return
 	}
-	c := csi.Measurement{Timestamp: m.Timestamp, RSSI: append([]float64(nil), m.RSSI...)}
-	for _, row := range m.CSI {
-		c.CSI = append(c.CSI, append([]float64(nil), row...))
-	}
-	tr.inFrame = append(tr.inFrame, c)
+	tr.inFrame = append(tr.inFrame, copyMeasurement(m))
 }
 
 func sameMeasurement(a, b csi.Measurement) bool {
@@ -189,6 +186,226 @@ func TestStreamToEvaluatesWithHook(t *testing.T) {
 	for i := range want {
 		if math.Float64bits(got[i].Timestamp) != math.Float64bits(want[i].Timestamp) || !sameFloatBits(got[i].RSSI, want[i].RSSI) {
 			t.Fatalf("capture %d: %v %v, twin %v %v", i, got[i].Timestamp, got[i].RSSI, want[i].Timestamp, want[i].RSSI)
+		}
+	}
+}
+
+// twinStreams opens, on one system's decoders, the windows
+// TestStreamsMatchSeriesTwin subscribes: the frame sent from 1 s, a
+// window overlapping its second half that decodes at Flush, an ACK window
+// on its preamble, and a single-channel window at 2.2 s, past the frame,
+// that is subscribed during Run.
+func twinStreams(t *testing.T, sys *System) (early []*uplink.StreamDecoder, late *uplink.StreamDecoder) {
+	t.Helper()
+	dec, err := sys.UplinkDecoder(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := dec.NewStream(1.0, 40, uplink.StreamCSI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlap, err := dec.NewStream(1.3, 20, uplink.StreamCSI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlap.DecodeAtFlush()
+	late, err = dec.NewSingleChannelStream(2.2, 10, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*uplink.StreamDecoder{frame, overlap, dec.NewAckStream(1.0)}, late
+}
+
+// TestStreamsMatchSeriesTwin extends TestStreamToMatchesSeriesTwin to
+// several streams: overlapping windows, one subscribed mid-Run for a
+// window that starts later, and captures outside every window (before
+// 1 s, between the frame and the late window, and after it), which the
+// streamed system does not evaluate. Its twin keeps a series and feeds
+// identical streams from a hook, each from the moment it is subscribed on
+// the streamed system until it closes. Clean and under every fault
+// profile, the in-window reports, every stream's outcome, the metrics
+// snapshot and the fault tally must match.
+func TestStreamsMatchSeriesTwin(t *testing.T) {
+	profiles := append([]string{""}, faults.ProfileNames()...)
+	for _, name := range profiles {
+		cfg := Config{Seed: 7, TagReaderDistance: units.Centimeters(20)}
+		if name != "" {
+			sched, err := faults.Profile(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = sched
+		}
+		streamed, twin := newStreamTrial(t, cfg), newStreamTrial(t, cfg)
+		sEarly, sLate := twinStreams(t, streamed.sys)
+		tEarly, tLate := twinStreams(t, twin.sys)
+		all := append(append([]*uplink.StreamDecoder(nil), sEarly...), sLate)
+		inWindow := func(at float64) bool {
+			for _, sd := range all {
+				if at >= sd.Start() && at < sd.End() {
+					return true
+				}
+			}
+			return false
+		}
+		for _, sd := range sEarly {
+			streamed.sys.StreamTo(sd)
+		}
+		streamed.sys.Eng.ScheduleAt(1.9, func() { streamed.sys.StreamTo(sLate) })
+		pushes := streamed.sys.Metrics().Counter("uplink.stream.pushes")
+		var seen int64
+		var got, want []csi.Measurement
+		streamed.sys.Medium.AddListener(func(*wifi.Transmission) {
+			if n := pushes.Value(); n != seen {
+				seen = n
+				if r := streamed.sys.report; inWindow(r.Timestamp) {
+					got = append(got, copyMeasurement(r))
+				}
+			}
+		})
+		subscribed := append([]*uplink.StreamDecoder(nil), tEarly...)
+		twin.sys.Eng.ScheduleAt(1.9, func() { subscribed = append(subscribed, tLate) })
+		twin.sys.OnMeasurement(func(m csi.Measurement) {
+			if inWindow(m.Timestamp) {
+				want = append(want, copyMeasurement(m))
+			}
+			for _, sd := range subscribed {
+				if !sd.Closed() {
+					_, _ = sd.Push(m)
+				}
+			}
+		})
+		streamed.sys.Run(3)
+		twin.sys.Run(3)
+
+		if streamed.sys.Series().Len() != 0 || twin.sys.Series().Len() == 0 {
+			t.Fatalf("%q: series of %d and %d measurements; the streamed system must keep none",
+				name, streamed.sys.Series().Len(), twin.sys.Series().Len())
+		}
+		if len(got) != len(want) || (name == "" && len(want) == 0) {
+			t.Fatalf("%q: %d in-window reports streamed, %d from the twin", name, len(got), len(want))
+		}
+		for i := range want {
+			if !sameMeasurement(got[i], want[i]) {
+				t.Fatalf("%q: in-window report %d differs:\n%+v\ntwin %+v", name, i, got[i], want[i])
+			}
+		}
+		for i, sd := range append(sEarly, sLate) {
+			tsd := append(tEarly, tLate)[i]
+			if i == 2 {
+				gok, gbest, gerr := sd.FlushAck()
+				wok, wbest, werr := tsd.FlushAck()
+				if gok != wok || math.Float64bits(gbest) != math.Float64bits(wbest) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Errorf("%q: ACK window (%v, %v, %v), twin (%v, %v, %v)", name, gok, gbest, gerr, wok, wbest, werr)
+				}
+				continue
+			}
+			g, gerr := sd.Flush()
+			w, werr := tsd.Flush()
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || (gerr == nil && !reflect.DeepEqual(g, w)) {
+				t.Errorf("%q: stream %d decoded %+v (%v), twin %+v (%v)", name, i, g, gerr, w, werr)
+			}
+		}
+		if g, w := streamed.sys.Metrics().Snapshot(), twin.sys.Metrics().Snapshot(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%q: metrics snapshot differs from the twin:\n%+v\n%+v", name, g, w)
+		}
+		if g, w := streamed.sys.FaultInjector().Tally(), twin.sys.FaultInjector().Tally(); g != w {
+			t.Errorf("%q: fault tally %+v, twin %+v", name, g, w)
+		}
+		if name == "" {
+			// The captures after the late window went unevaluated: the
+			// reused report carries the last one's timestamp but the last
+			// in-window report's values.
+			last, r := got[len(got)-1], streamed.sys.report
+			if r.Timestamp < sLate.End() || !sameFloatBits(r.RSSI, last.RSSI) {
+				t.Errorf("captures past every window were evaluated: last report at %v with RSSI %v, last in-window %v",
+					r.Timestamp, r.RSSI, last.RSSI)
+			}
+		}
+	}
+}
+
+// copyMeasurement returns a deep copy of m.
+func copyMeasurement(m csi.Measurement) csi.Measurement {
+	c := csi.Measurement{Timestamp: m.Timestamp, RSSI: append([]float64(nil), m.RSSI...)}
+	for _, row := range m.CSI {
+		c.CSI = append(c.CSI, append([]float64(nil), row...))
+	}
+	return c
+}
+
+// TestAckStreamMatchesDetectAck holds NewAckStream, fed by a system that
+// streams, to batch DetectAck over its series-keeping twin: on a present
+// burst, an idle window, and a window too short for 13 measurements
+// (a 2000 bps burst over 1000 packets a second), clean and under the
+// chaos fault profile.
+func TestAckStreamMatchesDetectAck(t *testing.T) {
+	for _, name := range []string{"", "chaos"} {
+		cfg := Config{Seed: 8, TagReaderDistance: units.Centimeters(15)}
+		if name != "" {
+			sched, err := faults.Profile(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = sched
+		}
+		type window struct {
+			what  string
+			rate  float64
+			start float64
+		}
+		windows := []window{{"present", 100, 1.0}, {"idle", 100, 1.6}, {"too few", 2000, 1.0}}
+		systems := [2]*System{}
+		var streams []*uplink.StreamDecoder
+		var decs []*uplink.Decoder
+		for i := range systems {
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := startHelperTraffic(sys, UplinkTrialSpec{Config: cfg, HelperPacketsPerSecond: 1000}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.TransmitUplink(uplink.AckBits(), 1.0, 100); err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range windows {
+				dec, err := sys.UplinkDecoder(w.rate)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					sd := dec.NewAckStream(w.start)
+					sys.StreamTo(sd)
+					streams = append(streams, sd)
+				} else {
+					decs = append(decs, dec)
+				}
+			}
+			sys.Run(2.5)
+			systems[i] = sys
+		}
+		for i, w := range windows {
+			gok, gbest, gerr := streams[i].FlushAck()
+			wok, wbest, werr := decs[i].DetectAck(systems[1].Series(), w.start)
+			if gerr != nil || werr != nil {
+				t.Fatalf("%q %s: errors %v, batch %v", name, w.what, gerr, werr)
+			}
+			if gok != wok || math.Float64bits(gbest) != math.Float64bits(wbest) {
+				t.Errorf("%q %s: stream (%v, %v), batch DetectAck (%v, %v)", name, w.what, gok, gbest, wok, wbest)
+			}
+			switch {
+			case name == "" && w.what == "present" && !gok:
+				t.Errorf("clean burst not detected (best %v)", gbest)
+			case w.what == "idle" && gok:
+				t.Errorf("%q: idle window detected (best %v)", name, gbest)
+			case w.what == "too few" && (gok || gbest != 0):
+				t.Errorf("%q: a window of too few measurements scored (%v, %v)", name, gok, gbest)
+			}
+		}
+		if g, w := systems[0].FaultInjector().Tally(), systems[1].FaultInjector().Tally(); g != w {
+			t.Errorf("%q: fault tally %+v, batch twin %+v", name, g, w)
 		}
 	}
 }

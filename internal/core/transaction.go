@@ -7,6 +7,7 @@ import (
 	"repro/internal/downlink"
 	"repro/internal/reader"
 	"repro/internal/tag"
+	"repro/internal/uplink"
 )
 
 // This file implements the full request-response transaction of §2: the
@@ -122,6 +123,8 @@ func (tc TransactionConfig) maxBackoffTotal() float64 {
 // its channel measurements. Helper traffic must already be running and the
 // engine is advanced internally. Failed attempts retransmit after the
 // response timeout plus an exponential backoff (see TransactionConfig).
+// Each response is decoded from a stream (StreamTo) subscribed when the tag
+// schedules it, so the system keeps no series from the query on.
 func (s *System) RunQuery(q reader.Query, tagData uint64, tc TransactionConfig) (*QueryResult, error) {
 	if q.BitRate == 0 {
 		return nil, fmt.Errorf("core: query must advise a bit rate")
@@ -130,6 +133,7 @@ func (s *System) RunQuery(q reader.Query, tagData uint64, tc TransactionConfig) 
 		return nil, fmt.Errorf("core: invalid transaction config %+v", tc)
 	}
 	s.EnableTxLog()
+	s.keepNoSeries()
 	enc, err := downlink.NewEncoder(tc.DownlinkBitDuration)
 	if err != nil {
 		return nil, err
@@ -186,13 +190,20 @@ func (s *System) RunQuery(q reader.Query, tagData uint64, tc TransactionConfig) 
 				if merr != nil {
 					return
 				}
-				// Reader decodes after the response completes.
+				// The reader streams the response as it arrives and
+				// decodes it after the response completes.
+				dec, uerr := s.UplinkDecoder(float64(res.TagHeard.BitRate))
+				if uerr != nil {
+					return
+				}
+				sd, uerr := dec.NewStream(mod.Start(), downlink.PayloadBits, uplink.StreamCSI)
+				if uerr != nil {
+					return
+				}
+				sd.DecodeAtFlush()
+				s.StreamTo(sd)
 				s.Eng.ScheduleAt(mod.End()+0.05, func() {
-					dec, uerr := s.UplinkDecoder(float64(res.TagHeard.BitRate))
-					if uerr != nil {
-						return
-					}
-					ur, uerr := dec.DecodeCSI(s.Series(), mod.Start(), downlink.PayloadBits)
+					ur, uerr := sd.Flush()
 					if uerr != nil {
 						return
 					}

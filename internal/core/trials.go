@@ -184,13 +184,12 @@ func RunLongRangeTrial(spec UplinkTrialSpec, codeLen int) (*UplinkTrialResult, e
 }
 
 // DecodeStream decodes one frame online: it subscribes sd (StreamTo),
-// runs the system to half a second past the frame's end and returns
-// sd.Flush's Result. A frame no capture reached gives an empty Result:
-// the trial lost its whole payload, a result rather than a failed
-// experiment.
-func (s *System) DecodeStream(sd *uplink.StreamDecoder, end float64) (*uplink.Result, error) {
+// runs the system to until, past the frame's end, and returns sd.Flush's
+// Result. A frame no capture reached gives an empty Result: the trial
+// lost its whole payload, a result rather than a failed experiment.
+func (s *System) DecodeStream(sd *uplink.StreamDecoder, until float64) (*uplink.Result, error) {
 	s.StreamTo(sd)
-	s.Run(end + 0.5)
+	s.Run(until)
 	res, err := sd.Flush()
 	if errors.Is(err, uplink.ErrNoMeasurements) {
 		return &uplink.Result{}, nil
@@ -235,7 +234,7 @@ func runTrial(spec UplinkTrialSpec, frame func(payload []bool) []bool,
 	if err != nil {
 		return nil, err
 	}
-	res, err := sys.DecodeStream(sd, mod.End())
+	res, err := sys.DecodeStream(sd, mod.End()+0.5)
 	if err != nil {
 		return nil, err
 	}

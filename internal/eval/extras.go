@@ -94,19 +94,20 @@ func AckDetection(opt Options) (*Table, error) {
 			if err != nil {
 				return outcome{}, err
 			}
-			sys.Run(mod.End() + 1.0)
 			dec, err := sys.UplinkDecoder(helperRate / 10)
 			if err != nil {
 				return outcome{}, err
 			}
+			// The burst, and an idle window probed for a false alarm.
+			burst, idle := dec.NewAckStream(mod.Start()), dec.NewAckStream(mod.End()+0.3)
+			sys.StreamTo(burst)
+			sys.StreamTo(idle)
+			sys.Run(mod.End() + 1.0)
 			var out outcome
-			out.detected, _, err = dec.DetectAck(sys.Series(), mod.Start())
-			if err != nil {
+			if out.detected, _, err = burst.FlushAck(); err != nil {
 				return outcome{}, err
 			}
-			// Probe an idle window for a false alarm.
-			out.falseAlarm, _, err = dec.DetectAck(sys.Series(), mod.End()+0.3)
-			if err != nil {
+			if out.falseAlarm, _, err = idle.FlushAck(); err != nil {
 				return outcome{}, err
 			}
 			return out, nil

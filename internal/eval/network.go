@@ -111,7 +111,7 @@ func decodeOnline(sys *core.System, bitRate, start, end float64, payloadLen int)
 	if err != nil {
 		return nil, err
 	}
-	return sys.DecodeStream(sd, end)
+	return sys.DecodeStream(sd, end+0.5)
 }
 
 // AmbientRates are the bit rates tested for ambient-traffic operation

@@ -12,6 +12,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/tag"
 	"repro/internal/units"
+	"repro/internal/uplink"
 	"repro/internal/wifi"
 )
 
@@ -552,7 +553,8 @@ func isBimodalAroundUnit(xs []float64) bool {
 
 // GoodSubchannels reproduces Fig. 5: for each distance, which sub-channels
 // decode with BER < 1e-2 on their own. One simulation per distance; every
-// sub-channel of antenna 0 is decoded from the same series.
+// sub-channel of antenna 0 is decoded from the same frame, one
+// single-channel stream each.
 func GoodSubchannels(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	t := &Table{
@@ -584,14 +586,22 @@ func GoodSubchannels(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.Run(mod.End() + 0.5)
 		dec, err := sys.UplinkDecoder(helperRate / 30)
 		if err != nil {
 			return nil, err
 		}
+		streams := make([]*uplink.StreamDecoder, sys.Channel.Subchannels())
+		for k := range streams {
+			if streams[k], err = dec.NewSingleChannelStream(mod.Start(), payload, 0, k); err != nil {
+				return nil, err
+			}
+			streams[k].DecodeAtFlush()
+			sys.StreamTo(streams[k])
+		}
+		sys.Run(mod.End() + 0.5)
 		var good []int
-		for k := 0; k < sys.Series().Subchannels(); k++ {
-			res, err := dec.DecodeSingleChannel(sys.Series(), mod.Start(), payload, 0, k)
+		for k, sd := range streams {
+			res, err := sd.Flush()
 			if err != nil {
 				return nil, err
 			}

@@ -283,32 +283,39 @@ func (inv *Inventory) round(res *Result, nslots int) (singles, collisions, empti
 		// One modulator per tag: transmitting in a later slot replaces
 		// the previous round's schedule, which has already played out.
 	}
-	sys.Run(frameStart + float64(nslots)*slotDur + 0.1)
-	// 4. Decode each slot.
+	// 4. Stream each slot as it arrives, and decode it after the frame.
+	// Occupancy comes first, from the robust many-channel burst detector
+	// on the slot's first 13 bins (AwaitAck): the best single channel
+	// correlates with noise too easily, and misclassified empty slots
+	// would drive the Q adaptation up forever. An empty slot's stream
+	// fails with ErrNoAck and is never decoded.
 	dec, err := sys.UplinkDecoder(inv.cfg.BitRate)
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	slots := make([]*uplink.StreamDecoder, nslots)
+	for slot := range slots {
+		sd, err := dec.NewStream(frameStart+float64(slot)*slotDur, handleBits, uplink.StreamCSI)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		sd.AwaitAck()
+		sd.DecodeAtFlush()
+		sys.StreamTo(sd)
+		slots[slot] = sd
+	}
+	sys.Run(frameStart + float64(nslots)*slotDur + 0.1)
 	type capture struct {
 		handle uint16
 		slot   int
 	}
 	var captured []capture
-	for slot := 0; slot < nslots; slot++ {
-		slotStart := frameStart + float64(slot)*slotDur
-		// Occupancy first, with the robust many-channel burst detector:
-		// the best single channel correlates with noise too easily, and
-		// misclassified empty slots would drive the Q adaptation up
-		// forever.
-		occupied, _, derr := dec.DetectAck(sys.Series(), slotStart)
-		if derr != nil {
-			return 0, 0, 0, derr
-		}
-		if !occupied {
+	for slot, sd := range slots {
+		r, derr := sd.Flush()
+		if errors.Is(derr, uplink.ErrNoAck) {
 			empties++
 			continue
 		}
-		r, derr := dec.DecodeCSI(sys.Series(), slotStart, handleBits)
 		if derr != nil {
 			return 0, 0, 0, derr
 		}
@@ -372,21 +379,23 @@ func (inv *Inventory) acknowledge(t *tagState, res *Result) error {
 	if err != nil {
 		return err
 	}
-	sys.Run(mod.End() + 0.2)
 	dec, err := sys.UplinkDecoder(inv.cfg.BitRate)
 	if err != nil {
 		return err
 	}
-	r, derr2 := dec.DecodeCSI(sys.Series(), mod.Start(), downlink.PayloadBits)
-	if errors.Is(derr2, uplink.ErrNoMeasurements) {
-		return nil // traffic stalled over the ID; retry next round
+	sd, err := dec.NewStream(mod.Start(), downlink.PayloadBits, uplink.StreamCSI)
+	if err != nil {
+		return err
 	}
-	if derr2 != nil {
-		return derr2
+	sd.DecodeAtFlush()
+	r, err := sys.DecodeStream(sd, mod.End()+0.2)
+	if err != nil {
+		return err
 	}
+	// Traffic that stalled over the whole ID decodes to no payload.
 	msg, perr := downlink.ParsePayload(tag.Scramble(r.Payload))
 	if perr != nil || msg.Data != t.id {
-		return nil // garbled ID; retry next round
+		return nil // garbled or lost ID; retry next round
 	}
 	t.identified = true
 	res.Identified = append(res.Identified, t.id)

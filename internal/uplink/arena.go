@@ -104,19 +104,12 @@ func frameMeasurements(ms []csi.Measurement, from, to float64) (lo, hi int) {
 	return lo, hi
 }
 
-// store appends one in-frame measurement to the arena. The first store
-// sizes the arena for frameLen measurements when the caller knows that
-// count (the batch entry points and the preamble windows do), and for at
-// least 128; a stream fed by Push starts at 128 and doubles. Either way
-// it tops out at the frame's measurement count, because out-of-frame
-// pushes are never stored.
+// store appends one in-frame measurement to the arena, moving it to a
+// larger slab when it is full (see capacity). It tops out at the frame's
+// measurement count, because out-of-frame pushes are never stored.
 func (sd *StreamDecoder) store(m csi.Measurement) {
 	if sd.n == sd.stride {
-		c := 2 * sd.n
-		if c == 0 {
-			c = sd.frameLen
-		}
-		sd.reserve(max(c, 128))
+		sd.reserve(sd.capacity())
 	}
 	s, stride, j := sd.slab, sd.stride, sd.n
 	s[j] = m.Timestamp
@@ -138,6 +131,33 @@ func (sd *StreamDecoder) store(m csi.Measurement) {
 		}
 	}
 	sd.n++
+}
+
+// capacity returns the lane capacity a full arena moves to. The first
+// store sizes it for frameLen measurements when the caller knows that
+// count (the batch entry points and the preamble windows do), and for at
+// least 128. A stream fed by Push starts at 128; once that slab is full,
+// it is sized once for the frame, from the mean spacing of the samples
+// held and the frame time left after the last, with 1/8 slack, but never
+// for more than 16 times what it holds: a run of near-equal timestamps
+// must not reserve a frame the traffic will not fill. Should the traffic
+// outrun the estimate, the arena doubles.
+func (sd *StreamDecoder) capacity() int {
+	n := sd.n
+	if n == 0 {
+		return max(sd.frameLen, 128)
+	}
+	if sd.reserves == 1 {
+		ts := sd.times()
+		if span := ts[n-1] - ts[0]; span > 0 {
+			left := (sd.end - ts[n-1]) / (span / float64(n-1))
+			c := n + int(min(left, float64(16*n)))
+			if c += c / 8; c > n {
+				return min(c, 16*n)
+			}
+		}
+	}
+	return 2 * n
 }
 
 // reserve moves the arena into a slab whose lanes hold at least c samples,

@@ -81,7 +81,8 @@ func denseSeries(t *testing.T) (*csi.Series, *tag.Modulator) {
 
 // TestArenaStrideNotAliased checks real arenas: the stride of a pushed
 // stream after every store, at 3×30 and 3×1 CSI and at a frame of more
-// than 4096 measurements, and of a presized window over that frame.
+// than 4096 measurements, and of a presized window over that frame. The
+// two ordinary frames must take at most two slabs each.
 func TestArenaStrideNotAliased(t *testing.T) {
 	payload := randomPayload(45, 11)
 	mod, err := tag.NewModulator(tag.FrameBits(payload), 1.0, 0.01)
@@ -124,6 +125,11 @@ func TestArenaStrideNotAliased(t *testing.T) {
 		t.Logf("%s: %d measurements, stride %d floats after %d reserves", tc.name, sd.n, sd.stride, sd.reserves)
 		if tc.s == dense && sd.n < 4096 {
 			t.Fatalf("dense frame holds only %d measurements", sd.n)
+		}
+		// A pushed stream sizes itself for the frame once its first slab
+		// is full; the dense frame outgrows the 16× cap on that estimate.
+		if tc.s != dense && sd.reserves > 2 {
+			t.Errorf("%s: %d measurements took %d slabs, want at most 2", tc.name, sd.n, sd.reserves)
 		}
 		sd.release()
 	}

@@ -2,9 +2,9 @@ package uplink
 
 // This file is the incremental streaming core of the decoder and the one
 // implementation of its pipeline. Every batch entry point — DecodeCSI,
-// DecodeRSSI, DecodeSingleChannel, the DecodeVariant ablations and
-// DecodeLongRange — is a thin push-all-then-flush wrapper over
-// StreamDecoder; see DESIGN.md §10 for the architecture and the
+// DecodeRSSI, DecodeSingleChannel, the DecodeVariant ablations,
+// DecodeLongRange and DetectAck — is a thin push-all-then-flush wrapper
+// over StreamDecoder; see DESIGN.md §10 for the architecture and the
 // equivalence argument.
 //
 // The memory contract: a StreamDecoder buffers only the measurements that
@@ -15,9 +15,9 @@ package uplink
 // slab from its own pool (arena.go): a lane of timestamps and one lane per
 // channel, at a stride of an odd number of cache lines so the lanes never
 // sit a multiple of 4 KiB apart. A batch entry point sizes it once for the
-// frame's sorted range of measurements; a pushed stream doubles it up to
-// the frame. It goes back to the pool the moment the frame decodes (or
-// the stream fails or flushes).
+// frame's sorted range of measurements; a pushed stream sizes it for the
+// frame from the spacing of its first samples. It goes back to the pool
+// the moment the frame decodes (or the stream fails or flushes).
 //
 // The latency contract: the paper's pipeline is frame-global — the
 // conditioning normalization, the preamble correlation that ranks
@@ -146,7 +146,20 @@ type StreamDecoder struct {
 	reserves int
 	closed   bool
 
+	// The ACK check (ack.go). ack marks a frame whose first 13 bins are
+	// scored as DetectAck scores a burst: the whole frame of an ACK stream
+	// (NewAckStream), or the gate of an AwaitAck stream. acked is set once
+	// the check has run, and detected and best hold its verdict.
+	// deferred (DecodeAtFlush) holds the decode until Flush; ended records
+	// that a push reached the frame end, which makes that decode a closed
+	// frame's rather than a truncated trace's. The flags share a word with
+	// closed and decoded, which keeps a stream in the allocator's 352-byte
+	// class.
+	ack, acked, detected bool
+	deferred, ended      bool
+
 	decoded bool
+	best    float64
 	emitted []BitDecision
 	res     *Result
 	err     error
@@ -192,8 +205,8 @@ func (d *Decoder) newStream(start float64, payloadLen, chips int, mode StreamMod
 // newWindow loads the measurements of a checked series timestamped in
 // [from, to), found by frameMeasurements' sorted search, into the arena
 // of a preamble-only CSI stream (13 frame bins from from), sized once for
-// them. The preamble detectors score it without Push or decode and
-// release the arena.
+// them. FindTransmission scans it without Push or decode and releases
+// the arena.
 func (d *Decoder) newWindow(s *csi.Series, from, to float64) *StreamDecoder {
 	sd := &StreamDecoder{d: d, start: from, end: to, nbits: len(preambleLevels),
 		ants: s.Antennas(), subs: s.Subchannels()}
@@ -219,6 +232,19 @@ func (sd *StreamDecoder) Buffered() int { return sd.n }
 // Done reports whether the frame has been decoded (bits emitted).
 func (sd *StreamDecoder) Done() bool { return sd.decoded }
 
+// Closed reports whether the stream takes no more pushes: it has been
+// flushed, or it has failed.
+func (sd *StreamDecoder) Closed() bool { return sd.closed || sd.err != nil }
+
+// DecodeAtFlush makes the frame decode at Flush instead of at the first
+// push that reaches the frame end; the pushes past the end are validated
+// and counted as before. A caller that decodes at a moment of its own
+// choosing (after Run, or at a scheduled event) sets it: Decoder.Impair
+// draws when the frame decodes, so under a fault schedule that moment is
+// part of the run's draw order. The frame's samples stay in the arena
+// until Flush.
+func (sd *StreamDecoder) DecodeAtFlush() { sd.deferred = true }
+
 // Bits returns every bit decision emitted so far (nil before the frame
 // closes). The slice is owned by the stream; do not mutate it.
 func (sd *StreamDecoder) Bits() []BitDecision { return sd.emitted }
@@ -233,7 +259,7 @@ func (sd *StreamDecoder) Margins() []float64 { return sd.margins }
 // returns every payload bit at once (the pipeline is frame-global, so
 // that is the earliest any bit can be final — see the file comment).
 // Steady-state pushes do not allocate: samples land in a pooled slab
-// that grows geometrically up to the frame size.
+// sized for the frame (arena.go).
 func (sd *StreamDecoder) Push(m csi.Measurement) ([]BitDecision, error) {
 	if sd.err != nil {
 		return nil, sd.err
@@ -257,6 +283,12 @@ func (sd *StreamDecoder) Push(m csi.Measurement) ([]BitDecision, error) {
 	sd.last, sd.hasLast = t, true
 	sd.pushes++
 	sd.d.met.streamPushes.Inc()
+	if sd.ack && !sd.acked && t >= sd.ackEnd() {
+		// The first push past the burst: the samples held are its window.
+		if err := sd.checkAck(); err != nil {
+			return nil, sd.fail(err)
+		}
+	}
 	// In-frame membership is t in [start, end), the set frameRange
 	// selects from a sorted series. Anything else is dropped after
 	// validation, which is what bounds the arena.
@@ -265,7 +297,11 @@ func (sd *StreamDecoder) Push(m csi.Measurement) ([]BitDecision, error) {
 		sd.d.met.streamHighwater.Set(float64(sd.n))
 		return nil, nil
 	}
-	if !sd.decoded && t >= sd.end && sd.n > 0 {
+	if t < sd.end {
+		return nil, nil
+	}
+	sd.ended = true
+	if !sd.decoded && !sd.deferred && sd.n > 0 {
 		if err := sd.decode(false); err != nil {
 			return nil, sd.fail(err)
 		}
@@ -276,8 +312,8 @@ func (sd *StreamDecoder) Push(m csi.Measurement) ([]BitDecision, error) {
 
 // Flush closes the stream and returns the decode Result. If the frame had
 // not closed yet (the trace ended inside it), whatever arrived is decoded
-// now — the truncated-trace path the batch wrappers rely on. Flush is
-// idempotent; Push is invalid afterwards.
+// now — the truncated-trace path the batch wrappers rely on — and so is a
+// DecodeAtFlush frame. Flush is idempotent; Push is invalid afterwards.
 func (sd *StreamDecoder) Flush() (*Result, error) {
 	if sd.err != nil {
 		return nil, sd.err
@@ -286,11 +322,16 @@ func (sd *StreamDecoder) Flush() (*Result, error) {
 		return sd.res, nil
 	}
 	sd.closed = true
+	if sd.ack && !sd.acked {
+		if err := sd.checkAck(); err != nil {
+			return nil, sd.fail(err)
+		}
+	}
 	if !sd.decoded {
 		if sd.n == 0 {
 			return nil, sd.fail(ErrNoMeasurements)
 		}
-		if err := sd.decode(true); err != nil {
+		if err := sd.decode(!sd.ended); err != nil {
 			return nil, sd.fail(err)
 		}
 	}
