@@ -162,9 +162,10 @@ cli:
 	sh scripts/cli.sh $(GO)
 
 # Scheduling stress gate: the serving stack, the eval worker-invariance
-# properties, the parallel trial engine and lane split, and the frame
-# close's core-count invariance under -race at GOMAXPROCS 1, 2 and 8, with
-# -v off and on. Each suite runs at -count=$(STRESS_COUNT) or at its floor
+# properties, the parallel trial engine and lane split, the frame close's
+# core-count invariance, and the streaming determinism claims (core's
+# StreamTo-vs-twin tests, eval's StreamEquivalence) under -race at
+# GOMAXPROCS 1, 2 and 8, with -v off and on. Each suite runs at -count=$(STRESS_COUNT) or at its floor
 # in scripts/stress.sh, whichever is larger (internal/parallel 300, the
 # serving stack 5, the rest 1). Every run executes; the failures are
 # listed together at the end and fail the target. `make check` runs the

@@ -31,9 +31,8 @@ import (
 //
 // A local PutSlice does not excuse an escape: a buffer released here and
 // also returned or stored reaches its holder already recycled. Ownership
-// that deliberately crosses a function boundary (the StreamDecoder frame
-// arena in internal/uplink, released on every exit path) is a real design
-// decision and must be annotated with a //wblint:ignore directive explaining who
+// that deliberately crosses a function boundary is a real design decision
+// and must be annotated with a //wblint:ignore directive explaining who
 // releases the buffer.
 var PoolHygieneAnalyzer = &Analyzer{
 	Name: "poolhygiene",

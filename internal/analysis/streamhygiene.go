@@ -11,9 +11,10 @@ import (
 // grows one of its receiver's slice fields with append accumulates without
 // bound as the trace lengthens — exactly the regression the StreamDecoder
 // refactor removed. Bounded growth is fine (ring buffers, arenas capped by
-// the frame, containers trimmed with Series.TrimBefore), but it is a design
-// decision the code cannot prove, so it must be written down: suppress with
-// a //wblint:ignore SH001 directive naming what bounds the field.
+// the frame, a trace container bounded by the run it holds), but it is a
+// design decision the code cannot prove, so it must be written down:
+// suppress with a //wblint:ignore SH001 directive naming what bounds the
+// field.
 //
 // The check is deliberately narrow — `x.f = append(x.f, ...)` where x is
 // the method's receiver — because that is the shape unbounded accumulation

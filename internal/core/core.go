@@ -342,15 +342,14 @@ func (s *System) keepNoSeries() {
 
 // OnMeasurement registers a hook invoked for every measurement the reader
 // captures, in capture order, after it lands in the system's series or
-// streams. This is the online path: a reader.LiveSession subscribed here
-// decodes during the simulation instead of batch-processing Series()
-// afterwards. Hooks run inside the measurement listener, so they must not
-// mutate the system, and must treat the measurement's slices as
-// read-only. The slices are valid only during the call: on a system that
-// keeps a series they belong to it, but on one that streams (StreamTo)
-// they are the one reused report the next packet overwrites. A hook that
-// keeps a measurement must copy it, as reader.LiveSession's window and the
-// uplink stream's frame arena do. Registering a hook turns off StreamTo's
+// streams. Hooks are for observers, such as a recorder or a test's
+// series-keeping twin; decoding during the run goes through StreamTo.
+// Hooks run inside the measurement listener, so they must not mutate the
+// system, and must treat the measurement's slices as read-only. The
+// slices are valid only during the call: on a system that keeps a series
+// they belong to it, but on one that streams (StreamTo) they are the one
+// reused report the next packet overwrites, so a hook that keeps a
+// measurement keeps its Clone. Registering a hook turns off StreamTo's
 // skipping of out-of-frame captures: the hook sees every capture
 // evaluated.
 func (s *System) OnMeasurement(fn func(csi.Measurement)) {

@@ -90,7 +90,7 @@ func TestUplinkTrialCleanAt5cm(t *testing.T) {
 		BitRate:                100,
 		HelperPacketsPerSecond: 1000,
 		PayloadLen:             90,
-		Mode:                   DecodeCSI,
+		Mode:                   uplink.StreamCSI,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestUplinkTrialRSSIAt5cm(t *testing.T) {
 		BitRate:                100,
 		HelperPacketsPerSecond: 1000,
 		PayloadLen:             90,
-		Mode:                   DecodeRSSI,
+		Mode:                   uplink.StreamRSSI,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestUplinkTrialFailsFar(t *testing.T) {
 		BitRate:                100,
 		HelperPacketsPerSecond: 1000,
 		PayloadLen:             90,
-		Mode:                   DecodeCSI,
+		Mode:                   uplink.StreamCSI,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestBeaconOnlyTrial(t *testing.T) {
 		BitRate:                5,
 		HelperPacketsPerSecond: 50, // 50 beacons/s
 		PayloadLen:             20,
-		Mode:                   DecodeRSSI,
+		Mode:                   uplink.StreamRSSI,
 		UseBeacons:             true,
 	})
 	if err != nil {
@@ -222,12 +222,6 @@ func TestCountBitErrors(t *testing.T) {
 	}
 	if got := CountBitErrors([]bool{true}, []bool{true, true}); got != 1 {
 		t.Errorf("short decode should count missing bits, got %d", got)
-	}
-}
-
-func TestDecodeModeString(t *testing.T) {
-	if DecodeCSI.String() != "CSI" || DecodeRSSI.String() != "RSSI" {
-		t.Error("DecodeMode strings wrong")
 	}
 }
 

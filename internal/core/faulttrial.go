@@ -65,6 +65,9 @@ func RunTransactionTrial(spec TransactionTrialSpec) (*TransactionTrialResult, er
 	if err != nil {
 		return nil, err
 	}
+	// RunQuery streams and drops the series, so the warm-up's captures
+	// take the skip path instead of filling one.
+	sys.keepNoSeries()
 	if err := (&wifi.CBRSource{
 		Station:  sys.Helper,
 		Dst:      wifi.MAC{0x02, 0, 0, 0, 0, 9},

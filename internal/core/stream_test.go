@@ -190,6 +190,61 @@ func TestStreamToEvaluatesWithHook(t *testing.T) {
 	}
 }
 
+// TestStreamToMatchesBatchDecode runs the online decode path end to end:
+// a stream subscribed with StreamTo decodes during the simulation, and
+// its result must be byte-identical to the batch decode of the series an
+// OnMeasurement hook recorded, the system-level form of the
+// stream/batch equivalence property.
+func TestStreamToMatchesBatchDecode(t *testing.T) {
+	sys, err := NewSystem(Config{Seed: 71})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&wifi.CBRSource{Station: sys.Helper, Dst: wifi.MAC{9}, Payload: 200, Interval: 0.001}).Start(); err != nil {
+		t.Fatal(err)
+	}
+	payload := RandomPayload(45, 71)
+	mod, err := sys.TransmitUplink(tag.FrameBits(payload), 1.0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := sys.UplinkDecoder(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := dec.NewStream(mod.Start(), 45, uplink.StreamCSI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.StreamTo(sd)
+	var recorded csi.Series
+	sys.OnMeasurement(func(m csi.Measurement) { recorded.Append(m.Clone()) })
+	sys.Run(mod.End() + 0.5)
+
+	// The sim ran past the frame end, so the payload decoded online,
+	// before the run finished.
+	if !sd.Done() {
+		t.Fatal("frame did not close during the run")
+	}
+	if len(sd.Bits()) != 45 {
+		t.Fatalf("stream emitted %d bits, want 45", len(sd.Bits()))
+	}
+	live, err := sd.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := dec.DecodeCSI(&recorded, mod.Start(), 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live, batch) {
+		t.Errorf("online decode differs from batch:\nonline: %+v\nbatch:  %+v", live, batch)
+	}
+	if errs := CountBitErrors(live.Payload, payload); errs != 0 {
+		t.Errorf("online decode produced %d bit errors at 5 cm", errs)
+	}
+}
+
 // twinStreams opens, on one system's decoders, the windows
 // TestStreamsMatchSeriesTwin subscribes: the frame sent from 1 s, a
 // window overlapping its second half that decodes at Flush, an ACK window

@@ -15,25 +15,6 @@ import (
 // This file provides the single-trial workhorses the evaluation harness
 // (internal/eval) sweeps over.
 
-// DecodeMode selects the reader's measurement source.
-type DecodeMode int
-
-// Decode modes.
-const (
-	// DecodeCSI uses per-sub-channel CSI (§3.2).
-	DecodeCSI DecodeMode = iota
-	// DecodeRSSI uses per-antenna RSSI only (§3.3).
-	DecodeRSSI
-)
-
-// String implements fmt.Stringer.
-func (m DecodeMode) String() string {
-	if m == DecodeRSSI {
-		return "RSSI"
-	}
-	return "CSI"
-}
-
 // UplinkTrialSpec configures one uplink transmission trial.
 type UplinkTrialSpec struct {
 	// System config (seed, geometry, models).
@@ -45,8 +26,8 @@ type UplinkTrialSpec struct {
 	HelperPacketsPerSecond float64
 	// PayloadLen in bits (the paper's runs use 90).
 	PayloadLen int
-	// Mode selects CSI or RSSI decoding.
-	Mode DecodeMode
+	// Mode selects CSI or RSSI decoding; the zero value is CSI.
+	Mode uplink.StreamMode
 	// UseBeacons replaces CBR data traffic with AP beacons at
 	// HelperPacketsPerSecond (Fig. 16).
 	UseBeacons bool
@@ -129,12 +110,8 @@ func CountBitErrors(got, want []bool) int {
 // RunUplinkTrial executes one tag transmission over helper traffic and
 // decodes it in the spec's mode.
 func RunUplinkTrial(spec UplinkTrialSpec) (*UplinkTrialResult, error) {
-	mode := uplink.StreamCSI
-	if spec.Mode == DecodeRSSI {
-		mode = uplink.StreamRSSI
-	}
 	return runTrial(spec, tag.FrameBits, func(dec *uplink.Decoder, start float64) (*uplink.StreamDecoder, error) {
-		return dec.NewStream(start, spec.PayloadLen, mode)
+		return dec.NewStream(start, spec.PayloadLen, spec.Mode)
 	})
 }
 

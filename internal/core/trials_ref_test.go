@@ -50,7 +50,7 @@ func refRunUplinkTrial(spec UplinkTrialSpec) (*UplinkTrialResult, error) {
 	}
 	var res *uplink.Result
 	switch spec.Mode {
-	case DecodeRSSI:
+	case uplink.StreamRSSI:
 		res, err = dec.DecodeRSSI(sys.Series(), mod.Start(), spec.PayloadLen)
 	default:
 		res, err = dec.DecodeCSI(sys.Series(), mod.Start(), spec.PayloadLen)
@@ -251,7 +251,7 @@ func TestTrialsMatchReference(t *testing.T) {
 	}
 	for i, spec := range refTrialSpecs(t) {
 		cbr := !spec.UseBeacons && !spec.Bursty
-		for _, mode := range []DecodeMode{DecodeCSI, DecodeRSSI} {
+		for _, mode := range []uplink.StreamMode{uplink.StreamCSI, uplink.StreamRSSI} {
 			spec.Mode = mode
 			name := fmt.Sprintf("spec %d %v uplink", i, mode)
 			got, err := RunUplinkTrial(spec)
@@ -261,7 +261,7 @@ func TestTrialsMatchReference(t *testing.T) {
 			}
 			sameResult(t, name, got, want)
 		}
-		spec.Mode = DecodeCSI
+		spec.Mode = uplink.StreamCSI
 		for _, v := range variants {
 			name := fmt.Sprintf("spec %d variant %v", i, v)
 			got, err := RunUplinkVariantTrial(spec, v)

@@ -245,34 +245,8 @@ type Series struct {
 
 // Append adds a measurement.
 //
-//wblint:ignore SH001 Series is the materialized-trace container by design; live paths bound it with TrimBefore and batch paths are bounded by the run length
+//wblint:ignore SH001 Series is the materialized-trace container by design, bounded by the run or trace it holds; online decoding streams instead (core.System.StreamTo keeps no series)
 func (s *Series) Append(m Measurement) { s.Measurements = append(s.Measurements, m) }
-
-// TrimBefore drops every measurement whose timestamp is below t, sliding
-// the survivors to the front of the existing backing array so the storage
-// is reused rather than reallocated. Measurements are assumed to be in
-// arrival (non-decreasing timestamp) order, as Append produces them.
-//
-// This is the live reader's retention knob: a session that decodes online
-// (see internal/reader.LiveSession) keeps only the recent window it may
-// still need, so a long-running capture stays bounded instead of growing
-// with trace length.
-func (s *Series) TrimBefore(t float64) {
-	drop := 0
-	for drop < len(s.Measurements) && s.Measurements[drop].Timestamp < t {
-		drop++
-	}
-	if drop == 0 {
-		return
-	}
-	n := copy(s.Measurements, s.Measurements[drop:])
-	// Zero the vacated tail so the dropped measurements' CSI/RSSI slices
-	// can be collected while the backing array lives on.
-	for i := n; i < len(s.Measurements); i++ {
-		s.Measurements[i] = Measurement{}
-	}
-	s.Measurements = s.Measurements[:n]
-}
 
 // Len returns the number of measurements.
 func (s *Series) Len() int { return len(s.Measurements) }

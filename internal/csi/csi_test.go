@@ -225,70 +225,6 @@ func TestDefaultModelSane(t *testing.T) {
 	}
 }
 
-// trimSeries builds a series with timestamps 0, 1, ..., n-1.
-func trimSeries(n int) *Series {
-	s := &Series{}
-	for i := 0; i < n; i++ {
-		s.Append(Measurement{Timestamp: float64(i), CSI: [][]float64{{1}}, RSSI: []float64{1}})
-	}
-	return s
-}
-
-func TestTrimBefore(t *testing.T) {
-	// Empty series: no-op.
-	empty := &Series{}
-	empty.TrimBefore(10)
-	if empty.Len() != 0 {
-		t.Errorf("trimming an empty series left %d measurements", empty.Len())
-	}
-
-	// Cutoff before every timestamp: trims nothing, keeps the same backing
-	// array and contents.
-	s := trimSeries(5)
-	s.TrimBefore(-1)
-	if s.Len() != 5 || s.Measurements[0].Timestamp != 0 {
-		t.Errorf("trim-none changed the series: len=%d", s.Len())
-	}
-
-	// Cutoff past every timestamp: trims everything.
-	s = trimSeries(5)
-	s.TrimBefore(100)
-	if s.Len() != 0 {
-		t.Errorf("trim-all left %d measurements", s.Len())
-	}
-
-	// Partial trim: keeps the suffix with Timestamp >= t, in order, and
-	// reuses the backing array (bounded live-path retention must not
-	// reallocate per trim).
-	s = trimSeries(8)
-	before := &s.Measurements[0]
-	s.TrimBefore(3)
-	if s.Len() != 5 {
-		t.Fatalf("trim at 3 left %d measurements, want 5", s.Len())
-	}
-	for i, m := range s.Measurements {
-		if m.Timestamp != float64(3+i) {
-			t.Errorf("measurement %d has timestamp %v, want %d", i, m.Timestamp, 3+i)
-		}
-	}
-	if &s.Measurements[0] != before {
-		t.Error("TrimBefore reallocated the backing array")
-	}
-
-	// The cutoff is exclusive on the left: a measurement exactly at t stays.
-	s = trimSeries(4)
-	s.TrimBefore(2)
-	if s.Len() != 2 || s.Measurements[0].Timestamp != 2 {
-		t.Errorf("boundary measurement dropped: len=%d", s.Len())
-	}
-
-	// Appending after a trim reuses the vacated capacity.
-	s.Append(Measurement{Timestamp: 9, CSI: [][]float64{{1}}, RSSI: []float64{1}})
-	if s.Len() != 3 || s.Measurements[2].Timestamp != 9 {
-		t.Errorf("append after trim: len=%d", s.Len())
-	}
-}
-
 // TestCloneIsOneSlab holds Clone to a deep copy in Measure's layout: the
 // RSSI entries and then each CSI row back to back in one array, each cut
 // with its capacity at its own end. A ragged report and an RSSI-only one

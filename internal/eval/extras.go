@@ -40,7 +40,7 @@ func ChannelSweep(opt Options) (*Table, error) {
 			BitRate:                helperRate / 30,
 			HelperPacketsPerSecond: helperRate,
 			PayloadLen:             opt.PayloadLen,
-			Mode:                   core.DecodeCSI,
+			Mode:                   uplink.StreamCSI,
 		})
 		if err != nil {
 			return 0, err

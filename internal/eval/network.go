@@ -204,7 +204,7 @@ func BeaconOnly(opt Options) (*Table, error) {
 				BitRate:                rate,
 				HelperPacketsPerSecond: br,
 				PayloadLen:             payload,
-				Mode:                   core.DecodeRSSI,
+				Mode:                   uplink.StreamRSSI,
 				UseBeacons:             true,
 			})
 			if err != nil {

@@ -10,9 +10,9 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/rng"
+	"repro/internal/uplink"
 )
 
 // TestUplinkSweepWorkerInvariance compares a full (reduced-scale) Fig. 10
@@ -23,11 +23,11 @@ func TestUplinkSweepWorkerInvariance(t *testing.T) {
 	serial, par := opt, opt
 	serial.Workers = 1
 	par.Workers = 4
-	a, err := UplinkBERvsDistance(core.DecodeCSI, serial)
+	a, err := UplinkBERvsDistance(uplink.StreamCSI, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := UplinkBERvsDistance(core.DecodeCSI, par)
+	b, err := UplinkBERvsDistance(uplink.StreamCSI, par)
 	if err != nil {
 		t.Fatal(err)
 	}

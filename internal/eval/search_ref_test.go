@@ -11,6 +11,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/units"
+	"repro/internal/uplink"
 )
 
 // The exactness oracle for the achievable-rate and code-length searches:
@@ -78,7 +79,7 @@ func refRateVsHelperRate(opt Options) (*Table, error) {
 				BitRate:                rate,
 				HelperPacketsPerSecond: hr,
 				PayloadLen:             opt.PayloadLen,
-				Mode:                   core.DecodeCSI,
+				Mode:                   uplink.StreamCSI,
 			})
 			if err != nil {
 				return 0, 0, err
@@ -123,7 +124,7 @@ func refBeaconOnly(opt Options) (*Table, error) {
 				BitRate:                rate,
 				HelperPacketsPerSecond: br,
 				PayloadLen:             payload,
-				Mode:                   core.DecodeRSSI,
+				Mode:                   uplink.StreamRSSI,
 				UseBeacons:             true,
 			})
 			if err != nil {

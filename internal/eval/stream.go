@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/csi"
 	"repro/internal/parallel"
-	"repro/internal/reader"
 	"repro/internal/tag"
 	"repro/internal/units"
 	"repro/internal/uplink"
@@ -13,9 +13,11 @@ import (
 )
 
 // StreamEquivalence validates the streaming refactor at system scale: each
-// trial runs one simulation with a reader.LiveSession decoding online (the
-// incremental path) and then batch-decodes the same collected series (the
-// materialized path), comparing the decoded payloads bit for bit. The
+// trial runs one simulation whose stream decodes online through
+// core.System.StreamTo (the incremental path, the one every other
+// experiment runs) while an OnMeasurement hook records a copy of every
+// capture, and then batch-decodes that recorded series (the materialized
+// path), comparing the decoded payloads bit for bit. The
 // table reports zero mismatches at every operating point for both CSI and
 // RSSI modes — the system-level form of the stream/batch equivalence
 // property the unit tests pin with DeepEqual.
@@ -47,7 +49,7 @@ func StreamEquivalence(opt Options) (*Table, error) {
 	}
 	type outcome struct {
 		mismatches int
-		liveErrs   int // live-session push/flush failures (must be 0)
+		liveErrs   int // stream push/flush failures (must be 0)
 	}
 	results, err := parallel.Map(opt.engine(), len(points)*opt.Trials, func(i int) (outcome, error) {
 		p := points[i/opt.Trials]
@@ -74,21 +76,26 @@ func StreamEquivalence(opt Options) (*Table, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		ls, err := reader.NewLiveSession(dec, mod.Start(), opt.PayloadLen, p.mode, 0)
+		sd, err := dec.NewStream(mod.Start(), opt.PayloadLen, p.mode)
 		if err != nil {
 			return outcome{}, err
 		}
-		sys.OnMeasurement(ls.OnMeasurement)
+		sys.StreamTo(sd)
+		// A streaming system keeps no series, and the hook's report is
+		// overwritten by the next capture: record copies for the batch
+		// reference.
+		var recorded csi.Series
+		sys.OnMeasurement(func(m csi.Measurement) { recorded.Append(m.Clone()) })
 		sys.Run(mod.End() + 0.5)
-		live, err := ls.Finish()
+		live, err := sd.Flush()
 		if err != nil {
 			return outcome{liveErrs: 1}, nil
 		}
 		var batch *uplink.Result
 		if p.mode == uplink.StreamRSSI {
-			batch, err = dec.DecodeRSSI(sys.Series(), mod.Start(), opt.PayloadLen)
+			batch, err = dec.DecodeRSSI(&recorded, mod.Start(), opt.PayloadLen)
 		} else {
-			batch, err = dec.DecodeCSI(sys.Series(), mod.Start(), opt.PayloadLen)
+			batch, err = dec.DecodeCSI(&recorded, mod.Start(), opt.PayloadLen)
 		}
 		if err != nil {
 			return outcome{}, fmt.Errorf("batch decode after a clean live decode: %w", err)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/units"
+	"repro/internal/uplink"
 	"repro/internal/wifi"
 )
 
@@ -47,7 +48,7 @@ func uplinkErrors(t *testing.T, sched *faults.Schedule, trials int) int {
 			BitRate:                250,
 			HelperPacketsPerSecond: 1000,
 			PayloadLen:             chaosPayloadLen,
-			Mode:                   core.DecodeCSI,
+			Mode:                   uplink.StreamCSI,
 		})
 		if err != nil {
 			total += chaosPayloadLen
@@ -138,7 +139,7 @@ func cleanUplinkSpec(sched *faults.Schedule) core.UplinkTrialSpec {
 		BitRate:                250,
 		HelperPacketsPerSecond: 1000,
 		PayloadLen:             60,
-		Mode:                   core.DecodeCSI,
+		Mode:                   uplink.StreamCSI,
 	}
 }
 

@@ -95,9 +95,9 @@ type BitDecision struct {
 // (decoding whatever arrived) and returns the full Result.
 //
 // Push requires non-decreasing timestamps — equal timestamps are legal,
-// exactly as csi.Series.Append/TrimBefore document for the capture side,
-// so a capture that timestamps two packets identically (coarse clocks do)
-// decodes the same live as it does in batch — and a consistent
+// exactly as the batch decoders accept them in a csi.Series, so a capture
+// that timestamps two packets identically (coarse clocks do) decodes the
+// same live as it does in batch — and a consistent
 // measurement shape; violations return an error and poison the stream
 // (every later call returns the same error) — never a panic. A
 // StreamDecoder is single-use and not safe for concurrent use.

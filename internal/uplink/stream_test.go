@@ -1,6 +1,7 @@
 package uplink
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -185,10 +186,11 @@ func TestStreamEmitsAtFrameClose(t *testing.T) {
 	}
 }
 
-// TestStreamPushErrors pins the input contract: backwards and NaN
-// timestamps, shape drift, and use-after-Flush all return errors (and
-// poison the stream) rather than panicking.
-func TestStreamPushErrors(t *testing.T) {
+// streamErrorFixture returns a fresh-stream constructor for the error
+// tests, the decoder behind it, and the first two measurements of a
+// clean synthetic series.
+func streamErrorFixture(t *testing.T) (*Decoder, *tag.Modulator, func() *StreamDecoder, *csi.Series) {
+	t.Helper()
 	_, mod, s := streamSynth(t, 20, 5)
 	d, _ := NewDecoder(DefaultConfig(0.01))
 	mk := func() *StreamDecoder {
@@ -198,6 +200,57 @@ func TestStreamPushErrors(t *testing.T) {
 		}
 		return sd
 	}
+	return d, mod, mk, s
+}
+
+// TestNewStreamValidation pins construction: a zero payload or an unknown
+// mode fails in NewStream rather than at the first Push.
+func TestNewStreamValidation(t *testing.T) {
+	d, mod, _, _ := streamErrorFixture(t)
+	if _, err := d.NewStream(mod.Start(), 0, StreamCSI); err == nil {
+		t.Error("zero payload should error")
+	}
+	if _, err := d.NewStream(mod.Start(), 20, StreamMode(99)); err == nil {
+		t.Error("unknown mode should error")
+	}
+}
+
+// TestStreamFlushWithoutMeasurements pins that an empty stream's Flush is
+// ErrNoMeasurements.
+func TestStreamFlushWithoutMeasurements(t *testing.T) {
+	_, _, mk, _ := streamErrorFixture(t)
+	if _, err := mk().Flush(); !errors.Is(err, ErrNoMeasurements) {
+		t.Errorf("Flush with nothing pushed returned %v, want ErrNoMeasurements", err)
+	}
+}
+
+// TestStreamPushErrorIsSticky pins the sticky-error contract: after the
+// first failed Push, every later Push and Flush returns that same error
+// value, so a caller that only checks Flush still sees it.
+func TestStreamPushErrorIsSticky(t *testing.T) {
+	_, _, mk, s := streamErrorFixture(t)
+	m0, m1 := s.Measurements[0], s.Measurements[1]
+	sd := mk()
+	if _, err := sd.Push(m1); err != nil {
+		t.Fatal(err)
+	}
+	_, first := sd.Push(m0)
+	if first == nil {
+		t.Fatal("out-of-order push should error")
+	}
+	if _, err := sd.Push(m1); err != first {
+		t.Errorf("push after a failure returned %v, want the first error %v", err, first)
+	}
+	if _, err := sd.Flush(); err != first {
+		t.Errorf("Flush on a poisoned stream returned %v, want the first error %v", err, first)
+	}
+}
+
+// TestStreamPushErrors pins the input contract past construction:
+// backwards and NaN timestamps, shape drift and use-after-Flush all
+// return errors (and poison the stream) rather than panicking.
+func TestStreamPushErrors(t *testing.T) {
+	_, _, mk, s := streamErrorFixture(t)
 	m0, m1 := s.Measurements[0], s.Measurements[1]
 
 	sd := mk()
@@ -206,12 +259,6 @@ func TestStreamPushErrors(t *testing.T) {
 	}
 	if _, err := sd.Push(m0); err == nil {
 		t.Error("out-of-order push should error")
-	}
-	if _, err := sd.Push(m1); err == nil {
-		t.Error("stream should stay poisoned after an error")
-	}
-	if _, err := sd.Flush(); err == nil {
-		t.Error("Flush on a poisoned stream should error")
 	}
 
 	sd = mk()

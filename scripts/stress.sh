@@ -4,8 +4,11 @@
 # Re-runs the concurrency-sensitive suites under the race detector across a
 # scheduling matrix: the serving stack (internal/serve/..., cmd/wbload,
 # cmd/wbserved), the eval worker-invariance properties, the parallel
-# trial engine and lane split (internal/parallel) and the frame close's
-# core-count invariance (internal/uplink), each under -race at GOMAXPROCS
+# trial engine and lane split (internal/parallel), the frame close's
+# core-count invariance (internal/uplink) and the streaming determinism
+# claims (a StreamTo system against its series-keeping twin in
+# internal/core, and the stream experiment's online-equals-batch table in
+# internal/eval), each under -race at GOMAXPROCS
 # 1, 2 and 8, with -v off and on (-v changes output buffering and with it
 # goroutine timing). Each suite runs at -count=COUNT or at its own floor,
 # whichever is larger: the cheap suites whose timing bugs took hundreds of
@@ -25,7 +28,9 @@ trap 'rm -rf "$logs"' EXIT
 suites='5 ./internal/serve/... ./cmd/wbload/ ./cmd/wbserved/
 1 -run WorkerInvariance ./internal/eval/
 300 ./internal/parallel/
-1 -run ProcsInvariant ./internal/uplink/'
+1 -run ProcsInvariant ./internal/uplink/
+1 -run StreamToMatchesSeriesTwin|StreamsMatchSeriesTwin ./internal/core/
+1 -run StreamEquivalence ./internal/eval/'
 
 runs=0
 failed=0
