@@ -4,11 +4,12 @@
 # also exercises the serial-vs-parallel equivalence properties), a short
 # fuzz smoke over the decoder and message-framing fuzz targets, the
 # benchmark module's vet and tests, the command-line tools end to end on a
-# pipe, and a one-pass run of the scheduling stress matrix.
+# pipe, the examples' output against their goldens, and a one-pass run of
+# the scheduling stress matrix.
 
 GO ?= go
 
-.PHONY: all build vet test lint race fuzz bench bench-stream bench-observe bench-wire metrics-golden chaos faults-golden serve chaos-serve bench-module cli stress check
+.PHONY: all build vet test lint race fuzz bench bench-stream bench-observe bench-wire metrics-golden chaos faults-golden serve chaos-serve bench-module cli examples stress check
 
 all: check
 
@@ -86,14 +87,19 @@ bench-stream:
 # that a fresh 3x30 report allocates at most twice (row headers and one
 # slab), TestMeasureIntoAllocs and TestSkipIntoAllocs that a reused one
 # allocates nothing, and TestContentionRoundAllocs that a CSMA/CA round
-# allocates only the Transmission it hands its listeners (a failed frame
-# is retried in place), and TestStreamedCaptureAllocs that a system whose
+# allocates nothing (frames are values in the station queues, each
+# listener gets a copy of the Transmission, and a failed frame is retried
+# in place), TestTrafficSteadyStateAllocs that a warm medium carrying CBR,
+# Poisson and TCP traffic allocates nothing per delivered frame, its
+# queues compacting in place, TestDecoderOnEdgeAllocs that the tag's
+# preamble detector allocates nothing per comparator edge, and
+# TestStreamedCaptureAllocs that a system whose
 # every consumer streams (core.System.StreamTo) adds no allocation per
 # capture: what its captures add over the same traffic uncaptured does
 # not grow with twice as many of them. The tests are skipped under -race,
 # so this plain-build run is the gate.
 bench-observe:
-	$(GO) test -bench 'BenchmarkObserve|BenchmarkAdvance|BenchmarkCircuitStep|BenchmarkEngineSchedule|BenchmarkMeasure|BenchmarkSkipInto' -benchmem -run 'TestObserveSteadyStateAllocs|TestAdvanceAllocs|TestScheduleSteadyStateAllocs|TestMeasureAllocs|TestMeasureIntoAllocs|TestSkipIntoAllocs|TestContentionRoundAllocs|TestStreamedCaptureAllocs' ./internal/radio/ ./internal/tag/ ./internal/sim/ ./internal/csi/ ./internal/wifi/ ./internal/core/
+	$(GO) test -bench 'BenchmarkObserve|BenchmarkAdvance|BenchmarkCircuitStep|BenchmarkEngineSchedule|BenchmarkMeasure|BenchmarkSkipInto' -benchmem -run 'TestObserveSteadyStateAllocs|TestAdvanceAllocs|TestScheduleSteadyStateAllocs|TestMeasureAllocs|TestMeasureIntoAllocs|TestSkipIntoAllocs|TestContentionRoundAllocs|TestTrafficSteadyStateAllocs|TestDecoderOnEdgeAllocs|TestStreamedCaptureAllocs' ./internal/radio/ ./internal/tag/ ./internal/sim/ ./internal/csi/ ./internal/wifi/ ./internal/core/
 
 # Wire and session contract: BenchmarkParseMeasurement reports one 3x30
 # CSI m line and one 3x1 RSSI m line with -benchmem, and
@@ -161,6 +167,13 @@ bench-module:
 cli:
 	sh scripts/cli.sh $(GO)
 
+# Examples gate: each program under examples/ is seeded, so its standard
+# output must match examples/<name>/stdout.golden byte for byte. See
+# scripts/examples.sh for how to regenerate a golden after an intended
+# change.
+examples:
+	sh scripts/examples.sh $(GO)
+
 # Scheduling stress gate: the serving stack, the eval worker-invariance
 # properties, the parallel trial engine and lane split, the frame close's
 # core-count invariance, and the streaming determinism claims (core's
@@ -176,5 +189,5 @@ STRESS_COUNT = 10
 stress:
 	sh scripts/stress.sh $(STRESS_COUNT) $(GO)
 
-check: vet build lint race fuzz bench-stream bench-observe bench-wire metrics-golden chaos faults-golden serve chaos-serve bench-module cli
+check: vet build lint race fuzz bench-stream bench-observe bench-wire metrics-golden chaos faults-golden serve chaos-serve bench-module cli examples
 	$(MAKE) stress STRESS_COUNT=1

@@ -114,7 +114,17 @@ func run(out io.Writer, tagDist float64, packets int, what string, seed int64, f
 	if err != nil {
 		return err
 	}
-	sys.EnableTxLog()
+	var recs []capture.Record
+	if what == "frames" {
+		sys.Medium.AddListener(func(tx wifi.Transmission) {
+			if len(recs) < packets {
+				recs = append(recs, capture.Record{
+					Start: tx.Start, End: tx.End, Rate: tx.Rate,
+					Collided: tx.Collided, Lost: tx.Lost, Frame: tx.Frame,
+				})
+			}
+		})
+	}
 	if err := (&wifi.CBRSource{
 		Station: sys.Helper, Dst: wifi.MAC{9}, Payload: 200, Interval: 0.001,
 	}).Start(); err != nil {
@@ -145,14 +155,8 @@ func run(out io.Writer, tagDist float64, packets int, what string, seed int64, f
 	}
 	if what == "frames" {
 		cw := capture.NewWriter(out)
-		for i, tx := range sys.TxLog() {
-			if i >= packets {
-				break
-			}
-			if err := cw.Write(&capture.Record{
-				Start: tx.Start, End: tx.End, Rate: tx.Rate,
-				Collided: tx.Collided, Lost: tx.Lost, Frame: *tx.Frame,
-			}); err != nil {
+		for i := range recs {
+			if err := cw.Write(&recs[i]); err != nil {
 				return err
 			}
 		}

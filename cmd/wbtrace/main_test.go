@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,6 +91,20 @@ func TestFramesRoundTripThroughSummarize(t *testing.T) {
 	}
 	if !strings.Contains(summary.String(), "records:") {
 		t.Errorf("summary missing record count:\n%s", summary.String())
+	}
+}
+
+// TestFramesDigest pins -what frames byte for byte: the capture of the
+// first 50 transmissions of the seed-1 run, each recorded as the medium
+// handed it to the command's listener.
+func TestFramesDigest(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out, 5, 50, "frames", 1, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	const want = "ef7ca7f2e583556df701f8af0e3c1995b069ba5fad2670fd9757e2cb64c6661c"
+	if got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())); got != want {
+		t.Errorf("frames capture sha256 %s, want %s", got, want)
 	}
 }
 

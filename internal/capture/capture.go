@@ -125,7 +125,7 @@ func (c *Writer) Flush() error { return c.writeHeader() }
 // callback by recording the first error, retrievable via Err.
 func (c *Writer) Attach(m *wifi.Medium) *AttachedWriter {
 	aw := &AttachedWriter{w: c}
-	m.AddListener(func(tx *wifi.Transmission) {
+	m.AddListener(func(tx wifi.Transmission) {
 		if aw.err != nil {
 			return
 		}
@@ -135,7 +135,7 @@ func (c *Writer) Attach(m *wifi.Medium) *AttachedWriter {
 			Rate:     tx.Rate,
 			Collided: tx.Collided,
 			Lost:     tx.Lost,
-			Frame:    *tx.Frame,
+			Frame:    tx.Frame,
 		})
 	})
 	return aw

@@ -217,7 +217,7 @@ func TestSharedTrafficBodiesStayZero(t *testing.T) {
 	// Distinct sizes, so each size names one source's body.
 	sizes := map[int]string{100: "cbr", 200: "saturated", 300: "poisson", 400: "bursty", 1448: "tcp segment", 52: "tcp ack", 80: "beacon"}
 	bodies := map[int]map[*byte][]byte{} // size → backing array → body
-	m.AddListener(func(tx *wifi.Transmission) {
+	m.AddListener(func(tx wifi.Transmission) {
 		p := tx.Frame.Payload
 		if len(p) == 0 || sizes[len(p)] == "" {
 			return

@@ -2,7 +2,7 @@ package core
 
 // Backoff timing tests: the transaction layer promises bounded exponential
 // pacing between retransmissions. These tests pin the arithmetic of
-// backoffAfter and then verify, from the transmission log of a failing
+// backoffAfter and then verify, from the medium's record of a failing
 // transaction, that the reader actually waited on the air — attempt
 // spacing is timeout plus the scheduled backoff, not a hot retry loop.
 
@@ -13,6 +13,18 @@ import (
 	"repro/internal/reader"
 	"repro/internal/wifi"
 )
+
+// readerCTSStarts records the start of every CTS_to_SELF the reader puts
+// on air from now on.
+func readerCTSStarts(sys *System) *[]float64 {
+	var starts []float64
+	sys.Medium.AddListener(func(tx wifi.Transmission) {
+		if tx.Station == sys.Reader && tx.Frame.Header.Type == wifi.TypeCTSToSelf {
+			starts = append(starts, tx.Start)
+		}
+	})
+	return &starts
+}
 
 func TestBackoffAfterBounds(t *testing.T) {
 	tc := TransactionConfig{BackoffBase: 0.025, BackoffFactor: 2, BackoffMax: 0.4, MaxAttempts: 8}
@@ -68,6 +80,7 @@ func TestRunQueryBackoffPacesRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cts := readerCTSStarts(sys)
 	(&wifi.CBRSource{Station: sys.Helper, Dst: wifi.MAC{9}, Payload: 200, Interval: 0.001}).Start()
 	sys.Run(0.2)
 	tc := DefaultTransactionConfig()
@@ -85,12 +98,7 @@ func TestRunQueryBackoffPacesRetries(t *testing.T) {
 			tc.MaxAttempts, res.ResponseOK, res.Attempts)
 	}
 
-	var ctsStarts []float64
-	for _, tx := range sys.TxLog() {
-		if tx.Station == sys.Reader && tx.Frame.Header.Type == wifi.TypeCTSToSelf {
-			ctsStarts = append(ctsStarts, tx.Start)
-		}
-	}
+	ctsStarts := *cts
 	if len(ctsStarts) != tc.MaxAttempts {
 		t.Fatalf("logged %d CTS_to_SELF reservations, want one per attempt (%d)",
 			len(ctsStarts), tc.MaxAttempts)
@@ -126,6 +134,7 @@ func TestRunQueryZeroBaseDisablesBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cts := readerCTSStarts(sys)
 	(&wifi.CBRSource{Station: sys.Helper, Dst: wifi.MAC{9}, Payload: 200, Interval: 0.001}).Start()
 	sys.Run(0.2)
 	tc := DefaultTransactionConfig()
@@ -139,12 +148,7 @@ func TestRunQueryZeroBaseDisablesBackoff(t *testing.T) {
 	if res.BackoffTotal != 0 {
 		t.Errorf("BackoffTotal = %v with backoff disabled, want 0", res.BackoffTotal)
 	}
-	var ctsStarts []float64
-	for _, tx := range sys.TxLog() {
-		if tx.Station == sys.Reader && tx.Frame.Header.Type == wifi.TypeCTSToSelf {
-			ctsStarts = append(ctsStarts, tx.Start)
-		}
-	}
+	ctsStarts := *cts
 	if len(ctsStarts) != 2 {
 		t.Fatalf("logged %d reservations, want 2", len(ctsStarts))
 	}

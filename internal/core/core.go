@@ -118,7 +118,7 @@ type System struct {
 	h          [][]complex128   // Observe's output, reused across packets
 	series     csi.Series
 	placements map[*wifi.Station]placement
-	txLog      []*wifi.Transmission
+	txLog      []AirSpan
 	logEnabled bool
 	onMeasure  []func(csi.Measurement)
 
@@ -200,9 +200,9 @@ func NewSystem(cfg Config) (*System, error) {
 
 	// The reader in monitor mode: every decodable packet yields a
 	// channel measurement stamped with its reception time (§3.2).
-	medium.AddListener(func(tx *wifi.Transmission) {
+	medium.AddListener(func(tx wifi.Transmission) {
 		if s.logEnabled {
-			s.txLog = append(s.txLog, tx)
+			s.txLog = append(s.txLog, AirSpan{Station: tx.Station, Start: tx.Start, End: tx.End})
 		}
 		if tx.Collided {
 			return
@@ -383,13 +383,23 @@ func (s *System) AddStation(name string, power units.DBm, distToTag units.Meters
 	return st
 }
 
-// EnableTxLog starts recording every transmission, which the tag-side
-// downlink simulation and frame capture consume.
+// AirSpan is one transmission's time on air, as the transmission log
+// records it: all the tag's envelope (EnvelopeWindow) needs of a frame is
+// who sent it and when. Collided and lost frames are logged too; their
+// energy still reaches the tag.
+type AirSpan struct {
+	Station    *wifi.Station
+	Start, End float64
+}
+
+// EnableTxLog starts recording every transmission's air span, which the
+// tag-side downlink simulation consumes.
 func (s *System) EnableTxLog() { s.logEnabled = true }
 
-// TxLog returns the recorded transmissions (EnableTxLog must have been
-// called before running).
-func (s *System) TxLog() []*wifi.Transmission { return s.txLog }
+// TxLog returns the recorded air spans in time order (EnableTxLog must
+// have been called before running). A caller that needs the frames
+// themselves registers its own Medium.AddListener.
+func (s *System) TxLog() []AirSpan { return s.txLog }
 
 // Series returns the measurement series collected so far: empty on a
 // system that streams (StreamTo, RunQuery).

@@ -105,7 +105,7 @@ func TestStreamToMatchesSeriesTwin(t *testing.T) {
 		// capture: a push that counted delivered the reused report.
 		pushes := streamed.sys.Metrics().Counter("uplink.stream.pushes")
 		var seen int64
-		streamed.sys.Medium.AddListener(func(*wifi.Transmission) {
+		streamed.sys.Medium.AddListener(func(wifi.Transmission) {
 			if n := pushes.Value(); n != seen {
 				seen = n
 				streamed.record(streamed.sys.report)
@@ -311,7 +311,7 @@ func TestStreamsMatchSeriesTwin(t *testing.T) {
 		pushes := streamed.sys.Metrics().Counter("uplink.stream.pushes")
 		var seen int64
 		var got, want []csi.Measurement
-		streamed.sys.Medium.AddListener(func(*wifi.Transmission) {
+		streamed.sys.Medium.AddListener(func(wifi.Transmission) {
 			if n := pushes.Value(); n != seen {
 				seen = n
 				if r := streamed.sys.report; inWindow(r.Timestamp) {

@@ -33,7 +33,11 @@ type Encoder struct {
 	// the tag.
 	Impair MarkerImpairment
 
-	met encoderMetrics
+	// marker is the ‘1’ marker's padding (see markerFrame), allocated
+	// once and carried by every marker: shared and read-only, per
+	// wifi.Frame.Payload.
+	marker []byte
+	met    encoderMetrics
 }
 
 // MarkerImpairment lets a fault layer suppress marker packets (see
@@ -83,7 +87,7 @@ func NewEncoder(bitDuration float64) (*Encoder, error) {
 	if bitDuration <= 0 {
 		return nil, fmt.Errorf("downlink: bit duration must be positive, got %v", bitDuration)
 	}
-	minimal := &wifi.Frame{Header: wifi.Header{Type: wifi.TypeQoSNull, Addr1: wifi.BroadcastMAC}}
+	minimal := wifi.Frame{Header: wifi.Header{Type: wifi.TypeQoSNull, Addr1: wifi.BroadcastMAC}}
 	if air := wifi.AirTime(minimal.Length(), e.Rate); air > bitDuration {
 		return nil, fmt.Errorf("downlink: bit duration %v below minimum packet airtime %v",
 			bitDuration, air)
@@ -96,14 +100,19 @@ func NewEncoder(bitDuration float64) (*Encoder, error) {
 // for the whole bit period, and consecutive ‘1’ markers then look like one
 // long packet ("longer packets can be intuitively thought of as multiple
 // small packets sent back-to-back", §4.2).
-func (e *Encoder) markerFrame() *wifi.Frame {
-	f := &wifi.Frame{Header: wifi.Header{Type: wifi.TypeQoSNull, Addr1: wifi.BroadcastMAC}}
-	// Grow the payload until adding one more symbol's worth of bytes
-	// would overshoot the slot.
+func (e *Encoder) markerFrame() wifi.Frame {
+	f := wifi.Frame{Header: wifi.Header{Type: wifi.TypeQoSNull, Addr1: wifi.BroadcastMAC}}
+	// Pad until adding one more symbol's worth of bytes would overshoot
+	// the slot.
 	bytesPerSymbol := e.Rate.BitsPerSymbol() / 8
-	for wifi.AirTime(f.Length()+bytesPerSymbol, e.Rate) <= e.BitDuration {
-		f.Payload = append(f.Payload, make([]byte, bytesPerSymbol)...)
+	n := 0
+	for wifi.AirTime(f.Length()+n+bytesPerSymbol, e.Rate) <= e.BitDuration {
+		n += bytesPerSymbol
 	}
+	if len(e.marker) != n {
+		e.marker = make([]byte, n)
+	}
+	f.Payload = e.marker[:n:n]
 	return f
 }
 

@@ -124,9 +124,9 @@ func TestSendThroughMedium(t *testing.T) {
 	msg := NewMessage(0x0000ACE0FBEEF)
 	chunks := e.Plan(msg.Bits())
 
-	var markers []*wifi.Transmission
+	var markers []wifi.Transmission
 	var windowStart float64
-	m.AddListener(func(tx *wifi.Transmission) {
+	m.AddListener(func(tx wifi.Transmission) {
 		if tx.Frame.Header.Type == wifi.TypeQoSNull {
 			markers = append(markers, tx)
 		}

@@ -153,7 +153,7 @@ func falsePositiveRun(load float64, seconds float64, seed int64) (matches, pkts 
 	const mergeGap = 20e-6
 	var lastEnd float64
 	var on bool
-	medium.AddListener(func(tx *wifi.Transmission) {
+	medium.AddListener(func(tx wifi.Transmission) {
 		pkts++
 		if tx.Start > lastEnd+mergeGap {
 			if on {

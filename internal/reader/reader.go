@@ -100,7 +100,11 @@ func (ra RateAdvisor) Advise(helperPacketsPerSecond float64) float64 {
 type RateEstimator struct {
 	// Window length in seconds.
 	Window float64
-	times  []float64
+	// times[head:] are the deliveries inside the window, oldest first.
+	// An append that would grow the slice compacts it in place instead
+	// once head is at least half its length.
+	times []float64
+	head  int
 }
 
 // NewRateEstimator returns an estimator with the given window (seconds).
@@ -113,21 +117,24 @@ func NewRateEstimator(window float64) (*RateEstimator, error) {
 
 // Observe records a packet delivery at time t (seconds, non-decreasing).
 func (e *RateEstimator) Observe(t float64) {
-	e.times = append(e.times, t)
 	cut := t - e.Window
-	i := 0
-	for i < len(e.times) && e.times[i] < cut {
-		i++
+	for e.head < len(e.times) && e.times[e.head] < cut {
+		e.head++
 	}
-	e.times = e.times[i:]
+	if len(e.times) == cap(e.times) && e.head > 0 && 2*e.head >= len(e.times) {
+		e.times = e.times[:copy(e.times, e.times[e.head:])]
+		e.head = 0
+	}
+	e.times = append(e.times, t)
 }
 
 // Rate returns the packets/second estimate as of the last observation.
 func (e *RateEstimator) Rate() float64 {
-	if len(e.times) == 0 {
+	n := len(e.times) - e.head
+	if n == 0 {
 		return 0
 	}
-	return float64(len(e.times)) / e.Window
+	return float64(n) / e.Window
 }
 
 // Query is the reader's downlink request to a tag (§2's request-response
@@ -206,7 +213,7 @@ func (t *Transaction) Complete() { t.Done = true }
 // or beacon frame from the helper station updates the estimate, mirroring
 // the reader's monitor-mode view.
 func MonitorHelper(m *wifi.Medium, helper *wifi.Station, est *RateEstimator) {
-	m.AddListener(func(tx *wifi.Transmission) {
+	m.AddListener(func(tx wifi.Transmission) {
 		if tx.Collided || tx.Station != helper {
 			return
 		}

@@ -1,6 +1,7 @@
 package reader
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -155,6 +156,34 @@ func TestRateEstimator(t *testing.T) {
 	e.Observe(10)
 	if got := e.Rate(); got > 2 {
 		t.Errorf("rate after gap = %v, want ~1", got)
+	}
+}
+
+// TestRateEstimatorSlidingWindow checks the estimate after every
+// observation of a long, uneven arrival stream against a plain count of
+// the arrivals inside the window, so that the in-place compaction of the
+// window's slice is exercised many times.
+func TestRateEstimatorSlidingWindow(t *testing.T) {
+	const window = 0.5
+	e, err := NewRateEstimator(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := rng.New(9)
+	var all []float64 // every arrival, never compacted
+	lo := 0           // all[lo:] are inside the window
+	at := 0.0
+	for i := 0; i < 20000; i++ {
+		// The rate swings between about 200 and 3000 packets/s.
+		at += rnd.Exponential(1 / (1600 + 1400*math.Sin(at)))
+		e.Observe(at)
+		all = append(all, at)
+		for all[lo] < at-window {
+			lo++
+		}
+		if got, want := e.Rate(), float64(len(all)-lo)/window; got != want {
+			t.Fatalf("observation %d at %.4f s: rate %v, want %v", i, at, got, want)
+		}
 	}
 }
 

@@ -103,12 +103,13 @@ const wakeCost = 5e-6
 func (d *Decoder) OnEdge(t float64, level bool) bool {
 	d.Wakeups++
 	d.AwakeTime += wakeCost
-	d.edges = append(d.edges, edge{at: t, level: level})
-	// Keep just enough history for one preamble.
+	// Keep just enough history for one preamble, shifting the window
+	// down in place so that its slice never has to regrow.
 	need := len(d.refRuns) + 1
-	if len(d.edges) > need {
-		d.edges = d.edges[len(d.edges)-need:]
+	if len(d.edges) >= need {
+		d.edges = d.edges[:copy(d.edges, d.edges[len(d.edges)-need+1:])]
 	}
+	d.edges = append(d.edges, edge{at: t, level: level})
 	if len(d.edges) < need {
 		return false
 	}

@@ -82,7 +82,7 @@ func TestInjectedLossConfinedToBurstWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var inWindow, outside int
-	m.AddListener(func(tx *wifi.Transmission) {
+	m.AddListener(func(tx wifi.Transmission) {
 		if !tx.Lost {
 			return
 		}

@@ -135,14 +135,14 @@ func (f *Frame) Decode(data []byte) error {
 // NewCTSToSelf builds the CTS_to_SELF frame that reserves the medium for
 // the given duration in seconds (§4.1). Durations above MaxNAV are clamped,
 // matching the 802.11 limit the paper works around by splitting messages.
-func NewCTSToSelf(self MAC, duration float64) *Frame {
+func NewCTSToSelf(self MAC, duration float64) Frame {
 	if duration < 0 {
 		duration = 0
 	}
 	if duration > MaxNAV {
 		duration = MaxNAV
 	}
-	return &Frame{Header: Header{
+	return Frame{Header: Header{
 		Type:       TypeCTSToSelf,
 		DurationUS: uint16(duration * 1e6),
 		Addr1:      self,

@@ -15,9 +15,10 @@ import (
 type Transmission struct {
 	// Station that transmitted.
 	Station *Station
-	// Frame on air. For collided transmissions the content is
-	// undecodable, but the energy is still present.
-	Frame *Frame
+	// Frame on air, a copy of the queued frame. For collided
+	// transmissions the content is undecodable, but the energy is still
+	// present.
+	Frame Frame
 	// Rate used.
 	Rate Rate
 	// Start and End of the frame on air, in seconds.
@@ -29,8 +30,10 @@ type Transmission struct {
 	Lost bool
 }
 
-// Listener receives every transmission on the medium, in time order.
-type Listener func(tx *Transmission)
+// Listener receives every transmission on the medium, in time order. It
+// gets its own copy of the Transmission, so it may keep tx; the Payload it
+// carries is shared and read-only (see Frame.Payload).
+type Listener func(tx Transmission)
 
 // Impairment lets a fault layer perturb the medium (see internal/faults).
 // All methods are called synchronously from the medium's event handlers;
@@ -153,13 +156,19 @@ type Station struct {
 	OnNAVGranted func(start, navEnd float64)
 	// OnDelivered fires on every successful (non-collided, non-lost)
 	// delivery of this station's frames.
-	OnDelivered func(f *Frame, end float64)
+	OnDelivered func(f Frame, end float64)
 	// OnQueueIdle fires when the station's queue drains, letting
 	// saturated traffic sources refill it.
 	OnQueueIdle func()
 
-	medium  *Medium
-	queue   []*Frame
+	medium *Medium
+	// queue[head:] are the waiting frames, oldest first. Delivered and
+	// dropped frames advance head, and an empty queue starts over at 0.
+	// An append that would grow the slice compacts it in place instead
+	// once head is at least half its length: a compaction then moves no
+	// more frames than have left the queue since the last one.
+	queue   []Frame
+	head    int
 	cw      int
 	retries int
 	seq     uint16
@@ -185,11 +194,12 @@ func (m *Medium) AddStation(name string, addr MAC, rate Rate) *Station {
 	return st
 }
 
-// Enqueue queues a frame for contention-based transmission. It reports
-// whether the frame was accepted (false when the queue is full). The
-// station stamps the sequence number.
-func (s *Station) Enqueue(f *Frame) bool {
-	if len(s.queue) >= MaxQueue {
+// Enqueue queues a copy of f for contention-based transmission. It
+// reports whether the frame was accepted (false when the queue is full).
+// The station stamps the copy's sequence number, and its transmitter
+// address when f leaves it zero.
+func (s *Station) Enqueue(f Frame) bool {
+	if s.QueueLen() >= MaxQueue {
 		s.DroppedFrames++
 		s.medium.met.dropped.Inc()
 		return false
@@ -199,15 +209,30 @@ func (s *Station) Enqueue(f *Frame) bool {
 	if f.Header.Addr2 == (MAC{}) {
 		f.Header.Addr2 = s.Addr
 	}
+	if len(s.queue) == cap(s.queue) && s.head > 0 && 2*s.head >= len(s.queue) {
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue, s.head = s.queue[:n], 0
+	}
 	s.queue = append(s.queue, f)
 	s.medium.met.offered.Inc()
-	s.medium.met.queueDepth.Set(float64(len(s.queue)))
+	s.medium.met.queueDepth.Set(float64(s.QueueLen()))
 	s.medium.kick()
 	return true
 }
 
 // QueueLen returns the number of frames waiting.
-func (s *Station) QueueLen() int { return len(s.queue) }
+func (s *Station) QueueLen() int { return len(s.queue) - s.head }
+
+// pop removes the head-of-queue frame, resetting the queue to its start
+// once it is empty.
+func (s *Station) pop() {
+	s.queue[s.head] = Frame{}
+	s.head++
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
+}
 
 // kick schedules a contention round after the medium goes idle for DIFS,
 // if one is not already scheduled.
@@ -237,7 +262,7 @@ func (m *Medium) round() {
 	ready := m.ready[:0]
 	stallRelease := 0.0
 	for _, st := range m.stations {
-		if len(st.queue) == 0 {
+		if st.QueueLen() == 0 {
 			continue
 		}
 		if m.Impair != nil {
@@ -288,7 +313,7 @@ func (m *Medium) round() {
 // delivered frame leaves the queue before the listeners hear of it; a
 // lost one stays at the head for its retry (onFailure).
 func (m *Medium) deliver(st *Station, start float64) {
-	f := st.queue[0]
+	f := st.queue[st.head]
 	st.SentFrames++
 	rate := st.Rate
 	if f.Header.Type == TypeCTSToSelf || f.Header.Type == TypeBeacon {
@@ -316,10 +341,9 @@ func (m *Medium) deliver(st *Station, start float64) {
 		m.busyUntil = end + AckAirTime()
 	}
 	if !lost {
-		st.queue = st.queue[1:]
+		st.pop()
 	}
-	tx := &Transmission{Station: st, Frame: f, Rate: rate, Start: start, End: end, Lost: lost}
-	m.notify(tx)
+	m.notify(Transmission{Station: st, Frame: f, Rate: rate, Start: start, End: end, Lost: lost})
 	if lost {
 		st.LostFrames++
 		m.met.lost.Inc()
@@ -345,7 +369,7 @@ func (m *Medium) deliver(st *Station, start float64) {
 			st.OnDelivered(f, end)
 		}
 	}
-	if len(st.queue) == 0 && st.OnQueueIdle != nil {
+	if st.QueueLen() == 0 && st.OnQueueIdle != nil {
 		st.OnQueueIdle()
 	}
 }
@@ -354,7 +378,7 @@ func (m *Medium) deliver(st *Station, start float64) {
 func (m *Medium) collide(winners []*Station, start float64) {
 	var end float64
 	for _, st := range winners {
-		f := st.queue[0]
+		f := st.queue[st.head]
 		st.SentFrames++
 		st.CollidedFrames++
 		m.met.collided.Inc()
@@ -362,19 +386,19 @@ func (m *Medium) collide(winners []*Station, start float64) {
 		if e := start + air; e > end {
 			end = e
 		}
-		m.notify(&Transmission{Station: st, Frame: f, Rate: st.Rate,
+		m.notify(Transmission{Station: st, Frame: f, Rate: st.Rate,
 			Start: start, End: start + air, Collided: true})
 	}
 	m.busyUntil = end
 	for _, st := range winners {
 		st.onFailure()
-		if len(st.queue) == 0 && st.OnQueueIdle != nil {
+		if st.QueueLen() == 0 && st.OnQueueIdle != nil {
 			st.OnQueueIdle()
 		}
 	}
 }
 
-func (m *Medium) notify(tx *Transmission) {
+func (m *Medium) notify(tx Transmission) {
 	for _, l := range m.listeners {
 		l(tx)
 	}
@@ -400,7 +424,7 @@ func (s *Station) onFailure() {
 	}
 	s.retries++
 	if s.retries > MaxRetries {
-		s.queue = s.queue[1:]
+		s.pop()
 		s.DroppedFrames++
 		s.medium.met.dropped.Inc()
 		s.retries = 0
@@ -419,7 +443,7 @@ func (s *Station) onFailure() {
 // TransmitInNAV places a frame on air at time at, bypassing contention.
 // Only the NAV owner may do this, and the frame must fit inside the
 // reservation. The transmission is scheduled on the engine.
-func (m *Medium) TransmitInNAV(st *Station, f *Frame, rate Rate, at float64) error {
+func (m *Medium) TransmitInNAV(st *Station, f Frame, rate Rate, at float64) error {
 	if m.navOwner != st {
 		return fmt.Errorf("wifi: %s does not own the NAV", st.Name)
 	}
@@ -445,7 +469,7 @@ func (m *Medium) TransmitInNAV(st *Station, f *Frame, rate Rate, at float64) err
 		m.met.delivered.Inc()
 		m.met.bytes.Add(int64(f.Length()))
 		m.met.airtime.Observe(air)
-		m.notify(&Transmission{Station: st, Frame: f, Rate: rate, Start: start, End: end})
+		m.notify(Transmission{Station: st, Frame: f, Rate: rate, Start: start, End: end})
 		if st.OnDelivered != nil {
 			st.OnDelivered(f, end)
 		}

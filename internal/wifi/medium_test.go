@@ -17,8 +17,8 @@ func newTestMedium(seed int64) (*sim.Engine, *Medium) {
 func TestSingleStationDelivers(t *testing.T) {
 	eng, m := newTestMedium(1)
 	st := m.AddStation("helper", MAC{1}, Rate54)
-	var seen []*Transmission
-	m.AddListener(func(tx *Transmission) { seen = append(seen, tx) })
+	var seen []Transmission
+	m.AddListener(func(tx Transmission) { seen = append(seen, tx) })
 	st.Enqueue(dataFrame(MAC{2}, make([]byte, 100)))
 	eng.Run(1)
 	if len(seen) != 1 {
@@ -40,7 +40,7 @@ func TestSequenceNumbersIncrement(t *testing.T) {
 	eng, m := newTestMedium(2)
 	st := m.AddStation("s", MAC{1}, Rate54)
 	var seqs []uint16
-	m.AddListener(func(tx *Transmission) { seqs = append(seqs, tx.Frame.Header.Seq) })
+	m.AddListener(func(tx Transmission) { seqs = append(seqs, tx.Frame.Header.Seq) })
 	for i := 0; i < 5; i++ {
 		st.Enqueue(dataFrame(MAC{2}, make([]byte, 50)))
 	}
@@ -56,8 +56,8 @@ func TestTransmissionsDoNotOverlap(t *testing.T) {
 	eng, m := newTestMedium(3)
 	a := m.AddStation("a", MAC{1}, Rate54)
 	b := m.AddStation("b", MAC{2}, Rate54)
-	var txs []*Transmission
-	m.AddListener(func(tx *Transmission) { txs = append(txs, tx) })
+	var txs []Transmission
+	m.AddListener(func(tx Transmission) { txs = append(txs, tx) })
 	for i := 0; i < 50; i++ {
 		a.Enqueue(dataFrame(MAC{9}, make([]byte, 500)))
 		b.Enqueue(dataFrame(MAC{9}, make([]byte, 500)))
@@ -142,8 +142,8 @@ func TestCTSToSelfSetsNAV(t *testing.T) {
 	}
 	// Another station's frame queued during the NAV must wait until it
 	// expires.
-	var txs []*Transmission
-	m.AddListener(func(tx *Transmission) { txs = append(txs, tx) })
+	var txs []Transmission
+	m.AddListener(func(tx Transmission) { txs = append(txs, tx) })
 	other.Enqueue(dataFrame(MAC{9}, make([]byte, 100)))
 	eng.Run(1)
 	if len(txs) != 1 {
@@ -157,19 +157,19 @@ func TestCTSToSelfSetsNAV(t *testing.T) {
 func TestTransmitInNAV(t *testing.T) {
 	eng, m := newTestMedium(8)
 	reader := m.AddStation("reader", MAC{1}, Rate54)
-	var bursts []*Transmission
-	m.AddListener(func(tx *Transmission) {
+	var bursts []Transmission
+	m.AddListener(func(tx Transmission) {
 		if tx.Frame.Header.Type == TypeQoSNull {
 			bursts = append(bursts, tx)
 		}
 	})
 	reader.OnNAVGranted = func(start, end float64) {
-		f := &Frame{Header: Header{Type: TypeQoSNull, Addr1: BroadcastMAC}}
+		f := Frame{Header: Header{Type: TypeQoSNull, Addr1: BroadcastMAC}}
 		if err := m.TransmitInNAV(reader, f, Rate54, start+100e-6); err != nil {
 			t.Errorf("TransmitInNAV: %v", err)
 		}
 		// A frame that does not fit must be rejected.
-		huge := &Frame{Header: Header{Type: TypeData}, Payload: make([]byte, 60000)}
+		huge := Frame{Header: Header{Type: TypeData}, Payload: make([]byte, 60000)}
 		if err := m.TransmitInNAV(reader, huge, Rate6, start+200e-6); err == nil {
 			t.Error("oversized NAV transmission should fail")
 		}
@@ -185,7 +185,7 @@ func TestTransmitInNAVRequiresOwnership(t *testing.T) {
 	eng, m := newTestMedium(9)
 	a := m.AddStation("a", MAC{1}, Rate54)
 	_ = eng
-	f := &Frame{Header: Header{Type: TypeQoSNull}}
+	f := Frame{Header: Header{Type: TypeQoSNull}}
 	if err := m.TransmitInNAV(a, f, Rate54, 0); err == nil {
 		t.Error("non-owner NAV transmission should fail")
 	}
@@ -212,8 +212,8 @@ func TestBroadcastHasNoAck(t *testing.T) {
 	eng, m := newTestMedium(11)
 	st := m.AddStation("s", MAC{1}, Rate54)
 	var unicastGap, bcastGap float64
-	var last *Transmission
-	m.AddListener(func(tx *Transmission) { last = tx })
+	var last Transmission
+	m.AddListener(func(tx Transmission) { last = tx })
 	st.Enqueue(dataFrame(MAC{2}, make([]byte, 100)))
 	eng.Run(0.01)
 	unicastEnd := last.End
@@ -235,7 +235,7 @@ func TestDeterministicReplay(t *testing.T) {
 		a := m.AddStation("a", MAC{1}, Rate54)
 		b := m.AddStation("b", MAC{2}, Rate24)
 		var starts []float64
-		m.AddListener(func(tx *Transmission) { starts = append(starts, tx.Start) })
+		m.AddListener(func(tx Transmission) { starts = append(starts, tx.Start) })
 		(&SaturatedSource{Station: a, Dst: MAC{9}, Payload: 700}).Start()
 		(&CBRSource{Station: b, Dst: MAC{9}, Payload: 300, Interval: 0.002}).Start()
 		eng.Run(1)
@@ -260,7 +260,8 @@ func TestSaturationThroughputNearTheory(t *testing.T) {
 	st := m.AddStation("s", MAC{1}, Rate54)
 	(&SaturatedSource{Station: st, Dst: MAC{2}, Payload: 1400}).Start()
 	eng.Run(5)
-	frameLen := dataFrame(MAC{2}, make([]byte, 1400)).Length()
+	f := dataFrame(MAC{2}, make([]byte, 1400))
+	frameLen := f.Length()
 	perFrame := DIFS + float64(CWMin)/2*SlotTime + AirTime(frameLen, Rate54) + AckAirTime()
 	theory := 5 / perFrame
 	got := float64(st.DeliveredFrames)
@@ -287,5 +288,93 @@ func TestCollisionRateGrowsWithStations(t *testing.T) {
 	two, eight := collisionFrac(2), collisionFrac(8)
 	if eight <= two {
 		t.Errorf("collision fraction should grow with stations: 2→%v, 8→%v", two, eight)
+	}
+}
+
+// scriptedLoss loses the attempts whose (0-based) index it lists.
+type scriptedLoss struct {
+	attempt int
+	lose    map[int]bool
+}
+
+func (s *scriptedLoss) FrameLost(*Station, float64) bool {
+	s.attempt++
+	return s.lose[s.attempt-1]
+}
+
+func (s *scriptedLoss) SNROffset(float64) units.DB { return 0 }
+
+func (s *scriptedLoss) StalledUntil(*Station, float64) (float64, bool) { return 0, false }
+
+// TestQueueFIFOAcrossCompaction holds a station's queue to first in,
+// first out while it is compacted in place, frames are retried at its
+// head and a frame is dropped after MaxRetries: every enqueued frame goes
+// on air in Seq order, carrying its own payload, and is either delivered
+// once or dropped after MaxRetries+1 lost attempts.
+func TestQueueFIFOAcrossCompaction(t *testing.T) {
+	eng, m := newTestMedium(12)
+	st := m.AddStation("s", MAC{1}, Rate54)
+	lose := map[int]bool{3: true, 10: true, 11: true, 40: true}
+	for a := 20; a <= 20+MaxRetries; a++ {
+		lose[a] = true // one frame loses every attempt
+	}
+	m.Impair = &scriptedLoss{lose: lose}
+	const frames, backlog = 60, 6
+	enqueued, compactions := 0, 0
+	enqueue := func() {
+		head := st.head
+		st.Enqueue(dataFrame(MAC{2}, []byte{byte(enqueued)}))
+		enqueued++
+		if head > 0 && st.head == 0 {
+			compactions++
+		}
+	}
+	// Top the queue up after each delivery, so it never drains.
+	st.OnDelivered = func(Frame, float64) {
+		for st.QueueLen() < backlog && enqueued < frames {
+			enqueue()
+		}
+	}
+	type attempt struct {
+		seq  uint16
+		body byte
+		lost bool
+	}
+	var attempts []attempt
+	m.AddListener(func(tx Transmission) {
+		attempts = append(attempts, attempt{tx.Frame.Header.Seq, tx.Frame.Payload[0], tx.Lost})
+	})
+	for i := 0; i < backlog; i++ {
+		enqueue()
+	}
+	eng.Run(1)
+
+	if compactions == 0 {
+		t.Fatal("the queue never compacted")
+	}
+	if enqueued != frames || st.DeliveredFrames+st.DroppedFrames != frames {
+		t.Fatalf("%d enqueued, %d delivered + %d dropped; want all %d resolved",
+			enqueued, st.DeliveredFrames, st.DroppedFrames, frames)
+	}
+	if st.DroppedFrames != 1 {
+		t.Errorf("%d frames dropped, want the 1 that lost all its attempts", st.DroppedFrames)
+	}
+	next := uint16(1) // the frame expected on air
+	tries := 0
+	for i, a := range attempts {
+		if a.seq != next {
+			t.Fatalf("attempt %d carries seq %d, want %d (FIFO order)", i, a.seq, next)
+		}
+		if a.body != byte(a.seq-1) {
+			t.Fatalf("attempt %d: seq %d carries body %d, want %d", i, a.seq, a.body, a.seq-1)
+		}
+		tries++
+		if !a.lost || tries == MaxRetries+1 {
+			next++
+			tries = 0
+		}
+	}
+	if int(next) != frames+1 {
+		t.Errorf("frames up to seq %d went on air, want all %d", next-1, frames)
 	}
 }

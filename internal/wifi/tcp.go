@@ -49,6 +49,9 @@ type TCPSource struct {
 	delivered int
 	acked     int
 	seg, ack  zeroBody
+	// onServerAck is the ACK's arrival at the server, bound once so that
+	// scheduling it forms no closure.
+	onServerAck func()
 }
 
 // NewTCPSource validates and builds a TCP flow between two stations; tune
@@ -99,7 +102,7 @@ func (t *TCPSource) Start() error {
 
 	// Deliveries of data segments trigger receiver ACKs; deliveries of
 	// ACKs open the window.
-	t.Sender.OnDelivered = func(f *Frame, end float64) {
+	t.Sender.OnDelivered = func(f Frame, end float64) {
 		// Only this flow's segments count: the station may carry other
 		// traffic.
 		if f.Header.Type != TypeData || f.Header.Addr1 != t.Receiver.Addr ||
@@ -115,12 +118,9 @@ func (t *TCPSource) Start() error {
 			t.pump()
 			return
 		}
-		t.Receiver.Enqueue(&Frame{
-			Header:  Header{Type: TypeData, Addr1: t.Sender.Addr},
-			Payload: t.ack.of(t.AckBytes),
-		})
+		t.Receiver.Enqueue(dataFrame(t.Sender.Addr, t.ack.of(t.AckBytes)))
 	}
-	t.Receiver.OnDelivered = func(f *Frame, end float64) {
+	t.Receiver.OnDelivered = func(f Frame, end float64) {
 		if f.Header.Type != TypeData || f.Header.Addr1 != t.Sender.Addr ||
 			len(f.Payload) != t.AckBytes {
 			return
@@ -129,11 +129,12 @@ func (t *TCPSource) Start() error {
 		// does the segment leave the window (TCP's in-flight count is
 		// unacknowledged data, not undelivered data) and the window
 		// react.
-		t.Sender.medium.eng.Schedule(t.ServerRTT, func() {
-			t.inFlight--
-			t.onAck()
-			t.pump()
-		})
+		t.Sender.medium.eng.Schedule(t.ServerRTT, t.onServerAck)
+	}
+	t.onServerAck = func() {
+		t.inFlight--
+		t.onAck()
+		t.pump()
 	}
 	t.pump()
 	return nil
@@ -165,10 +166,7 @@ func (t *TCPSource) pump() {
 		return
 	}
 	for t.inFlight < int(t.cwnd) {
-		ok := t.Sender.Enqueue(&Frame{
-			Header:  Header{Type: TypeData, Addr1: t.Receiver.Addr},
-			Payload: t.seg.of(t.SegmentBytes),
-		})
+		ok := t.Sender.Enqueue(dataFrame(t.Receiver.Addr, t.seg.of(t.SegmentBytes)))
 		if !ok {
 			return
 		}

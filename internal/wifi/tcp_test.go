@@ -60,7 +60,7 @@ func TestTCPGeneratesBidirectionalTraffic(t *testing.T) {
 	sender := m.AddStation("ap", MAC{1}, Rate54)
 	receiver := m.AddStation("client", MAC{2}, Rate54)
 	var dataFrames, ackFrames int
-	m.AddListener(func(tx *Transmission) {
+	m.AddListener(func(tx Transmission) {
 		if tx.Collided || tx.Frame.Header.Type != TypeData {
 			return
 		}

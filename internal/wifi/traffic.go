@@ -13,8 +13,8 @@ import (
 // beacons (Fig. 16), and the diurnal office load profile.
 
 // dataFrame builds a data frame carrying body.
-func dataFrame(dst MAC, body []byte) *Frame {
-	return &Frame{Header: Header{Type: TypeData, Addr1: dst}, Payload: body}
+func dataFrame(dst MAC, body []byte) Frame {
+	return Frame{Header: Header{Type: TypeData, Addr1: dst}, Payload: body}
 }
 
 // zeroBody is a traffic source's frame body: one zeroed slice of the
@@ -233,6 +233,7 @@ func (b *BurstySource) Start() error {
 	}
 	eng := b.Station.medium.eng
 	const alpha = 1.5 // Pareto shape for burst sizes
+	enqueue := func() { b.Station.Enqueue(dataFrame(b.Dst, b.body.of(b.Payload))) }
 	var burst func()
 	burst = func() {
 		if b.Until > 0 && eng.Now() >= b.Until {
@@ -243,9 +244,7 @@ func (b *BurstySource) Start() error {
 		n := int(math.Ceil(b.Rnd.Pareto(xm, alpha)))
 		for i := 0; i < n; i++ {
 			delay := float64(i) * b.InBurstInterval
-			eng.Schedule(delay, func() {
-				b.Station.Enqueue(dataFrame(b.Dst, b.body.of(b.Payload)))
-			})
+			eng.Schedule(delay, enqueue)
 		}
 		gap := b.Rnd.Exponential(b.MeanGap)
 		eng.Schedule(float64(n)*b.InBurstInterval+gap, burst)
@@ -297,7 +296,7 @@ func (b *BeaconSource) Start() error {
 		if b.Until > 0 && eng.Now() >= b.Until {
 			return
 		}
-		b.Station.Enqueue(&Frame{
+		b.Station.Enqueue(Frame{
 			Header:  Header{Type: TypeBeacon, Addr1: BroadcastMAC},
 			Payload: b.body.of(beaconBytes),
 		})

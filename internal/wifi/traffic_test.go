@@ -11,7 +11,7 @@ func TestCBRSourceRate(t *testing.T) {
 	eng, m := newTestMedium(1)
 	st := m.AddStation("helper", MAC{1}, Rate54)
 	count := 0
-	m.AddListener(func(tx *Transmission) { count++ })
+	m.AddListener(func(tx Transmission) { count++ })
 	(&CBRSource{Station: st, Dst: MAC{2}, Payload: 100, Interval: 0.001}).Start()
 	eng.Run(2)
 	// 1000 pkt/s for 2 s: ~2000 transmissions.
@@ -24,7 +24,7 @@ func TestCBRSourceUntil(t *testing.T) {
 	eng, m := newTestMedium(2)
 	st := m.AddStation("helper", MAC{1}, Rate54)
 	count := 0
-	m.AddListener(func(tx *Transmission) { count++ })
+	m.AddListener(func(tx Transmission) { count++ })
 	(&CBRSource{Station: st, Dst: MAC{2}, Payload: 100, Interval: 0.001, Until: 0.5}).Start()
 	eng.Run(2)
 	if count < 450 || count > 550 {
@@ -81,7 +81,7 @@ func TestSaturatedSourceKeepsBacklog(t *testing.T) {
 	eng, m := newTestMedium(4)
 	st := m.AddStation("ap", MAC{1}, Rate54)
 	count := 0
-	m.AddListener(func(tx *Transmission) { count++ })
+	m.AddListener(func(tx Transmission) { count++ })
 	(&SaturatedSource{Station: st, Dst: MAC{2}, Payload: 1500}).Start()
 	eng.Run(1)
 	// 1500B at 54 Mbps is ~244 µs + overheads: expect thousands of
@@ -95,7 +95,7 @@ func TestPoissonSourceRate(t *testing.T) {
 	eng, m := newTestMedium(5)
 	st := m.AddStation("ap", MAC{1}, Rate54)
 	count := 0
-	m.AddListener(func(tx *Transmission) { count++ })
+	m.AddListener(func(tx Transmission) { count++ })
 	(&PoissonSource{Station: st, Dst: MAC{2}, Payload: 200, Rate: 500,
 		Rnd: rng.New(99)}).Start()
 	eng.Run(4)
@@ -109,7 +109,7 @@ func TestBurstySourceIsBursty(t *testing.T) {
 	eng, m := newTestMedium(6)
 	st := m.AddStation("client", MAC{1}, Rate54)
 	var times []float64
-	m.AddListener(func(tx *Transmission) { times = append(times, tx.Start) })
+	m.AddListener(func(tx Transmission) { times = append(times, tx.Start) })
 	(&BurstySource{Station: st, Dst: MAC{2}, Payload: 600, MeanBurst: 20,
 		MeanGap: 0.05, InBurstInterval: 0.0005, Rnd: rng.New(7)}).Start()
 	eng.Run(5)
@@ -140,7 +140,7 @@ func TestBeaconSourceCadence(t *testing.T) {
 	eng, m := newTestMedium(8)
 	ap := m.AddStation("ap", MAC{1}, Rate54)
 	var beacons []float64
-	m.AddListener(func(tx *Transmission) {
+	m.AddListener(func(tx Transmission) {
 		if tx.Frame.Header.Type == TypeBeacon {
 			beacons = append(beacons, tx.Start)
 		}
