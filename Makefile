@@ -22,9 +22,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# Project-specific static analysis: determinism, pool hygiene, float
-# comparisons, unit discipline, stream-state bounds and hot-path
-# allocations, each followed across function boundaries where it matters.
+# Project-specific static analysis: determinism, float comparisons, unit
+# discipline, stream-state bounds and hot-path allocations, each followed
+# across function boundaries where it matters.
 # `wblint -json ./...` emits the findings machine-readably; see README
 # "Static gates" for the codes.
 lint:

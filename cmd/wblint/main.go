@@ -1,8 +1,8 @@
 // Command wblint runs the project's static-analysis suite (see
-// internal/analysis): six analyzers — determinism, poolhygiene, floatsafe,
-// unitcheck, streamhygiene, hotpath — each run once over every package in
-// the load set and the call graph between them, so determinism, pool and
-// hot-path findings follow values across function boundaries. It parses
+// internal/analysis): five analyzers — determinism, floatsafe, unitcheck,
+// streamhygiene, hotpath — each run once over every package in the load
+// set and the call graph between them, so determinism and hot-path
+// findings follow values across function boundaries. It parses
 // and typechecks packages itself with the standard library, so it works
 // offline with no module dependencies.
 //

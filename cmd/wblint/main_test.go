@@ -19,7 +19,6 @@ func TestCatalogStableAndComplete(t *testing.T) {
 		"FS001", "FS002",
 		"HP001", "HP002", "HP003",
 		"IG001", "IG002",
-		"PH001", "PH002", "PH003", "PH004", "PH005",
 		"SH001",
 		"UC001", "UC002", "UC003",
 	}

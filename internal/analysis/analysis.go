@@ -11,9 +11,6 @@
 //     worker counts, so wall-clock time and unseeded randomness are banned
 //     from everything that feeds a result, and map iteration must never
 //     order user-visible output — at the read and through any call chain;
-//   - poolhygiene: scratch buffers from the internal/dsp sync.Pool must be
-//     returned on every control-flow path and never retained past the Put,
-//     whether acquired here or handed over by a callee;
 //   - floatsafe: DSP decisions ride on conditioned float series, where ==
 //     on two computed values is almost always a latent bug;
 //   - unitcheck: power/gain/frequency/distance quantities must move through
@@ -24,7 +21,7 @@
 //
 // Every analyzer runs once over a Module: the loaded packages plus their
 // call graph (callgraph.go). Each reports diagnostics with stable codes
-// (DT001, PH002, ...); a DT or PH message names the call chain a finding
+// (DT001, FS002, ...); a DT message names the call chain a finding
 // travelled, or says "0 hops" when source and sink share a function.
 // A finding can be suppressed with an in-source directive that must carry a
 // written reason (see ignore.go); unexplained or unused directives are
@@ -97,7 +94,7 @@ func (p *Pass) Reportf(pos token.Pos, code, format string, args ...any) {
 // usable; start from DefaultConfig.
 type Config struct {
 	// ModulePath is the module being analyzed (used to resolve the
-	// internal/dsp, internal/units and internal/rng packages).
+	// internal/units and internal/rng packages).
 	ModulePath string
 	// WallClockAllow lists functions allowed to read the wall clock for
 	// duration reporting, keyed "pkgpath.Func" or "pkgpath.Recv.Func".
@@ -216,7 +213,6 @@ func inScope(pkgPath string, scope []string) bool {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		PoolHygieneAnalyzer,
 		FloatSafeAnalyzer,
 		UnitCheckAnalyzer,
 		StreamHygieneAnalyzer,

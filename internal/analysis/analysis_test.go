@@ -121,10 +121,6 @@ func TestDeterminismFixture(t *testing.T) {
 	checkFixture(t, "determinism", DeterminismAnalyzer)
 }
 
-func TestPoolHygieneFixture(t *testing.T) {
-	checkFixture(t, "poolhygiene", PoolHygieneAnalyzer)
-}
-
 func TestFloatSafeFixture(t *testing.T) {
 	checkFixture(t, "floatsafe", FloatSafeAnalyzer)
 }
@@ -141,15 +137,11 @@ func TestTaintFixture(t *testing.T) {
 	checkFixture(t, "taint", DeterminismAnalyzer)
 }
 
-func TestPoolEscapeFixture(t *testing.T) {
-	checkFixture(t, "poolescape", PoolHygieneAnalyzer)
-}
-
 func TestHotPathFixture(t *testing.T) {
 	checkFixture(t, "hotpath", HotPathAnalyzer)
 }
 
-// TestHopCounts pins how the DT and PH rules split by distance from the
+// TestHopCounts pins how the interprocedural rules split by distance from the
 // source: the direct case carries its 0-hop code and says "0 hops", the
 // chained case carries the interprocedural code and names its call chain,
 // and no line carries both.
@@ -162,8 +154,6 @@ func TestHopCounts(t *testing.T) {
 	}{
 		{"taint", "DT001", "DT005", "deriveSeed → clockSeed → time.Now"},
 		{"taint", "DT003", "DT007", "unsortedKeys → map range"},
-		{"poolescape", "PH003", "PH004", "wrap → alloc → dsp.GetSlice"},
-		{"poolescape", "PH003", "PH005", "alloc → dsp.GetSlice"},
 		{"hotpath", "", "HP003", "process → stage1 → stage2"},
 	}
 	for _, tc := range cases {
@@ -223,8 +213,7 @@ func TestBuildConstraints(t *testing.T) {
 // analyzer (running none) leaves want comments unmatched and the fixture
 // test red.
 func TestAnalyzerDisabledWouldFail(t *testing.T) {
-	for _, fixture := range []string{"determinism", "poolhygiene", "floatsafe", "unitcheck", "streamhygiene",
-		"taint", "poolescape", "hotpath"} {
+	for _, fixture := range []string{"determinism", "floatsafe", "unitcheck", "streamhygiene", "taint", "hotpath"} {
 		pkg, m := fixtureModule(t, fixture)
 		if n := len(fixtureWants(pkg)); n == 0 {
 			t.Errorf("fixture %s has no want comments; a disabled analyzer would go unnoticed", fixture)

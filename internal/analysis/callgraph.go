@@ -9,9 +9,9 @@ import (
 )
 
 // This file builds the module-wide static call graph the interprocedural
-// rules (determinism, poolhygiene, hotpath) run on. The graph is assembled
-// from every package handed to NewModule — for a `wblint ./...` run that is
-// the whole module — and resolves three kinds of call sites:
+// rules (determinism, hotpath) run on. The graph is assembled from every
+// package handed to NewModule — for a `wblint ./...` run that is the whole
+// module — and resolves three kinds of call sites:
 //
 //   - direct calls and method calls on concrete receivers, via types.Info
 //     (exact);
@@ -123,12 +123,12 @@ func FuncDisplay(fn *types.Func, from *types.Package) string {
 
 // The interprocedural rules follow a bottom-up summary discipline: a local
 // pass computes, for each function, a small fact about its boundary
-// behavior (does its return value carry wall-clock taint? does it hand out
-// a pooled buffer?), and Fixpoint propagates those facts along the call
-// graph until they stabilize — which handles recursion and mutual
-// recursion without special cases. Diagnostics are only emitted in a second
-// pass, once every summary is final, so a finding can name the whole chain
-// it travelled ("deriveSeed → clockSeed → time.Now").
+// behavior (does its return value carry wall-clock taint or map order?),
+// and Fixpoint propagates those facts along the call graph until they
+// stabilize — which handles recursion and mutual recursion without
+// special cases. Diagnostics are only emitted in a second pass, once every
+// summary is final, so a finding can name the whole chain it travelled
+// ("deriveSeed → clockSeed → time.Now").
 
 // Fixpoint applies step to every call-graph node, in deterministic order,
 // repeatedly until a full sweep reports no change. step returns true when

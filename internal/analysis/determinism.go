@@ -391,7 +391,7 @@ func (s *taintScan) handleAssign(assign *ast.AssignStmt) bool {
 
 // taintLHS marks the variable behind an assignment target. Targets that
 // are not local variables (receiver fields, globals) are out of the local
-// scan's scope — poolhygiene owns those shapes.
+// scan's scope.
 func (s *taintScan) taintLHS(lhs ast.Expr, t taintSet, via [nTaintKinds]string) bool {
 	root := rootIdent(lhs)
 	if root == nil {

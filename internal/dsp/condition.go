@@ -6,70 +6,13 @@ import "math"
 // paper: removing slow temporal channel variation with a moving average and
 // normalizing the residual so tag bits map to ±1.
 //
-// Every step has an Into variant writing into a caller-provided buffer
-// (which must not alias xs); the allocating forms wrap them. The detrend
-// steps run through one kernel (condition → detrend): each pass keeps its
-// running prefix sum in a register, folds the decision-directed
-// demodulation into the prefix loop and the residual's Σ|r| into the
-// window loop, so conditioning is a few streaming passes over one pooled
-// prefix buffer and the allocating forms cost exactly one result slice
-// per call.
-
-// MovingAverage returns the centered moving average of xs with the given
-// window length. Near the edges the window shrinks to the available
-// samples, so the result has the same length as xs. A window <= 1 returns a
-// copy of xs.
-func MovingAverage(xs []float64, window int) []float64 {
-	out := make([]float64, len(xs))
-	MovingAverageInto(out, xs, window)
-	return out
-}
-
-// MovingAverageInto computes MovingAverage into dst, which must have the
-// same length as xs and not alias it.
-func MovingAverageInto(dst, xs []float64, window int) {
-	if window <= 1 {
-		copy(dst, xs)
-		return
-	}
-	prefix := GetSlice(len(xs) + 1)
-	prefixSum(prefix, xs)
-	half := window / 2
-	for i := range xs {
-		lo, hi := max(i-half, 0), min(i+half+1, len(xs))
-		dst[i] = (prefix[hi] - prefix[lo]) / float64(hi-lo)
-	}
-	PutSlice(prefix)
-}
-
-// prefixSum writes the running sums of xs into prefix[1:], keeping the
-// partial sum in a register rather than re-reading prefix[i]. prefix[0]
-// must be 0 (GetSlice zeroes it).
-func prefixSum(prefix, xs []float64) {
-	var run float64
-	for i, x := range xs {
-		run += x
-		prefix[i+1] = run
-	}
-}
-
-// RemoveTrend subtracts the centered moving average with the given window
-// from xs, producing a zero-mean residual that tracks only fast changes
-// (such as the tag's modulation). This is step 1 of the paper's signal
-// conditioning.
-func RemoveTrend(xs []float64, window int) []float64 {
-	out := make([]float64, len(xs))
-	RemoveTrendInto(out, xs, window)
-	return out
-}
-
-// RemoveTrendInto computes RemoveTrend into dst, which must have the same
-// length as xs and not alias it.
-func RemoveTrendInto(dst, xs []float64, window int) {
-	prefix := GetSlice(len(xs) + 1)
-	detrend(dst, xs, prefix, window, 0)
-	PutSlice(prefix)
-}
+// The conditioners have Into variants writing into a caller-provided
+// buffer (which must not alias xs) over a caller-owned prefix-sum row; the
+// allocating forms wrap them. Both run through one kernel (condition →
+// detrend): each pass keeps its running prefix sum in a register, folds
+// the decision-directed demodulation into the prefix loop and the
+// residual's Σ|r| into the window loop, so conditioning is a few streaming
+// passes over the one prefix row.
 
 // Normalize scales a zero-mean series so that the two modulation levels map
 // to approximately -1 and +1. Following §3.2, the scale is the mean of the
@@ -102,14 +45,15 @@ func divideBy(xs []float64, scale float64) {
 // the samples spanning 400 ms of packets).
 func Condition(xs []float64, window int) []float64 {
 	out := make([]float64, len(xs))
-	ConditionInto(out, xs, window)
+	ConditionInto(out, xs, make([]float64, len(xs)+1), window)
 	return out
 }
 
 // ConditionInto computes Condition into dst, which must have the same
-// length as xs and not alias it.
-func ConditionInto(dst, xs []float64, window int) {
-	condition(dst, xs, window, 0)
+// length as xs and not alias it. prefix is scratch of length at least
+// len(xs)+1; its contents on entry do not matter.
+func ConditionInto(dst, xs, prefix []float64, window int) {
+	condition(dst, xs, prefix, window, 0)
 }
 
 // ConditionTwoPass is Condition with decision-directed baseline removal.
@@ -130,14 +74,15 @@ func ConditionInto(dst, xs []float64, window int) {
 // series edges where the centered window is asymmetric.
 func ConditionTwoPass(xs []float64, window int) []float64 {
 	out := make([]float64, len(xs))
-	ConditionTwoPassInto(out, xs, window)
+	ConditionTwoPassInto(out, xs, make([]float64, len(xs)+1), window)
 	return out
 }
 
 // ConditionTwoPassInto computes ConditionTwoPass into dst, which must have
-// the same length as xs and not alias it.
-func ConditionTwoPassInto(dst, xs []float64, window int) {
-	condition(dst, xs, window, 2)
+// the same length as xs and not alias it. prefix is scratch of length at
+// least len(xs)+1; its contents on entry do not matter.
+func ConditionTwoPassInto(dst, xs, prefix []float64, window int) {
+	condition(dst, xs, prefix, window, 2)
 }
 
 // condition is the one detrend kernel behind ConditionInto and
@@ -146,16 +91,15 @@ func ConditionTwoPassInto(dst, xs []float64, window int) {
 // detrend also sums |dst| in index order — exactly MeanAbs of its output —
 // so the modulation amplitude a refinement starts from and the final
 // normalization scale cost no pass of their own, and the only scratch is
-// one pooled prefix buffer. The float operations and their order are
+// the caller's prefix row. The float operations and their order are
 // those of the composed RemoveTrend → MeanAbs → demodulate →
 // MovingAverage → subtract → Normalize pipeline, which the exactness
 // oracle in condition_ref_test.go keeps verbatim and compares bit for bit.
-func condition(dst, xs []float64, window, refine int) {
+func condition(dst, xs, prefix []float64, window, refine int) {
 	n := len(xs)
 	if n == 0 {
 		return
 	}
-	prefix := GetSlice(n + 1)
 	sumAbs := detrend(dst, xs, prefix, window, 0)
 	for iter := 0; iter < refine; iter++ {
 		amp := sumAbs / float64(n)
@@ -164,7 +108,6 @@ func condition(dst, xs []float64, window, refine int) {
 		}
 		sumAbs = detrend(dst, xs, prefix, window, amp)
 	}
-	PutSlice(prefix)
 	divideBy(dst, sumAbs/float64(n))
 }
 
@@ -172,8 +115,9 @@ func condition(dst, xs []float64, window, refine int) {
 // dst and returning Σ|dst| in index order. With amp == 0 it is the plain
 // pass, dst = xs − MA(xs). Otherwise it is a decision-directed pass: the
 // previous residual's signs, still in dst, demodulate xs inside the prefix
-// loop, and dst = xs − MA(xs − sign(dst)·amp). prefix (len(xs)+1, with
-// prefix[0] == 0) is scratch.
+// loop, and dst = xs − MA(xs − sign(dst)·amp). prefix (at least
+// len(xs)+1 long) is scratch: the pass writes every element it reads,
+// prefix[0] included, so stale contents never reach the result.
 func detrend(dst, xs, prefix []float64, window int, amp float64) float64 {
 	pos := math.Float64bits(amp)
 	neg := pos ^ signBit
@@ -191,10 +135,14 @@ func detrend(dst, xs, prefix []float64, window int, amp float64) float64 {
 		}
 		return sum
 	}
+	prefix[0] = 0
+	var run float64
 	if amp == 0 {
-		prefixSum(prefix, xs)
+		for i, x := range xs {
+			run += x
+			prefix[i+1] = run
+		}
 	} else {
-		var run float64
 		for i, x := range xs {
 			run += x - modulation(pos, neg, dst[i])
 			prefix[i+1] = run

@@ -101,26 +101,31 @@ func firstDiff(got, want []float64) int {
 	return -1
 }
 
-// checkAgainstOracle runs every conditioner on xs and compares it with the
-// reference bit for bit. dst is pre-filled with garbage so a kernel that
-// leaves an element unwritten is caught.
+// checkAgainstOracle runs both conditioners on xs and compares them with
+// the reference bit for bit. dst is pre-filled with garbage so a kernel
+// that leaves an element unwritten is caught, and the prefix row with NaN
+// so a kernel that reads a prefix element it did not write this call
+// (prefix[0] included) is caught.
 func checkAgainstOracle(t *testing.T, name string, xs []float64, window int) {
 	t.Helper()
 	for _, c := range []struct {
-		kind      string
-		got, want func(dst, xs []float64, window int)
+		kind string
+		got  func(dst, xs, prefix []float64, window int)
+		want func(dst, xs []float64, window int)
 	}{
 		{"Condition", ConditionInto, refConditionInto},
 		{"ConditionTwoPass", ConditionTwoPassInto, refConditionTwoPassInto},
-		{"RemoveTrend", RemoveTrendInto, refRemoveTrendInto},
-		{"MovingAverage", MovingAverageInto, refMovingAverageInto},
 	} {
 		got := make([]float64, len(xs))
 		for i := range got {
 			got[i] = math.Pi
 		}
+		prefix := make([]float64, len(xs)+1)
+		for i := range prefix {
+			prefix[i] = math.NaN()
+		}
 		want := make([]float64, len(xs))
-		c.got(got, xs, window)
+		c.got(got, xs, prefix, window)
 		c.want(want, xs, window)
 		if i := firstDiff(got, want); i >= 0 {
 			t.Errorf("%s %s (n=%d, window=%d): element %d is %v (%#x), oracle %v (%#x)",

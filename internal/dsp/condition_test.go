@@ -6,9 +6,20 @@ import (
 	"testing/quick"
 )
 
+// movingAverage is the centered moving average the detrend kernel
+// subtracts: xs minus the residual of its plain (amp 0) pass.
+func movingAverage(xs []float64, window int) []float64 {
+	ma := make([]float64, len(xs))
+	detrend(ma, xs, make([]float64, len(xs)+1), window, 0)
+	for i, x := range xs {
+		ma[i] = x - ma[i]
+	}
+	return ma
+}
+
 func TestMovingAverageConstantSeries(t *testing.T) {
 	xs := []float64{5, 5, 5, 5, 5}
-	got := MovingAverage(xs, 3)
+	got := movingAverage(xs, 3)
 	for i, v := range got {
 		if v != 5 {
 			t.Errorf("MovingAverage of constant series at %d = %v, want 5", i, v)
@@ -18,27 +29,63 @@ func TestMovingAverageConstantSeries(t *testing.T) {
 
 func TestMovingAverageWindowOne(t *testing.T) {
 	xs := []float64{1, 2, 3}
-	got := MovingAverage(xs, 1)
-	for i := range xs {
-		if got[i] != xs[i] {
-			t.Errorf("window 1 should copy input, got %v", got)
+	for _, window := range []int{-1, 0, 1} {
+		got := movingAverage(xs, window)
+		for i := range xs {
+			if got[i] != xs[i] {
+				t.Errorf("window %d should average each sample alone, got %v", window, got)
+			}
 		}
-	}
-	// Must be a copy, not the same backing array.
-	got[0] = 99
-	if xs[0] == 99 {
-		t.Error("MovingAverage(x, 1) aliases input")
 	}
 }
 
 func TestMovingAverageCentered(t *testing.T) {
 	xs := []float64{0, 0, 9, 0, 0}
-	got := MovingAverage(xs, 3)
+	got := movingAverage(xs, 3)
 	want := []float64{0, 3, 3, 3, 0}
 	for i := range want {
 		if !almostEqual(got[i], want[i], 1e-12) {
 			t.Errorf("MovingAverage[%d] = %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestMovingAverageMatchesWindowSum holds the kernel's prefix-sum moving
+// average to its definition, a plain sum over the centered window that
+// shrinks to the available samples near the edges.
+func TestMovingAverageMatchesWindowSum(t *testing.T) {
+	f := func(raw []float64, wRaw uint8) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		// Clamp to a physical range: the prefix sums and the plain sums
+		// legitimately diverge near float64 overflow, which no CSI
+		// amplitude approaches.
+		for i, v := range raw {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				raw[i] = 0
+			} else {
+				raw[i] = math.Mod(v, 1e6)
+			}
+		}
+		window := int(wRaw)%(len(raw)+2) + 1
+		got := movingAverage(raw, window)
+		half := window / 2
+		for i := range raw {
+			lo, hi := max(i-half, 0), min(i+half+1, len(raw))
+			var sum float64
+			for _, x := range raw[lo:hi] {
+				sum += x
+			}
+			want := sum / float64(hi-lo)
+			if math.Abs(got[i]-want) > 1e-9*(1+math.Abs(want)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -55,7 +102,8 @@ func TestRemoveTrendKillsSlowDrift(t *testing.T) {
 		}
 		xs[i] = 10 + drift + sq
 	}
-	resid := RemoveTrend(xs, 80)
+	resid := make([]float64, n)
+	detrend(resid, xs, make([]float64, n+1), 80, 0)
 	// Interior residual mean should be ~0 and magnitude ~1.
 	inner := resid[50 : n-50]
 	if m := Mean(inner); math.Abs(m) > 0.05 {
@@ -142,7 +190,7 @@ func TestMovingAverageLengthProperty(t *testing.T) {
 				xs[i] = 0
 			}
 		}
-		return len(MovingAverage(xs, int(w))) == len(xs)
+		return len(movingAverage(xs, int(w))) == len(xs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -222,5 +270,31 @@ func TestConditionTwoPassMatchesSinglePassOnBalanced(t *testing.T) {
 		if (a[i] > 0) != (b[i] > 0) {
 			t.Fatalf("sign disagreement at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestConditionTwoPassIntoAllocs pins that conditioning into caller-owned
+// buffers allocates nothing: the prefix row is the caller's.
+func TestConditionTwoPassIntoAllocs(t *testing.T) {
+	xs := make([]float64, 1000)
+	for i := range xs {
+		xs[i] = math.Sin(float64(i) / 9)
+	}
+	dst, prefix := make([]float64, len(xs)), make([]float64, len(xs)+1)
+	if n := testing.AllocsPerRun(20, func() { ConditionTwoPassInto(dst, xs, prefix, 40) }); n != 0 {
+		t.Errorf("ConditionTwoPassInto allocates %v times per call, want 0", n)
+	}
+}
+
+func BenchmarkConditionTwoPassInto(b *testing.B) {
+	xs := make([]float64, 1000)
+	for i := range xs {
+		xs[i] = math.Sin(float64(i) / 9)
+	}
+	dst, prefix := make([]float64, len(xs)), make([]float64, len(xs)+1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ConditionTwoPassInto(dst, xs, prefix, 40)
 	}
 }

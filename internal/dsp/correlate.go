@@ -1,7 +1,5 @@
 package dsp
 
-import "math"
-
 // Correlate computes the sliding dot product of series xs with pattern p at
 // every alignment. The result has length len(xs)-len(p)+1; it is empty when
 // the pattern is longer than the series or either input is empty.
@@ -18,55 +16,6 @@ func Correlate(xs, p []float64) []float64 {
 		out[i] = sum
 	}
 	return out
-}
-
-// NormalizedCorrelate computes the normalized cross-correlation in [-1, 1]
-// of xs with pattern p at every alignment: the dot product divided by the
-// L2 norms of the window and the pattern. Windows or patterns with zero
-// energy correlate to 0.
-func NormalizedCorrelate(xs, p []float64) []float64 {
-	if len(p) == 0 || len(xs) < len(p) {
-		return nil
-	}
-	var pNorm float64
-	for _, pv := range p {
-		pNorm += pv * pv
-	}
-	pNorm = math.Sqrt(pNorm)
-	out := make([]float64, len(xs)-len(p)+1)
-	if pNorm == 0 {
-		return out
-	}
-	// Rolling window energy via prefix sums of squares.
-	prefix2 := GetSlice(len(xs) + 1)
-	defer PutSlice(prefix2)
-	for i, x := range xs {
-		prefix2[i+1] = prefix2[i] + x*x
-	}
-	for i := range out {
-		var dot float64
-		for j, pv := range p {
-			dot += xs[i+j] * pv
-		}
-		wNorm := math.Sqrt(prefix2[i+len(p)] - prefix2[i])
-		if wNorm == 0 {
-			continue
-		}
-		out[i] = dot / (wNorm * pNorm)
-	}
-	return out
-}
-
-// PeakCorrelation returns the maximum normalized correlation of xs against
-// pattern p and the alignment index where it occurs. It returns (0, -1)
-// when no alignment exists.
-func PeakCorrelation(xs, p []float64) (peak float64, at int) {
-	corr := NormalizedCorrelate(xs, p)
-	if len(corr) == 0 {
-		return 0, -1
-	}
-	at = ArgMax(corr)
-	return corr[at], at
 }
 
 // BitsToLevels maps bits to the ±1 modulation levels used throughout the

@@ -3,7 +3,6 @@ package dsp
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestCorrelateBasic(t *testing.T) {
@@ -27,68 +26,6 @@ func TestCorrelateDegenerate(t *testing.T) {
 	}
 	if got := Correlate([]float64{1, 2}, nil); got != nil {
 		t.Errorf("empty pattern should return nil, got %v", got)
-	}
-}
-
-func TestNormalizedCorrelatePerfectMatch(t *testing.T) {
-	p := Barker13
-	xs := append(append([]float64{0.3, -0.2, 0.1}, p...), -0.5, 0.4)
-	corr := NormalizedCorrelate(xs, p)
-	peak, at := PeakCorrelation(xs, p)
-	if at != 3 {
-		t.Errorf("peak at %d, want 3 (corr=%v)", at, corr)
-	}
-	if !almostEqual(peak, 1, 1e-9) {
-		t.Errorf("peak = %v, want 1", peak)
-	}
-}
-
-func TestNormalizedCorrelateAntiMatch(t *testing.T) {
-	p := []float64{1, -1, 1}
-	neg := []float64{-1, 1, -1}
-	corr := NormalizedCorrelate(neg, p)
-	if !almostEqual(corr[0], -1, 1e-9) {
-		t.Errorf("anti-correlation = %v, want -1", corr[0])
-	}
-}
-
-func TestNormalizedCorrelateBounds(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) < 5 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e50 {
-				x = 0
-			}
-			xs[i] = x
-		}
-		corr := NormalizedCorrelate(xs, Barker13)
-		for _, c := range corr {
-			if c < -1-1e-9 || c > 1+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNormalizedCorrelateZeroWindow(t *testing.T) {
-	xs := []float64{0, 0, 0, 0, 1}
-	corr := NormalizedCorrelate(xs, []float64{1, 1})
-	if corr[0] != 0 {
-		t.Errorf("zero-energy window should correlate to 0, got %v", corr[0])
-	}
-}
-
-func TestPeakCorrelationEmpty(t *testing.T) {
-	peak, at := PeakCorrelation([]float64{1}, []float64{1, 2, 3})
-	if peak != 0 || at != -1 {
-		t.Errorf("PeakCorrelation on short series = (%v, %d), want (0, -1)", peak, at)
 	}
 }
 

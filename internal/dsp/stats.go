@@ -8,10 +8,7 @@
 // their inputs.
 package dsp
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -54,23 +51,6 @@ func MeanAbs(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Median returns the median of xs, or 0 for an empty slice. xs is not
-// modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := GetSlice(len(xs))
-	defer PutSlice(cp)
-	copy(cp, xs)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
 // MeanAbsDev returns the mean absolute deviation of xs about its mean — a
 // scale estimate that is linear (not quadratic) in outliers and, for a
 // bimodal ±A series, close to A regardless of how unbalanced the two
@@ -87,24 +67,8 @@ func MeanAbsDev(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// MAD returns the median absolute deviation of xs about its median,
-// scaled by 1.4826 so it estimates the standard deviation for Gaussian
-// data while ignoring heavy-tailed outliers (such as spurious CSI jumps).
-func MAD(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Median(xs)
-	devs := GetSlice(len(xs))
-	defer PutSlice(devs)
-	for i, x := range xs {
-		devs[i] = math.Abs(x - m)
-	}
-	return 1.4826 * Median(devs)
-}
-
 // MinMax returns the smallest and largest values in xs, or (0, 0) for an
-// empty slice, matching the zero-on-empty convention of Mean and Median.
+// empty slice, matching the zero-on-empty convention of Mean.
 func MinMax(xs []float64) (min, max float64) {
 	if len(xs) == 0 {
 		return 0, 0

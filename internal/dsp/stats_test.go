@@ -53,24 +53,6 @@ func TestMeanAbs(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("odd Median = %v, want 2", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("even Median = %v, want 2.5", got)
-	}
-	if got := Median(nil); got != 0 {
-		t.Errorf("Median(nil) = %v", got)
-	}
-	// Median must not modify its input.
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Median modified input: %v", xs)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	min, max := MinMax([]float64{3, -1, 7, 2})
 	if min != -1 || max != 7 {
@@ -117,22 +99,5 @@ func TestMeanAbsDevOutlierLinearity(t *testing.T) {
 	dirty := MeanAbsDev(spiked)
 	if dirty > clean*3 {
 		t.Errorf("MeanAbsDev blew up on one outlier: %v -> %v", clean, dirty)
-	}
-}
-
-func TestMAD(t *testing.T) {
-	if got := MAD(nil); got != 0 {
-		t.Errorf("MAD(nil) = %v", got)
-	}
-	// For a symmetric sample the MAD scales to the std.
-	xs := []float64{-3, -1, 0, 1, 3}
-	if got := MAD(xs); got < 1 || got > 2 {
-		t.Errorf("MAD = %v", got)
-	}
-	// Outlier robustness: one huge value barely moves it.
-	with := append([]float64{}, xs...)
-	with = append(with, 1e6)
-	if got := MAD(with); got > 4 {
-		t.Errorf("MAD with outlier = %v, should stay small", got)
 	}
 }

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -9,13 +8,16 @@ import (
 // Split is a reusable fork-join over the contiguous chunks of an index
 // range, for loops that run too often to pay for an Engine: the uplink
 // decoder's per-lane condition+score pass runs once per frame close. A
-// Run splits [0, n) into min(GOMAXPROCS, n) chunks, runs the first on the
-// calling goroutine and each other on a goroutine of its own, and returns
-// once all of them have finished. With one P, or n < 2, it is the plain
-// call fn(job, 0, n) and starts no goroutine.
+// Run splits [0, n) into the k chunks its caller asks for, runs the first
+// on the calling goroutine and each other on a goroutine of its own, and
+// returns once all of them have finished. Each chunk is told its index c,
+// so a caller can hand chunk c scratch of its own sized from the same k.
+// With k <= 1, or n < 2, it is the plain call fn(job, 0, 0, n) and starts
+// no goroutine.
 //
 // Determinism is the caller's half of the contract: fn must write only
-// state owned by the indices in [lo, hi), so the result cannot depend on
+// state owned by the indices in [lo, hi) and scratch owned by chunk c,
+// whose previous contents it must not read, so the result cannot depend on
 // the chunking or on the order the chunks run in. Split's half is that a
 // panic in any chunk is re-raised on the calling goroutine after every
 // chunk has finished, with the value of the lowest chunk that panicked,
@@ -30,7 +32,7 @@ import (
 // be copied after its first Run.
 type Split[T any] struct {
 	job    T
-	fn     func(job T, lo, hi int)
+	fn     func(job T, c, lo, hi int)
 	n, k   int
 	next   atomic.Int64 // chunks claimed by started goroutines
 	wg     sync.WaitGroup
@@ -38,13 +40,14 @@ type Split[T any] struct {
 	spawn  func()
 }
 
-// Run calls fn(job, lo, hi) for the contiguous chunks [lo, hi) that cover
-// [0, n), chunk c being [c·n/k, (c+1)·n/k) for k = min(GOMAXPROCS, n).
-func (s *Split[T]) Run(n int, job T, fn func(job T, lo, hi int)) {
-	k := min(runtime.GOMAXPROCS(0), n)
+// Run calls fn(job, c, lo, hi) for the k contiguous chunks [lo, hi) that
+// cover [0, n), chunk c being [c·n/k, (c+1)·n/k). k is capped at n, so no
+// chunk is empty and every c is below the k the caller asked for.
+func (s *Split[T]) Run(n, k int, job T, fn func(job T, c, lo, hi int)) {
+	k = min(k, n)
 	if k <= 1 {
 		if n > 0 {
-			fn(job, 0, n)
+			fn(job, 0, 0, n)
 		}
 		return
 	}
@@ -86,5 +89,5 @@ func (s *Split[T]) chunk(c int) {
 			s.panics[c] = r
 		}
 	}()
-	s.fn(s.job, c*s.n/s.k, (c+1)*s.n/s.k)
+	s.fn(s.job, c, c*s.n/s.k, (c+1)*s.n/s.k)
 }

@@ -12,7 +12,7 @@ import (
 
 type sumJob struct{ out []float64 }
 
-func sumChunk(j sumJob, lo, hi int) {
+func sumChunk(j sumJob, _, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		j.out[i] = float64(i) * 0.5
 	}
@@ -20,8 +20,8 @@ func sumChunk(j sumJob, lo, hi int) {
 
 // TestSplitAllocs pins that a warmed Split fans out without allocating:
 // the goroutine body is bound once and the job travels by value.
-// testing.AllocsPerRun would pin GOMAXPROCS to 1 and never fan out, so
-// the count is read around the Run directly, the fewest over several.
+// testing.AllocsPerRun would pin GOMAXPROCS to 1, so the count is read
+// around the Run directly, the fewest over several.
 func TestSplitAllocs(t *testing.T) {
 	withProcs(4, func() {
 		var s Split[sumJob]
@@ -31,7 +31,7 @@ func TestSplitAllocs(t *testing.T) {
 		for run := 0; run < 10; run++ {
 			runtime.ReadMemStats(&ms)
 			before := ms.Mallocs
-			s.Run(len(j.out), j, sumChunk)
+			s.Run(len(j.out), 4, j, sumChunk)
 			runtime.ReadMemStats(&ms)
 			// The first runs bind the body and warm the goroutine free list.
 			if run >= 2 {

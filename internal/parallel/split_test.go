@@ -14,15 +14,17 @@ func withProcs(procs int, f func()) {
 	f()
 }
 
-// splitCounts is a Split job: every index's visit count, and the number of
-// chunks fn was called with.
+// splitCounts is a Split job: every index's visit count, and each chunk
+// index's calls and the range it was given.
 type splitCounts struct {
 	visits []atomic.Int32
-	chunks *atomic.Int32
+	calls  []atomic.Int32
+	ranges [][2]int
 }
 
-func countChunk(j splitCounts, lo, hi int) {
-	j.chunks.Add(1)
+func countChunk(j splitCounts, c, lo, hi int) {
+	j.calls[c].Add(1)
+	j.ranges[c] = [2]int{lo, hi}
 	for i := lo; i < hi; i++ {
 		j.visits[i].Add(1)
 	}
@@ -33,15 +35,31 @@ func TestSplitRunsEveryIndexOnce(t *testing.T) {
 	for _, procs := range []int{1, 2, 3, 8} {
 		withProcs(procs, func() {
 			for _, n := range []int{0, 1, 2, 3, 7, 90} {
-				j := splitCounts{visits: make([]atomic.Int32, n), chunks: new(atomic.Int32)}
-				s.Run(n, j, countChunk)
-				for i := range j.visits {
-					if c := j.visits[i].Load(); c != 1 {
-						t.Fatalf("GOMAXPROCS=%d n=%d: index %d ran %d times", procs, n, i, c)
+				for _, k := range []int{0, 1, 2, 3, 8} {
+					j := splitCounts{visits: make([]atomic.Int32, n), calls: make([]atomic.Int32, max(k, 1)), ranges: make([][2]int, max(k, 1))}
+					s.Run(n, k, j, countChunk)
+					for i := range j.visits {
+						if c := j.visits[i].Load(); c != 1 {
+							t.Fatalf("GOMAXPROCS=%d n=%d k=%d: index %d ran %d times", procs, n, k, i, c)
+						}
 					}
-				}
-				if got, want := j.chunks.Load(), int32(min(procs, n)); got != want {
-					t.Errorf("GOMAXPROCS=%d n=%d: %d chunks, want %d", procs, n, got, want)
+					// k is capped at n; with one chunk or none, chunk 0 is
+					// all of [0, n) when n > 0.
+					chunks := max(min(k, n), 1)
+					for c := range j.calls {
+						want := int32(0)
+						if c < chunks && n > 0 {
+							want = 1
+						}
+						if got := j.calls[c].Load(); got != want {
+							t.Errorf("GOMAXPROCS=%d n=%d k=%d: chunk %d ran %d times, want %d", procs, n, k, c, got, want)
+						}
+						if want == 1 {
+							if r, wr := j.ranges[c], [2]int{c * n / chunks, (c + 1) * n / chunks}; r != wr {
+								t.Errorf("GOMAXPROCS=%d n=%d k=%d: chunk %d ran %v, want %v", procs, n, k, c, r, wr)
+							}
+						}
+					}
 				}
 			}
 		})
@@ -52,14 +70,14 @@ func TestSplitRunsEveryIndexOnce(t *testing.T) {
 // its indices.
 type panicAt map[int]bool
 
-func panicChunk(j panicAt, lo, hi int) {
+func panicChunk(j panicAt, _, lo, hi int) {
 	if j[lo] {
 		panic(fmt.Sprintf("chunk at %d", lo))
 	}
 }
 
-// TestSplitReraisesLowestPanic panics in chunks that, at GOMAXPROCS=4 over
-// 8 indices, run on other goroutines: Run must re-raise on the calling
+// TestSplitReraisesLowestPanic panics in chunks that, in 4 chunks over 8
+// indices, run on other goroutines: Run must re-raise on the calling
 // goroutine, with the lowest panicking chunk's value.
 func TestSplitReraisesLowestPanic(t *testing.T) {
 	withProcs(4, func() {
@@ -74,14 +92,14 @@ func TestSplitReraisesLowestPanic(t *testing.T) {
 		} {
 			got := func() (r any) {
 				defer func() { r = recover() }()
-				s.Run(8, tc.at, panicChunk)
+				s.Run(8, 4, tc.at, panicChunk)
 				return nil
 			}()
 			if got != tc.want {
 				t.Errorf("panics at %v: recovered %v, want %q", tc.at, got, tc.want)
 			}
 			// The Split stays usable after a panic.
-			s.Run(8, panicAt{}, panicChunk)
+			s.Run(8, 4, panicAt{}, panicChunk)
 		}
 	})
 }
@@ -98,7 +116,7 @@ func TestForEachCatchesSplitPanic(t *testing.T) {
 				if i == 1 {
 					at[6] = true // the last of 4 chunks over 8 indices
 				}
-				s.Run(8, at, panicChunk)
+				s.Run(8, 4, at, panicChunk)
 				return nil
 			})
 			if err == nil || !strings.Contains(err.Error(), "job 1 panicked: chunk at 6") {

@@ -275,7 +275,7 @@ func benchFrameStages(b *testing.B, mode StreamMode) {
 		job := sd.laneJob(fs)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			scoreLaneRange(job, 0, sd.nchan())
+			scoreLaneRange(job, 0, 0, sd.nchan())
 		}
 	})
 	b.Run("select", func(b *testing.B) {

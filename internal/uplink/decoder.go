@@ -178,12 +178,12 @@ func frameRange(ts []float64, start, end float64) (lo, hi int) {
 }
 
 // analyzeChannel is the fused condition → bin-mean → preamble-score pass
-// for one channel: it conditions raw into cond (window in samples), then
-// bins it with binCorrelate. The score is the correlation's magnitude. A
+// for one channel: it conditions raw into cond (window in samples, over
+// the scratch prefix row), then bins it with binCorrelate. The score is the correlation's magnitude. A
 // second pass over the 13 preamble bins alone estimates the residual
 // variance MRC weights by.
-func analyzeChannel(id ChannelID, raw, cond []float64, off []int, window int, means []float64, ok []bool) channelStats {
-	dsp.ConditionTwoPassInto(cond, raw, window)
+func analyzeChannel(id ChannelID, raw, cond, prefix []float64, off []int, window int, means []float64, ok []bool) channelStats {
+	dsp.ConditionTwoPassInto(cond, raw, prefix, window)
 	st := channelStats{id: id, cond: cond, means: means, ok: ok, sign: 1}
 	st.corr = binCorrelate(cond, off, means, ok)
 	if st.corr < 0 {

@@ -44,7 +44,7 @@ func refDetectAck(d *Decoder, s *csi.Series, start float64) (bool, float64, erro
 			if err != nil {
 				return false, 0, err
 			}
-			st := refAnalyzeChannel(ChannelID{a, k}, raw[lo:hi], fs.cond, fs.off, window, fs.means, fs.ok)
+			st := refAnalyzeChannel(ChannelID{a, k}, raw[lo:hi], fs.cond, fs.prefixRow(0, hi-lo), fs.off, window, fs.means, fs.ok)
 			corrs = append(corrs, math.Abs(st.corr))
 		}
 	}
@@ -169,8 +169,8 @@ func refPreambleCorr(cond []float64, off []int) float64 {
 	return dot / math.Sqrt(mm*pp)
 }
 
-func refAnalyzeChannel(id ChannelID, raw, cond []float64, off []int, window int, means []float64, ok []bool) channelStats {
-	dsp.ConditionTwoPassInto(cond, raw, window)
+func refAnalyzeChannel(id ChannelID, raw, cond, prefix []float64, off []int, window int, means []float64, ok []bool) channelStats {
+	dsp.ConditionTwoPassInto(cond, raw, prefix, window)
 	var dot, mm, pp float64
 	for j := range means {
 		lo, hi := off[j], off[j+1]

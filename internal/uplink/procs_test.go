@@ -114,8 +114,8 @@ func (want frameRecord) firstDiff(got frameRecord) string {
 }
 
 // observeFrameClose decodes in through every entry point — CSI, RSSI, the
-// variants, long range, DetectAck, and CSI through a fault injector's
-// Impair — and renders the results, long-range margins, every lane's
+// variants, long range, DetectAck, FindTransmission, and CSI through a
+// fault injector's Impair — and renders the results, long-range margins, every lane's
 // condition+score output and the decoders' metrics snapshot.
 func observeFrameClose(t *testing.T, in procsInput) frameRecord {
 	t.Helper()
@@ -173,6 +173,13 @@ func observeFrameClose(t *testing.T, in procsInput) frameRecord {
 	rec.text("ack", ok)
 	rec.floats("ack best", best)
 	rec.lanes("ack", d.AckLanes(in.s, in.start))
+
+	// FindTransmission conditions its scan window's lanes through the same
+	// lane chunks; scan a few bits either side of the true start.
+	at, found, err := d.FindTransmission(in.s, in.start-4*in.bitDur, in.start+4*in.bitDur)
+	check("sync", err)
+	rec.text("sync found", found)
+	rec.floats("sync start", at)
 
 	// The fault seam draws from one stream per lane in lane order; those
 	// draws must not move with the fan-out after it.

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -475,17 +476,20 @@ func (sd *StreamDecoder) decode(atFlush bool) error {
 
 // frameScratch is the frame close's working memory, taken from
 // scratchPool for one decode: the bin boundaries, every lane's
-// conditioned series, the per-lane bin means and occupancy, the lane
-// stats the ranking sorts, and the combined series. The lanes' cond,
-// means and ok are slices of one block each, so a frame close costs the
-// same handful of allocations whatever its channel count.
+// conditioned series, the per-lane bin means and occupancy, one
+// conditioning prefix row per lane chunk, the lane stats the ranking
+// sorts, and the combined series. The lanes' cond, means and ok and the
+// chunks' prefix rows are slices of one block each, so a frame close
+// costs the same handful of allocations whatever its channel count.
 type frameScratch struct {
 	off      []int     // bin j is samples [off[j], off[j+1])
 	cond     []float64 // lane i at [i·n, (i+1)·n)
 	means    []float64 // lane i at [i·nbits, (i+1)·nbits)
 	ok       []bool    // laid out like means
+	prefix   []float64 // chunk c's row at [c·(n+1), (c+1)·(n+1))
 	stats    []channelStats
 	combined []float64
+	chunks   int                     // lane chunks split runs, one prefix row each
 	split    parallel.Split[laneJob] // fans the lanes out over the cores
 }
 
@@ -495,18 +499,28 @@ func (fs *frameScratch) lane(i, n, nbits int) (cond, means []float64, ok []bool)
 	return fs.cond[i*n : (i+1)*n], fs.means[i*nbits : (i+1)*nbits], fs.ok[i*nbits : (i+1)*nbits]
 }
 
+// prefixRow returns lane chunk c's conditioning prefix row for frames of
+// n samples. The lanes of one chunk run one after another, so they share
+// it; its contents are stale, which the conditioning kernel allows.
+func (fs *frameScratch) prefixRow(c, n int) []float64 {
+	return fs.prefix[c*(n+1) : (c+1)*(n+1)]
+}
+
 // scratchPool recycles frameScratch across decodes and streams.
 var scratchPool = sync.Pool{New: func() any { return new(frameScratch) }}
 
 // getScratch returns a frame scratch sized for nchan lanes of n samples
-// over nbits bins. Contents are stale: every stage overwrites what it
-// reads (decode clears combined before summing into it).
+// over nbits bins, cut into one lane chunk per core. Contents are stale:
+// every stage overwrites what it reads (decode clears combined before
+// summing into it).
 func getScratch(nchan, n, nbits int) *frameScratch {
 	fs := scratchPool.Get().(*frameScratch)
+	fs.chunks = min(runtime.GOMAXPROCS(0), nchan)
 	fs.off = resize(fs.off, nbits+1)
 	fs.cond = resize(fs.cond, nchan*n)
 	fs.means = resize(fs.means, nchan*nbits)
 	fs.ok = resize(fs.ok, nchan*nbits)
+	fs.prefix = resize(fs.prefix, fs.chunks*(n+1))
 	fs.stats = resize(fs.stats, nchan)
 	fs.combined = resize(fs.combined, n)
 	return fs
@@ -562,7 +576,7 @@ func (sd *StreamDecoder) analyze(fs *frameScratch) []channelStats {
 // count. The score is the magnitude of the preamble correlation, or for
 // long range the code discriminability.
 func (sd *StreamDecoder) scoreLanes(fs *frameScratch) []channelStats {
-	fs.split.Run(sd.nchan(), sd.laneJob(fs), scoreLaneRange)
+	fs.split.Run(sd.nchan(), fs.chunks, sd.laneJob(fs), scoreLaneRange)
 	return fs.stats
 }
 
@@ -579,12 +593,14 @@ func (sd *StreamDecoder) laneJob(fs *frameScratch) laneJob {
 	return laneJob{sd: sd, fs: fs, window: windowSamples(sd.times(), sd.d.cfg.windowFor())}
 }
 
-// scoreLaneRange is scoreLanes over lanes [lo, hi), in lane order.
-func scoreLaneRange(j laneJob, lo, hi int) {
+// scoreLaneRange is scoreLanes over lanes [lo, hi), chunk c, in lane
+// order.
+func scoreLaneRange(j laneJob, c, lo, hi int) {
 	sd, fs, n := j.sd, j.fs, j.sd.n
+	prefix := fs.prefixRow(c, n)
 	for i := lo; i < hi; i++ {
 		cond, means, ok := fs.lane(i, n, sd.nbits)
-		fs.stats[i] = analyzeChannel(sd.laneID(i), sd.lane(i), cond, fs.off, j.window, means, ok)
+		fs.stats[i] = analyzeChannel(sd.laneID(i), sd.lane(i), cond, prefix, fs.off, j.window, means, ok)
 		if sd.code0 != nil {
 			fs.stats[i].score = sd.codeScore(&fs.stats[i])
 		}

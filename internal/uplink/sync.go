@@ -46,7 +46,7 @@ func (d *Decoder) FindTransmission(s *csi.Series, from, to float64) (start float
 	fs := getScratch(sd.nchan(), n, sd.nbits)
 	defer putScratch(fs)
 	stats := fs.stats
-	fs.split.Run(sd.nchan(), sd.laneJob(fs), conditionLaneRange)
+	fs.split.Run(sd.nchan(), fs.chunks, sd.laneJob(fs), conditionLaneRange)
 	// Common-mode rejection: per-packet AGC noise moves every channel
 	// identically and would correlate on all of them at once, which is
 	// exactly what the many-channel rank test is meant to exclude. The
@@ -83,14 +83,16 @@ func (d *Decoder) FindTransmission(s *csi.Series, from, to float64) (start float
 	return bestStart, bestScore >= syncThreshold, nil
 }
 
-// conditionLaneRange conditions lanes [lo, hi) for FindTransmission's
-// scan, which bins and scores them once per candidate start. Like
-// scoreLaneRange, a lane writes only its own slots.
-func conditionLaneRange(j laneJob, lo, hi int) {
+// conditionLaneRange conditions lanes [lo, hi), chunk c, for
+// FindTransmission's scan, which bins and scores them once per candidate
+// start. Like scoreLaneRange, a lane writes only its own slots and its
+// chunk's prefix row.
+func conditionLaneRange(j laneJob, c, lo, hi int) {
 	sd, fs, n := j.sd, j.fs, j.sd.n
+	prefix := fs.prefixRow(c, n)
 	for i := lo; i < hi; i++ {
 		cond, means, ok := fs.lane(i, n, sd.nbits)
-		dsp.ConditionInto(cond, sd.lane(i), j.window)
+		dsp.ConditionInto(cond, sd.lane(i), prefix, j.window)
 		fs.stats[i] = channelStats{cond: cond, means: means, ok: ok}
 	}
 }
