@@ -96,10 +96,15 @@ bench-stream:
 # TestStreamedCaptureAllocs that a system whose
 # every consumer streams (core.System.StreamTo) adds no allocation per
 # capture: what its captures add over the same traffic uncaptured does
-# not grow with twice as many of them. The tests are skipped under -race,
-# so this plain-build run is the gate.
+# not grow with twice as many of them. TestDownlinkWindowAllocs asserts
+# that a warm system decodes a downlink window twice as long with as many
+# allocations and bytes (the envelope, comparator and edge rows are the
+# system's), and TestQueryHorizonAllocs that a clean RunQuery allocates
+# no more over twice its retry horizon (the transmission log stops with
+# the transaction's windows). The tests are skipped under -race, so this
+# plain-build run is the gate.
 bench-observe:
-	$(GO) test -bench 'BenchmarkObserve|BenchmarkAdvance|BenchmarkCircuitStep|BenchmarkEngineSchedule|BenchmarkMeasure|BenchmarkSkipInto' -benchmem -run 'TestObserveSteadyStateAllocs|TestAdvanceAllocs|TestScheduleSteadyStateAllocs|TestMeasureAllocs|TestMeasureIntoAllocs|TestSkipIntoAllocs|TestContentionRoundAllocs|TestTrafficSteadyStateAllocs|TestDecoderOnEdgeAllocs|TestStreamedCaptureAllocs' ./internal/radio/ ./internal/tag/ ./internal/sim/ ./internal/csi/ ./internal/wifi/ ./internal/core/
+	$(GO) test -bench 'BenchmarkObserve|BenchmarkAdvance|BenchmarkCircuitStep|BenchmarkEngineSchedule|BenchmarkMeasure|BenchmarkSkipInto' -benchmem -run 'TestObserveSteadyStateAllocs|TestAdvanceAllocs|TestScheduleSteadyStateAllocs|TestMeasureAllocs|TestMeasureIntoAllocs|TestSkipIntoAllocs|TestContentionRoundAllocs|TestTrafficSteadyStateAllocs|TestDecoderOnEdgeAllocs|TestStreamedCaptureAllocs|TestDownlinkWindowAllocs|TestQueryHorizonAllocs' ./internal/radio/ ./internal/tag/ ./internal/sim/ ./internal/csi/ ./internal/wifi/ ./internal/core/
 
 # Wire and session contract: BenchmarkParseMeasurement reports one 3x30
 # CSI m line and one 3x1 RSSI m line with -benchmem, and

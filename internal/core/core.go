@@ -118,9 +118,23 @@ type System struct {
 	h          [][]complex128   // Observe's output, reused across packets
 	series     csi.Series
 	placements map[*wifi.Station]placement
+	onMeasure  []func(csi.Measurement)
+
+	// The downlink's transmission log and the tag's window rows. The log
+	// holds the air spans recorded while logEnabled that no window has
+	// yet passed: envelopeWindow drops the spans that ended at or before
+	// its start, logFloor, and refuses a window that starts earlier. The
+	// rows are reused by every window and grown only when one is longer.
 	txLog      []AirSpan
 	logEnabled bool
-	onMeasure  []func(csi.Measurement)
+	logFloor   float64
+	env        []float64
+	comp       []bool
+	edges      []bool
+	// windowTap, when set, decodes every downlink window in decodeWindow's
+	// place: the window oracle tests record each window through it, and
+	// decode a twin system's windows with the reference body.
+	windowTap func(start, dur, bitDuration float64) (*DownlinkWindowResult, error)
 
 	// streams, subscribed by StreamTo and sorted by frame start, replace
 	// the series: from the first subscription on (noSeries), each report
@@ -384,22 +398,20 @@ func (s *System) AddStation(name string, power units.DBm, distToTag units.Meters
 }
 
 // AirSpan is one transmission's time on air, as the transmission log
-// records it: all the tag's envelope (EnvelopeWindow) needs of a frame is
-// who sent it and when. Collided and lost frames are logged too; their
-// energy still reaches the tag.
+// records it: all the tag's envelope needs of a frame is who sent it and
+// when. Collided and lost frames are logged too; their energy still
+// reaches the tag.
 type AirSpan struct {
 	Station    *wifi.Station
 	Start, End float64
 }
 
 // EnableTxLog starts recording every transmission's air span, which the
-// tag-side downlink simulation consumes.
+// tag-side downlink simulation (DecodeDownlinkWindow) consumes. The log
+// keeps only the spans a later window can still overlap; a caller that
+// needs the transmissions themselves registers its own
+// Medium.AddListener.
 func (s *System) EnableTxLog() { s.logEnabled = true }
-
-// TxLog returns the recorded air spans in time order (EnableTxLog must
-// have been called before running). A caller that needs the frames
-// themselves registers its own Medium.AddListener.
-func (s *System) TxLog() []AirSpan { return s.txLog }
 
 // Series returns the measurement series collected so far: empty on a
 // system that streams (StreamTo, RunQuery).

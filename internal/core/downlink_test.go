@@ -86,8 +86,8 @@ func TestDownlinkBERTrialValidation(t *testing.T) {
 
 func TestEnvelopeWindowRequiresLog(t *testing.T) {
 	sys, _ := NewSystem(Config{Seed: 20})
-	if _, err := sys.EnvelopeWindow(0, 0.01); err == nil {
-		t.Error("EnvelopeWindow without EnableTxLog should error")
+	if _, err := sys.envelopeWindow(0, 0.01); err == nil {
+		t.Error("envelopeWindow without EnableTxLog should error")
 	}
 }
 

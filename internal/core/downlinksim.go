@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/downlink"
 	"repro/internal/rng"
@@ -19,17 +20,29 @@ import (
 // envelopeDT is the sample period of the analog simulation.
 const envelopeDT = 1.0 / wifi.EnvelopeSampleRate
 
-// EnvelopeWindow synthesizes the envelope the tag receives over
-// [start, start+dur): for every logged transmission overlapping the window
-// from a station the tag can hear, OFDM envelope samples scaled by the
-// free-space link budget are written into the window (strongest signal
-// wins on overlap).
-func (s *System) EnvelopeWindow(start, dur float64) ([]float64, error) {
+// envelopeWindow synthesizes the envelope the tag receives over
+// [start, start+dur) into the system's envelope row: for every logged
+// transmission overlapping the window from a station the tag can hear,
+// OFDM envelope samples scaled by the free-space link budget are written
+// into the window (strongest signal wins on overlap). The row is the
+// system's, valid until the next window.
+//
+// Windows must come in non-decreasing start order: once a window has read
+// the log, the spans that ended at or before its start can overlap no
+// later window, so they are dropped, and a window starting earlier than
+// one already read would silently miss them, so it is an error instead.
+// Equal starts stay legal (an inventory decodes one window once per tag).
+func (s *System) envelopeWindow(start, dur float64) ([]float64, error) {
 	if !s.logEnabled {
 		return nil, errors.New("core: transmission log disabled; call EnableTxLog before running")
 	}
+	if start < s.logFloor {
+		return nil, fmt.Errorf("core: downlink window at %v s starts before an earlier window at %v s; windows must come in start order", start, s.logFloor)
+	}
 	n := int(dur * wifi.EnvelopeSampleRate)
-	out := make([]float64, n)
+	s.env = slices.Grow(s.env[:0], n)[:n]
+	out := s.env
+	clear(out)
 	carrier := wifi.ChannelFreq(6)
 	for _, tx := range s.txLog {
 		if tx.End <= start || tx.Start >= start+dur {
@@ -58,6 +71,8 @@ func (s *System) EnvelopeWindow(start, dur float64) ([]float64, error) {
 			}
 		}
 	}
+	s.logFloor = start
+	s.txLog = slices.DeleteFunc(s.txLog, func(tx AirSpan) bool { return tx.End <= start })
 	return out, nil
 }
 
@@ -77,9 +92,19 @@ type DownlinkWindowResult struct {
 
 // DecodeDownlinkWindow runs the tag's full receive path over a protected
 // window: circuit → comparator edges → preamble match → mid-bit sampling →
-// CRC check.
+// CRC check. The envelope, comparator and edge rows are the system's,
+// grown only when a window is longer than any before it. Windows must come
+// in non-decreasing start order (see envelopeWindow).
 func (s *System) DecodeDownlinkWindow(start, dur, bitDuration float64) (*DownlinkWindowResult, error) {
-	env, err := s.EnvelopeWindow(start, dur)
+	if s.windowTap != nil {
+		return s.windowTap(start, dur, bitDuration)
+	}
+	return s.decodeWindow(start, dur, bitDuration)
+}
+
+// decodeWindow is DecodeDownlinkWindow's body.
+func (s *System) decodeWindow(start, dur, bitDuration float64) (*DownlinkWindowResult, error) {
+	env, err := s.envelopeWindow(start, dur)
 	if err != nil {
 		return nil, err
 	}
@@ -93,13 +118,15 @@ func (s *System) DecodeDownlinkWindow(start, dur, bitDuration float64) (*Downlin
 	}
 	s.obs.Counter("tag.downlink_windows").Inc()
 	circuit := tag.DefaultCircuit(s.rnd.Split(fmt.Sprintf("circuit-%f", start)))
-	comp := make([]bool, len(env))
+	s.comp = slices.Grow(s.comp[:0], len(env))[:len(env)]
+	comp := s.comp
 	for i, v := range env {
 		comp[i] = circuit.Step(v, envelopeDT)
 	}
 	// Edge detection runs behind the µC pin's glitch filter (~1.5 µs);
 	// mid-bit data sampling reads the comparator directly.
-	edges := tag.Debounce(comp, 6)
+	s.edges = tag.Debounce(s.edges, comp, 6)
+	edges := s.edges
 	res := &DownlinkWindowResult{Decoder: dec}
 	prev := false
 	for i, c := range edges {

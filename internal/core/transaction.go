@@ -125,6 +125,14 @@ func (tc TransactionConfig) maxBackoffTotal() float64 {
 // response timeout plus an exponential backoff (see TransactionConfig).
 // Each response is decoded from a stream (StreamTo) subscribed when the tag
 // schedules it, so the system keeps no series from the query on.
+//
+// The transmission log the tag's windows read records only while one of
+// the query's windows is open, from its NAV grant to its decode: every
+// span the medium announced before the grant has left the air when the
+// window starts, and none announced after the decode starts inside it.
+// So the log stops once the transaction completes or runs out of
+// attempts, while the engine still runs the whole retry horizon; a caller
+// that decodes windows of its own afterwards calls EnableTxLog again.
 func (s *System) RunQuery(q reader.Query, tagData uint64, tc TransactionConfig) (*QueryResult, error) {
 	if q.BitRate == 0 {
 		return nil, fmt.Errorf("core: query must advise a bit rate")
@@ -132,7 +140,7 @@ func (s *System) RunQuery(q reader.Query, tagData uint64, tc TransactionConfig) 
 	if tc.DownlinkBitDuration <= 0 || tc.ResponseTimeout <= 0 || tc.MaxAttempts <= 0 {
 		return nil, fmt.Errorf("core: invalid transaction config %+v", tc)
 	}
-	s.EnableTxLog()
+	open := 0 // windows granted and not yet decoded
 	s.keepNoSeries()
 	enc, err := downlink.NewEncoder(tc.DownlinkBitDuration)
 	if err != nil {
@@ -173,9 +181,14 @@ func (s *System) RunQuery(q reader.Query, tagData uint64, tc TransactionConfig) 
 		}
 		deadline := s.Eng.Now() + tc.ResponseTimeout
 		if err := enc.Send(s.Medium, s.Reader, chunks, func(_ int, start float64) {
+			open++
+			s.EnableTxLog()
 			// Tag decodes at the end of the protected window.
 			s.Eng.ScheduleAt(start+chunks[0].Reservation, func() {
 				wr, derr := s.DecodeDownlinkWindow(start, chunks[0].Reservation, tc.DownlinkBitDuration)
+				if open--; open == 0 {
+					s.logEnabled = false
+				}
 				if derr != nil || wr.Err != nil {
 					return // tag missed the query; reader will time out
 				}

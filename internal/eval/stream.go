@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/csi"
+	"repro/internal/faults"
 	"repro/internal/parallel"
 	"repro/internal/tag"
 	"repro/internal/units"
@@ -16,11 +17,11 @@ import (
 // trial runs one simulation whose stream decodes online through
 // core.System.StreamTo (the incremental path, the one every other
 // experiment runs) while an OnMeasurement hook records a copy of every
-// capture, and then batch-decodes that recorded series (the materialized
-// path), comparing the decoded payloads bit for bit. The
-// table reports zero mismatches at every operating point for both CSI and
-// RSSI modes — the system-level form of the stream/batch equivalence
-// property the unit tests pin with DeepEqual.
+// capture the batch decode reads (recordFrame), and then batch-decodes
+// that recorded series (the materialized path), comparing the decoded
+// payloads bit for bit. The table reports zero mismatches at every
+// operating point for both CSI and RSSI modes — the system-level form of
+// the stream/batch equivalence property the unit tests pin with DeepEqual.
 //
 // Fault schedules are deliberately not applied here: decode-time fault
 // draws would interleave differently between a mid-simulation decode and
@@ -35,18 +36,7 @@ func StreamEquivalence(opt Options) (*Table, error) {
 			"decode of the full trace exactly, at every distance and in both modes",
 		Columns: []string{"distance", "mode", "trials", "bits compared", "mismatches", "identical"},
 	}
-	distances := []float64{5, 30, 65}
-	modes := []uplink.StreamMode{uplink.StreamCSI, uplink.StreamRSSI}
-	type point struct {
-		cm   float64
-		mode uplink.StreamMode
-	}
-	var points []point
-	for _, cm := range distances {
-		for _, mode := range modes {
-			points = append(points, point{cm, mode})
-		}
-	}
+	points := streamPoints()
 	type outcome struct {
 		mismatches int
 		liveErrs   int // stream push/flush failures (must be 0)
@@ -54,25 +44,11 @@ func StreamEquivalence(opt Options) (*Table, error) {
 	results, err := parallel.Map(opt.engine(), len(points)*opt.Trials, func(i int) (outcome, error) {
 		p := points[i/opt.Trials]
 		trial := i % opt.Trials
-		sys, err := core.NewSystem(core.Config{
-			Seed:              opt.Seed + int64(trial)*5003 + int64(p.cm)*7 + int64(p.mode),
-			TagReaderDistance: units.Centimeters(p.cm),
-		})
+		sys, mod, err := streamTrial(opt, p, trial, nil)
 		if err != nil {
 			return outcome{}, err
 		}
-		if err := (&wifi.CBRSource{
-			Station: sys.Helper, Dst: wifi.MAC{9}, Payload: 200, Interval: 1.0 / helperRate,
-		}).Start(); err != nil {
-			return outcome{}, err
-		}
-		payload := core.RandomPayload(opt.PayloadLen, opt.Seed+int64(trial)*11+int64(p.cm))
-		const bitRate = helperRate / 30
-		mod, err := sys.TransmitUplink(tag.FrameBits(payload), 1.0, bitRate)
-		if err != nil {
-			return outcome{}, err
-		}
-		dec, err := sys.UplinkDecoder(bitRate)
+		dec, err := sys.UplinkDecoder(streamBitRate)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -82,10 +58,10 @@ func StreamEquivalence(opt Options) (*Table, error) {
 		}
 		sys.StreamTo(sd)
 		// A streaming system keeps no series, and the hook's report is
-		// overwritten by the next capture: record copies for the batch
-		// reference.
+		// overwritten by the next capture: record copies of the frame's
+		// captures for the batch reference.
 		var recorded csi.Series
-		sys.OnMeasurement(func(m csi.Measurement) { recorded.Append(m.Clone()) })
+		sys.OnMeasurement(recordFrame(&recorded, sd.Start(), sd.End()))
 		sys.Run(mod.End() + 0.5)
 		live, err := sd.Flush()
 		if err != nil {
@@ -132,4 +108,67 @@ func StreamEquivalence(opt Options) (*Table, error) {
 		)
 	}
 	return t, nil
+}
+
+// streamBitRate is the stream experiment's tag bit rate, 33 bps (an
+// integer constant).
+const streamBitRate = helperRate / 30
+
+// streamTrial builds the system of one trial at point p, with the helper's
+// traffic started and the tag's frame armed at 1 s, and injects sched
+// when it is non-nil (the experiment itself runs clean).
+func streamTrial(opt Options, p streamPoint, trial int, sched *faults.Schedule) (*core.System, *tag.Modulator, error) {
+	sys, err := core.NewSystem(core.Config{
+		Seed:              opt.Seed + int64(trial)*5003 + int64(p.cm)*7 + int64(p.mode),
+		TagReaderDistance: units.Centimeters(p.cm),
+		Faults:            sched,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := (&wifi.CBRSource{
+		Station: sys.Helper, Dst: wifi.MAC{9}, Payload: 200, Interval: 1.0 / helperRate,
+	}).Start(); err != nil {
+		return nil, nil, err
+	}
+	payload := core.RandomPayload(opt.PayloadLen, opt.Seed+int64(trial)*11+int64(p.cm))
+	mod, err := sys.TransmitUplink(tag.FrameBits(payload), 1.0, streamBitRate)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sys, mod, nil
+}
+
+// streamPoint is one operating point of the stream experiment.
+type streamPoint struct {
+	cm   float64
+	mode uplink.StreamMode
+}
+
+// streamPoints lists the experiment's points: three distances, each in
+// both modes.
+func streamPoints() []streamPoint {
+	var points []streamPoint
+	for _, cm := range []float64{5, 30, 65} {
+		for _, mode := range []uplink.StreamMode{uplink.StreamCSI, uplink.StreamRSSI} {
+			points = append(points, streamPoint{cm, mode})
+		}
+	}
+	return points
+}
+
+// recordFrame returns an OnMeasurement hook that appends to rec a copy of
+// every capture a batch decode of the frame [start, end) reads: those from
+// the frame start through the first one at or past the frame end. That
+// last capture closes the reference frame on a push, as it does in the
+// whole trace; no later capture changes the decode.
+func recordFrame(rec *csi.Series, start, end float64) func(csi.Measurement) {
+	closed := false
+	return func(m csi.Measurement) {
+		if closed || m.Timestamp < start {
+			return
+		}
+		rec.Append(m.Clone())
+		closed = m.Timestamp >= end
+	}
 }

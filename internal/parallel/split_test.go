@@ -125,3 +125,32 @@ func TestForEachCatchesSplitPanic(t *testing.T) {
 		}
 	})
 }
+
+// TestSplitConcurrentRuns runs several Splits at once, as trial workers
+// that close frames at the same moment do: they share the package's lane
+// workers, every index must still run exactly once, and no more than
+// GOMAXPROCS−1 workers may ever have started (8 is the most any test in
+// this package sets).
+func TestSplitConcurrentRuns(t *testing.T) {
+	withProcs(4, func() {
+		err := New(3).ForEach(6, func(int) error {
+			var s Split[splitCounts]
+			for range 50 {
+				j := splitCounts{visits: make([]atomic.Int32, 90), calls: make([]atomic.Int32, 4), ranges: make([][2]int, 4)}
+				s.Run(90, 4, j, countChunk)
+				for i := range j.visits {
+					if c := j.visits[i].Load(); c != 1 {
+						return fmt.Errorf("index %d ran %d times", i, c)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n := lanesStarted.Load(); n > 7 {
+		t.Errorf("%d lane workers started, want at most 7", n)
+	}
+}

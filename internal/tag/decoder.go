@@ -139,10 +139,11 @@ func (d *Decoder) OnEdge(t float64, level bool) bool {
 
 // Debounce applies the µC interrupt pin's glitch filter to a comparator
 // sample stream: any run shorter than minRun samples is absorbed into the
-// preceding level, so only transitions that hold trigger wake-ups. The
-// input is not modified.
-func Debounce(samples []bool, minRun int) []bool {
-	out := append([]bool(nil), samples...)
+// preceding level, so only transitions that hold trigger wake-ups. It
+// writes the filtered stream over dst, growing it only when it is shorter
+// than samples, and returns it; samples is not modified.
+func Debounce(dst, samples []bool, minRun int) []bool {
+	out := append(dst[:0], samples...)
 	if minRun <= 1 || len(out) == 0 {
 		return out
 	}
