@@ -8,6 +8,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/downlink"
@@ -173,8 +174,14 @@ func queryAllocs(t *testing.T, scale float64) uint64 {
 // TestQueryHorizonAllocs holds a completed transaction to no allocation
 // that grows with the rest of its retry horizon: a RunQuery whose horizon
 // is twice as long must not allocate more. A transmission log that kept
-// recording past the transaction would regrow with every span.
+// recording past the transaction would regrow with every span. It counts
+// on one P with the collector off, as testing.AllocsPerRun counts on one
+// P: the response decode's scratch comes from a sync.Pool, which a
+// collection empties and which misses when the goroutine moves to
+// another P, and either would add allocations at random.
 func TestQueryHorizonAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	one := queryAllocs(t, 1)
 	two := queryAllocs(t, 2)
 	t.Logf("a clean query allocates %d times over the default horizon and %d over twice it", one, two)
