@@ -64,13 +64,15 @@ bench:
 # not grow with the trace) and the frame arena's layout tests, TestArena*
 # (no lane stride is a multiple of 4 KiB, a pushed stream sizes itself
 # for an ordinary frame in at most two slabs, and lanes hold what was
-# pushed through every growth) and TestBatchArenaSizedOnce (a batch decode and a
-# preamble window take one slab and never grow it). The frame close fans
-# its lanes out over GOMAXPROCS, so everything runs at -cpu 1 (the serial
-# kernel) and 2. The allocation tests are skipped under -race, so this
-# plain-build run is the gate.
+# pushed through every growth), TestBatchArenaSizedOnce (a batch decode
+# and a preamble window take one slab and never grow it) and TestStash*
+# (the slabs' and scratch's free list hands an item to any goroutine,
+# frees what sits unused through a GC cycle, and allocates nothing once
+# grown). The frame close fans its lanes out over GOMAXPROCS, so
+# everything runs at -cpu 1 (the serial kernel) and 2. The allocation
+# tests are skipped under -race, so this plain-build run is the gate.
 bench-stream:
-	$(GO) test -cpu 1,2 -bench 'BenchmarkStream|BenchmarkDecodeCSI$$|BenchmarkDecodeLongRange|BenchmarkFrameClose|BenchmarkDetectAck' -benchmem -run 'TestStreamPushSteadyStateAllocs|TestFrameCloseAllocs|TestDetectAckAllocs|TestArena|TestBatchArenaSizedOnce' ./internal/uplink/
+	$(GO) test -cpu 1,2 -bench 'BenchmarkStream|BenchmarkDecodeCSI$$|BenchmarkDecodeLongRange|BenchmarkFrameClose|BenchmarkDetectAck' -benchmem -run 'TestStreamPushSteadyStateAllocs|TestFrameCloseAllocs|TestDetectAckAllocs|TestArena|TestBatchArenaSizedOnce|TestStash' ./internal/uplink/
 
 # Simulation fixed-cost contract: BenchmarkObserve reports one packet's
 # 3x30 composite channel, BenchmarkAdvance the same channel moved on

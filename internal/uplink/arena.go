@@ -13,7 +13,7 @@ package uplink
 import (
 	"math/bits"
 	"sort"
-	"sync"
+	"unsafe"
 
 	"repro/internal/csi"
 )
@@ -46,14 +46,18 @@ func slabClass(n int) (class, size int) {
 	return 4*shift + m, m << shift
 }
 
-// slabPools recycles arena slabs by size class (slabClass). The slabs
-// have a pool of their own, apart from dsp's scratch buffers. The pools
-// store *[]float64 boxes; slabBoxes recycles the boxes getSlab empties
-// for putSlab, so a round trip through the pool allocates nothing.
-var (
-	slabPools [4 * 48]sync.Pool
-	slabBoxes sync.Pool
-)
+// classSize returns the size of a class's slabs: the inverse of
+// slabClass, whose class c = 4·s + m has size m·2^s.
+func classSize(class int) int {
+	shift := max((class-5)/4, 0)
+	return (class - 4*shift) << shift
+}
+
+// slabStashes recycle arena slabs by size class (slabClass), in stashes
+// of their own, apart from the frame scratch. A stash holds a slab by its
+// first element: every slab of a class has the class's size, so the
+// class gives back its length.
+var slabStashes [4 * 48]stash[float64]
 
 // getSlab returns a slab of at least size floats: the smallest pooled one
 // at most twice the class size, searching the four classes above size's,
@@ -66,12 +70,8 @@ var (
 func getSlab(size int) []float64 {
 	class, n := slabClass(size)
 	for c := class; c <= class+4; c++ {
-		if v := slabPools[c].Get(); v != nil {
-			box := v.(*[]float64)
-			s := *box
-			*box = nil
-			slabBoxes.Put(box)
-			return s
+		if p := slabStashes[c].get(); p != nil {
+			return unsafe.Slice(p, classSize(c))
 		}
 	}
 	return make([]float64, n)
@@ -83,13 +83,11 @@ func putSlab(s []float64) {
 	if s == nil {
 		return
 	}
-	box, _ := slabBoxes.Get().(*[]float64)
-	if box == nil {
-		box = new([]float64)
+	class, size := slabClass(len(s))
+	if len(s) != size || cap(s) != size {
+		panic("uplink: putSlab of a slab getSlab did not make")
 	}
-	*box = s
-	class, _ := slabClass(len(s))
-	slabPools[class].Put(box)
+	slabStashes[class].put(&s[0])
 }
 
 // frameMeasurements returns the index range [lo, hi) of the measurements

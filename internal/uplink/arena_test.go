@@ -37,8 +37,8 @@ func TestArenaStrideRule(t *testing.T) {
 // TestSlabClass holds the size classes to their contract for every request
 // up to 2^17 floats: a class's slabs hold the request and waste under a
 // quarter of their size, a slab of exactly a class's size is in that class,
-// and a larger class never has smaller slabs, so getSlab's upward search
-// only finds slabs that fit.
+// classSize gives that size back, and a larger class never has smaller
+// slabs, so getSlab's upward search only finds slabs that fit.
 func TestSlabClass(t *testing.T) {
 	lastClass, lastSize := 0, 0
 	for n := 16; n <= 1<<17; n++ {
@@ -48,6 +48,9 @@ func TestSlabClass(t *testing.T) {
 		}
 		if c, s := slabClass(size); c != class || s != size {
 			t.Fatalf("a slab of %d floats is in class %d of %d, want class %d", size, c, s, class)
+		}
+		if got := classSize(class); got != size {
+			t.Fatalf("classSize(%d) = %d, want %d", class, got, size)
 		}
 		if class < lastClass || class == lastClass && size != lastSize || class > lastClass && size <= lastSize {
 			t.Fatalf("slabClass(%d) = %d, %d after class %d of %d", n, class, size, lastClass, lastSize)

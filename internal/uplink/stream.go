@@ -34,7 +34,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/csi"
 	"repro/internal/dsp"
@@ -475,7 +474,7 @@ func (sd *StreamDecoder) decode(atFlush bool) error {
 }
 
 // frameScratch is the frame close's working memory, taken from
-// scratchPool for one decode: the bin boundaries, every lane's
+// scratchStash for one decode: the bin boundaries, every lane's
 // conditioned series, the per-lane bin means and occupancy, one
 // conditioning prefix row per lane chunk, the lane stats the ranking
 // sorts, and the combined series. The lanes' cond, means and ok and the
@@ -506,15 +505,18 @@ func (fs *frameScratch) prefixRow(c, n int) []float64 {
 	return fs.prefix[c*(n+1) : (c+1)*(n+1)]
 }
 
-// scratchPool recycles frameScratch across decodes and streams.
-var scratchPool = sync.Pool{New: func() any { return new(frameScratch) }}
+// scratchStash recycles frameScratch across decodes and streams.
+var scratchStash stash[frameScratch]
 
 // getScratch returns a frame scratch sized for nchan lanes of n samples
 // over nbits bins, cut into one lane chunk per core. Contents are stale:
 // every stage overwrites what it reads (decode clears combined before
 // summing into it).
 func getScratch(nchan, n, nbits int) *frameScratch {
-	fs := scratchPool.Get().(*frameScratch)
+	fs := scratchStash.get()
+	if fs == nil {
+		fs = new(frameScratch)
+	}
 	fs.chunks = min(runtime.GOMAXPROCS(0), nchan)
 	fs.off = resize(fs.off, nbits+1)
 	fs.cond = resize(fs.cond, nchan*n)
@@ -526,11 +528,11 @@ func getScratch(nchan, n, nbits int) *frameScratch {
 	return fs
 }
 
-// putScratch returns fs to the pool, dropping the stats' views so a
+// putScratch returns fs to the stash, dropping the stats' views so a
 // scratch that later regrows does not pin its old blocks.
 func putScratch(fs *frameScratch) {
 	clear(fs.stats)
-	scratchPool.Put(fs)
+	scratchStash.put(fs)
 }
 
 // resize returns s with length n, reallocating only when its capacity is

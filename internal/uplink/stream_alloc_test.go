@@ -187,3 +187,25 @@ func detectAckAllocs(t *testing.T, duration float64) (allocs, bytes uint64) {
 	}
 	return allocs, bytes
 }
+
+// TestStashAgeAllocs: once its lists have grown, a stash allocates
+// nothing to put, age and get an item it has held before (the weak
+// pointer age makes is the one it made last time).
+func TestStashAgeAllocs(t *testing.T) {
+	var s stash[[1024]float64]
+	slab := new([1024]float64)
+	for range 4 {
+		s.put(slab)
+		s.age()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.put(slab)
+		s.age()
+		if s.get() != slab {
+			t.Fatal("the item put before one age is gone")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("put, age and get allocate %v times, want 0", allocs)
+	}
+}
