@@ -109,7 +109,14 @@ bench-observe:
 	$(GO) test -bench 'BenchmarkObserve|BenchmarkAdvance|BenchmarkCircuitStep|BenchmarkEngineSchedule|BenchmarkMeasure|BenchmarkSkipInto' -benchmem -run 'TestObserveSteadyStateAllocs|TestAdvanceAllocs|TestScheduleSteadyStateAllocs|TestMeasureAllocs|TestMeasureIntoAllocs|TestSkipIntoAllocs|TestContentionRoundAllocs|TestTrafficSteadyStateAllocs|TestDecoderOnEdgeAllocs|TestStreamedCaptureAllocs|TestDownlinkWindowAllocs|TestQueryHorizonAllocs' ./internal/radio/ ./internal/tag/ ./internal/sim/ ./internal/csi/ ./internal/wifi/ ./internal/core/
 
 # Wire and session contract: BenchmarkParseMeasurement reports one 3x30
-# CSI m line and one 3x1 RSSI m line with -benchmem, and
+# CSI m line and one 3x1 RSSI m line, each parsed over and over, and
+# 1024 distinct 3x30 lines in turn (csi3x30-distinct, which the branch
+# predictor cannot learn), with -benchmem. BenchmarkServeLines reports
+# ns/line for one session's hello, m lines and flush sent through
+# Server.ServeTCP over loopback and read back to the done line, at 3x1
+# RSSI and 3x30 CSI (tcp), beside a plain StreamDecoder.Push of the same
+# series (decode); the tcp figure less the parse and the decode is the
+# connection and the hand-off from reader to worker.
 # TestParseMeasurementAllocs asserts that parsing into a measurement of
 # the line's shape allocates nothing, on the decimal fast path and on the
 # strconv fallback. TestSessionCycleAllocs asserts that an Open, Push,
@@ -118,7 +125,7 @@ bench-observe:
 # returning a connection's line reader allocates nothing. The tests are
 # skipped under -race, so this plain-build run is the gate.
 bench-wire:
-	$(GO) test -bench 'BenchmarkParseMeasurement' -benchmem -run 'TestParseMeasurementAllocs|TestSessionCycleAllocs|TestLineReaderAllocs' ./internal/serve/
+	$(GO) test -bench 'BenchmarkParseMeasurement|BenchmarkServeLines' -benchmem -run 'TestParseMeasurementAllocs|TestSessionCycleAllocs|TestLineReaderAllocs' ./internal/serve/
 
 # Pins the observability contract: the aggregated pipeline metrics from an
 # instrumented sweep must match testdata/metrics_golden.json byte for byte

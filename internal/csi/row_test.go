@@ -13,24 +13,38 @@ import (
 // shortest ('g'/-1, mostly 17-digit mantissas at or above 2^53), 'f' with
 // every precision, 'e' forms (strconv's), integers just above 2^53
 // where the quotient path meets exact ties, and 19- and 20-digit
-// fractions.
+// fractions. Each token is read at the end of a row and in the middle of
+// one, followed by one space or by several and then another field, so
+// the reader must stop at the space after the token and leave the next
+// field whole.
 func TestFloatMatchesStrconv(t *testing.T) {
 	s := rng.New(17)
 	var line []byte
 	check := func(tok []byte) {
 		t.Helper()
-		line = append(append(line[:0], ' '), tok...)
-		f := rowScanner{b: line}
-		got, err := f.float()
 		want, werr := strconv.ParseFloat(string(tok), 64)
-		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
-			t.Fatalf("%q: error %v, strconv %v", tok, err, werr)
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%q: %v (%#x), strconv %v (%#x)", tok, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
-		if f.i != len(line) {
-			t.Fatalf("%q: scanner stopped at %d of %d", tok, f.i, len(line))
+		for _, gap := range []string{"", " ", "   "} {
+			line = append(append(line[:0], ' '), tok...)
+			if gap != "" {
+				line = append(append(line, gap...), "-7.25"...)
+			}
+			f := rowScanner{b: line}
+			got, err := f.float()
+			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+				t.Fatalf("%q: error %v, strconv %v", line, err, werr)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%q: %v (%#x), strconv %v (%#x)", line, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if f.i != 1+len(tok) {
+				t.Fatalf("%q: scanner stopped at %d, want %d", line, f.i, 1+len(tok))
+			}
+			if gap == "" {
+				continue
+			}
+			if next, err := f.float(); err != nil || math.Float64bits(next) != math.Float64bits(-7.25) || f.i != len(line) {
+				t.Fatalf("%q: next field %v, %v, scanner at %d of %d", line, next, err, f.i, len(line))
+			}
 		}
 	}
 	var tok []byte

@@ -35,7 +35,7 @@ func synthSeries(t *testing.T, payload []bool, seed int64) *csi.Series {
 }
 
 // synthShaped is synthSeries at a chosen antennas × sub-channels shape.
-func synthShaped(t *testing.T, payload []bool, seed int64, ants, subs int) *csi.Series {
+func synthShaped(t testing.TB, payload []bool, seed int64, ants, subs int) *csi.Series {
 	t.Helper()
 	mod, err := tag.NewModulator(tag.FrameBits(payload), testStart, testBitDur)
 	if err != nil {

@@ -18,14 +18,19 @@ import (
 //
 // Memory is bounded and steady-state allocation-free by construction:
 // the session borrows a fixed ring of measurement slots (slotRing) from
-// the server's pool at Open, re-pointed to the declared shape. Push
-// copies into a free slot and hands the slot index to the worker; the
-// worker hands it back after the decoder copies the sample into its
-// pooled frame arena. The two index channels (the ring's free and the
-// session's in) each hold every slot, so channel sends never block —
-// only the free-slot receive does, and that wait is the backpressure.
-// The worker returns the ring to the pool when its input ends; a parked
-// resumable session keeps it until it finalizes.
+// the server's pool at Open, re-pointed to the declared shape. Slots are
+// handed to the worker in batches. Every slot the session ever fills has
+// a position, counting up from 0; position p lives in slot p mod the
+// ring's size. A producer, holding pmu, fills the positions from pub to
+// tail (Push copies one measurement, the TCP reader parses m lines
+// straight into the slots) and publishes them by moving pub; the worker
+// decodes every position from head to pub on one wake-up and returns
+// them all by moving head. So a batch pays once for what every
+// measurement used to pay: the wake-up, the server-wide counters and the
+// session's cursor. A producer waits only when the ring holds no free
+// slot, and that wait is the backpressure. The worker returns the ring
+// to the pool when its input ends; a parked resumable session keeps it
+// until it finalizes.
 type Session struct {
 	srv  *Server
 	id   uint64
@@ -34,13 +39,25 @@ type Session struct {
 	sink Sink
 
 	ring *slotRing
-	in   chan int32
 
-	// pmu serializes producers with each other and with Finish, so a
-	// slot is never written while its index is in flight and in is never
-	// closed under a pending send.
+	// The hand-off (see the type comment). pmu serializes producers with
+	// each other and with Finish: a producer holds it from the first slot
+	// it fills until it publishes them, so pub equals tail whenever pmu is
+	// free, and the input never closes under a filled slot. batch is the
+	// most slots the TCP reader fills before it publishes: a quarter of
+	// the ring, at least one.
 	pmu    sync.Mutex
-	closed bool
+	tail   int64        // next position to fill; owned by pmu
+	pub    atomic.Int64 // positions below it are the worker's
+	head   atomic.Int64 // positions below it are free again
+	batch  int64
+	closed atomic.Bool // input ended; stored under pmu after the last publish
+	// idle is set by the worker before it sleeps on ring.wake, full by
+	// a producer before it sleeps on ring.space; whoever moves what the
+	// sleeper waits for clears the flag and signals it. Each side sets
+	// its flag before it re-checks, so a signal is never lost.
+	idle atomic.Bool
+	full atomic.Bool
 
 	quit    chan struct{} // closed by abort; unblocks a waiting Push
 	quitted atomic.Int32  // CAS guard for closing quit (no closure: abort sits on watchdog hot paths)
@@ -84,17 +101,20 @@ type Session struct {
 	wdIdle     int
 }
 
-// slotRing is a session's measurement slots and the free list that hands
-// them out, pooled per server (Server.rings). One slab each backs the
-// slots, their CSI row headers and their floats, so re-pointing a ring to
-// a new shape allocates only when the shape outgrows every shape the ring
-// has held. free is never closed: a ring goes back to the pool with every
-// index in it, ready for the next session.
+// slotRing is a session's measurement slots and the two wake-up channels
+// of its hand-off, pooled per server (Server.rings). One slab each backs
+// the slots, their CSI row headers and their floats, so re-pointing a
+// ring to a new shape allocates only when the shape outgrows every shape
+// the ring has held. wake (producer to worker) and space (worker to
+// producer) hold one token at most; a token an earlier session left
+// behind costs the next one a spurious wake-up, since every wait
+// re-checks what it waits for.
 type slotRing struct {
 	slots []csi.Measurement
 	rows  [][]float64
 	flat  []float64
-	free  chan int32
+	wake  chan struct{}
+	space chan struct{}
 }
 
 // acquireRing takes the most recently returned ring from the server's
@@ -110,10 +130,10 @@ func (srv *Server) acquireRing(p SessionParams) *slotRing {
 	}
 	srv.ringMu.Unlock()
 	if r == nil {
-		n := srv.cfg.SessionBuffer
-		r = &slotRing{slots: make([]csi.Measurement, n), free: make(chan int32, n)}
-		for i := range n {
-			r.free <- int32(i)
+		r = &slotRing{
+			slots: make([]csi.Measurement, srv.cfg.SessionBuffer),
+			wake:  make(chan struct{}, 1),
+			space: make(chan struct{}, 1),
 		}
 	}
 	r.shape(p.Antennas, p.Subchannels)
@@ -151,14 +171,11 @@ func (r *slotRing) shape(ants, subs int) {
 }
 
 // releaseRing returns the session's ring to the pool once its worker
-// has drained the input. Only a ring whose free list holds every index
-// is reusable; any other ring, and any ring beyond MaxSessions idle
-// ones, is left to the collector.
+// has drained the input: the input closed with every filled slot
+// published, and the worker has returned them all. A ring beyond
+// MaxSessions idle ones is left to the collector.
 func (s *Session) releaseRing() {
 	srv := s.srv
-	if len(s.ring.free) != cap(s.ring.free) {
-		return
-	}
 	srv.ringMu.Lock()
 	if len(srv.rings) < srv.cfg.MaxSessions {
 		srv.rings = append(srv.rings, s.ring)
@@ -179,15 +196,15 @@ func newSession(srv *Server, id uint64, p SessionParams, sink Sink) (*Session, e
 	}
 	ring := srv.acquireRing(p)
 	s := &Session{
-		srv:  srv,
-		id:   id,
-		p:    p,
-		sd:   sd,
-		sink: sink,
-		ring: ring,
-		in:   make(chan int32, len(ring.slots)),
-		quit: make(chan struct{}),
-		done: make(chan struct{}),
+		srv:   srv,
+		id:    id,
+		p:     p,
+		sd:    sd,
+		sink:  sink,
+		ring:  ring,
+		batch: max(int64(len(ring.slots))/4, 1),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	if p.Resumable {
 		s.rs = &resumeSink{
@@ -248,29 +265,51 @@ func (s *Session) producerExit() <-chan struct{} {
 // ring is full (the backpressure path — at a TCP transport the blocked
 // reader stalls the client's sends). It fails with ErrSessionClosed
 // after Finish or an abort, and with the session's sticky error once
-// poisoned.
-func (s *Session) Push(m csi.Measurement) error { return s.push(m, true, 0, false) }
+// poisoned. A Push is a batch of one: it publishes its slot before it
+// returns.
+func (s *Session) Push(m csi.Measurement) error { return s.push(m, true) }
 
 // TryPush is Push without the wait: a full slot ring returns
 // ErrBufferFull immediately (wrapped in a RetryError carrying the
 // backoff hint) and drops nothing already queued.
-func (s *Session) TryPush(m csi.Measurement) error { return s.push(m, false, 0, false) }
+func (s *Session) TryPush(m csi.Measurement) error { return s.push(m, false) }
 
-// pushAs is the wire producer's Push: it carries the generation the
-// handler attached under, so a handler whose session was stolen by a
-// resume on a newer connection fails out with ErrSessionClosed instead
-// of feeding measurements into the new owner's stream.
-func (s *Session) pushAs(gen uint32, m csi.Measurement) error {
-	return s.push(m, true, gen, true)
-}
-
-func (s *Session) push(m csi.Measurement, wait bool, gen uint32, fenced bool) error {
+func (s *Session) push(m csi.Measurement, wait bool) error {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
+	if err := s.admitLocked(0, false); err != nil {
+		return err
+	}
+	dst, err := s.reserveLocked(wait)
+	if err != nil {
+		return err
+	}
+	if err := copyInto(dst, m, s.p); err != nil {
+		// A shape violation poisons this session exactly like the
+		// decoder's own shape check would — sticky error, input closed,
+		// the failure emitted on the sink — and touches nobody else.
+		if s.setErr(err) {
+			s.srv.met.poisoned.Add(1)
+		}
+		s.finishLocked()
+		return err
+	}
+	s.tail++
+	s.publishLocked()
+	return nil
+}
+
+// admitLocked reports whether a producer may fill slots: the input is
+// open, the session neither poisoned nor aborted, and — for a fenced
+// (wire) producer — gen is still the session's generation, so a handler
+// whose session a resume on a newer connection stole fails out with
+// ErrSessionClosed instead of feeding the new owner's stream. The caller
+// holds pmu.
+func (s *Session) admitLocked(gen uint32, fenced bool) error {
 	if fenced && gen != s.gen.Load() {
 		return ErrSessionClosed
 	}
-	if s.closed {
+	if s.closed.Load() {
 		return ErrSessionClosed
 	}
 	if err := s.Err(); err != nil {
@@ -282,62 +321,85 @@ func (s *Session) push(m csi.Measurement, wait bool, gen uint32, fenced bool) er
 		return ErrSessionClosed
 	default:
 	}
-	// A free slot is taken without a select on quit; only a full ring
-	// waits, and that wait is what an abort must be able to interrupt.
-	var idx int32
-	select {
-	case idx = <-s.ring.free:
-	default:
+	return nil
+}
+
+// reserveLocked returns the slot at tail for the caller to fill. When
+// every slot is taken it publishes what is filled (the worker must not
+// wait on slots the producer holds) and waits for the worker to return
+// some, a wait an abort interrupts; without wait it fails with
+// ErrBufferFull instead. The caller holds pmu.
+func (s *Session) reserveLocked(wait bool) (*csi.Measurement, error) {
+	n := int64(len(s.ring.slots))
+	if s.tail-s.head.Load() == n {
 		if !wait {
 			s.srv.met.bufferFull.Add(1)
 			// A full ring is occupancy 1 by definition; the server-wide
 			// Pressure() would need srv.mu, which this path must not take.
-			return retryErr(ErrBufferFull, 1)
+			return nil, retryErr(ErrBufferFull, 1)
 		}
-		select {
-		case idx = <-s.ring.free:
-		case <-s.quit:
-			return ErrSessionClosed
+		s.publishLocked()
+		for {
+			s.full.Store(true)
+			if s.tail-s.head.Load() < n {
+				s.full.Store(false)
+				break
+			}
+			select {
+			case <-s.ring.space:
+			case <-s.quit:
+				return nil, ErrSessionClosed
+			}
 		}
 	}
-	if err := s.copyInto(idx, m); err != nil {
-		// A shape violation poisons this session exactly like the
-		// decoder's own shape check would — sticky error, input closed,
-		// the failure emitted on the sink — and touches nobody else.
-		s.ring.free <- idx
-		if s.setErr(err) {
-			s.srv.met.poisoned.Add(1)
-		}
-		s.finishLocked()
-		return err
-	}
-	s.in <- idx
-	s.consumed.Add(1)
-	s.srv.met.queued.Add(1)
-	s.srv.met.noteQueueDepth(len(s.in))
-	s.srv.met.measurements.Add(1)
-	return nil
+	return &s.ring.slots[s.tail%n], nil
 }
 
-// copyInto copies m into slot idx, enforcing the declared shape. It
-// writes every field of the slot (RSSI, each CSI row, Timestamp) before
-// the index can reach the worker, so a slot from a reused ring never
-// shows an earlier session's values.
-func (s *Session) copyInto(idx int32, m csi.Measurement) error {
-	dst := &s.ring.slots[idx]
-	if len(m.RSSI) != s.p.Antennas {
-		return fmt.Errorf("serve: measurement has %d RSSI antennas, session declared %d",
-			len(m.RSSI), s.p.Antennas)
+// publishLocked hands every filled slot to the worker as one batch: it
+// moves pub, the session's resume cursor and the server-wide counters
+// once, and wakes the worker if it sleeps. The caller holds pmu.
+func (s *Session) publishLocked() {
+	n := s.tail - s.pub.Load()
+	if n == 0 {
+		return
 	}
-	if s.p.Subchannels > 0 {
-		if len(m.CSI) != s.p.Antennas {
+	s.pub.Store(s.tail)
+	s.consumed.Add(n)
+	met := &s.srv.met
+	met.queued.Add(n)
+	met.measurements.Add(n)
+	met.noteQueueDepth(int(s.tail - s.head.Load()))
+	s.wakeWorker()
+}
+
+// wakeWorker signals the worker if it is asleep or about to sleep.
+func (s *Session) wakeWorker() {
+	if s.idle.Load() && s.idle.Swap(false) {
+		select {
+		case s.ring.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// copyInto copies m into dst, a slot of shape p, enforcing that shape.
+// It writes every field of the slot (RSSI, each CSI row, Timestamp)
+// before the slot can be published, so a slot from a reused ring never
+// shows an earlier session's values.
+func copyInto(dst *csi.Measurement, m csi.Measurement, p SessionParams) error {
+	if len(m.RSSI) != p.Antennas {
+		return fmt.Errorf("serve: measurement has %d RSSI antennas, session declared %d",
+			len(m.RSSI), p.Antennas)
+	}
+	if p.Subchannels > 0 {
+		if len(m.CSI) != p.Antennas {
 			return fmt.Errorf("serve: measurement has %d CSI antennas, session declared %d",
-				len(m.CSI), s.p.Antennas)
+				len(m.CSI), p.Antennas)
 		}
 		for a, row := range m.CSI {
-			if len(row) != s.p.Subchannels {
+			if len(row) != p.Subchannels {
 				return fmt.Errorf("serve: antenna %d has %d sub-channels, session declared %d",
-					a, len(row), s.p.Subchannels)
+					a, len(row), p.Subchannels)
 			}
 			copy(dst.CSI[a], row)
 		}
@@ -347,6 +409,57 @@ func (s *Session) copyInto(idx int32, m csi.Measurement) error {
 	copy(dst.RSSI, m.RSSI)
 	dst.Timestamp = m.Timestamp
 	return nil
+}
+
+// wireInput is a TCP handler's side of the hand-off: it parses m lines
+// straight into ring slots and publishes them in batches. It holds pmu
+// from the first slot of a batch until it publishes, so no Finish, abort
+// fence or resume steal lands between a slot being filled and the
+// worker receiving it. The handler publishes before anything that can
+// block: a socket read, a wait for a free slot (reserveLocked), a flush,
+// EOF or an error line; and once it holds batch slots.
+type wireInput struct {
+	s    *Session
+	gen  uint32 // the generation the handler attached under
+	held bool   // holds s.pmu
+}
+
+// next returns the slot to parse the next line into.
+func (w *wireInput) next() (*csi.Measurement, error) {
+	s := w.s
+	if !w.held {
+		s.pmu.Lock()
+		if err := s.admitLocked(w.gen, true); err != nil {
+			s.pmu.Unlock()
+			return nil, err
+		}
+		w.held = true
+	}
+	m, err := s.reserveLocked(true)
+	if err != nil {
+		w.publish()
+		return nil, err
+	}
+	return m, nil
+}
+
+// commit adds the slot next returned, now parsed, to the batch, and
+// publishes a full batch.
+func (w *wireInput) commit() {
+	s := w.s
+	s.tail++
+	if s.tail-s.pub.Load() >= s.batch {
+		w.publish()
+	}
+}
+
+// publish hands the batch to the worker and lets go of pmu.
+func (w *wireInput) publish() {
+	if w.held {
+		w.s.publishLocked()
+		w.held = false
+		w.s.pmu.Unlock()
+	}
 }
 
 // Finish ends the session's input; the worker flushes the stream (the
@@ -359,10 +472,12 @@ func (s *Session) Finish() {
 	s.pmu.Unlock()
 }
 
+// finishLocked closes the input. The caller holds pmu, so every filled
+// slot is already published.
 func (s *Session) finishLocked() {
-	if !s.closed {
-		s.closed = true
-		close(s.in)
+	if !s.closed.Load() {
+		s.closed.Store(true)
+		s.wakeWorker()
 	}
 }
 
@@ -436,48 +551,93 @@ func (s *Session) Result() (*uplink.Result, error) {
 
 // loop is the session's worker: the per-measurement serving hot path (a
 // wblint hot-path root — no boxing, no escaping closures, no unbounded
-// append). It drains the slot ring through the stream decoder, recycles
-// each slot the moment the decoder has copied it into the pooled frame
-// arena, and emits bits on the sink as soon as the frame closes. A
+// append). On each wake-up it takes every published slot, pushes each
+// through the stream decoder (which copies it into the pooled frame
+// arena) and returns the whole batch to the producer in one step. A
+// push that closes the frame returns the slots decoded so far before its
+// bits go to the sink, so a worker held in a sink call holds no slot. A
 // decode or sink error poisons only this session: remaining queued slots
 // drain without decoding and the error is delivered once at the end.
 func (s *Session) loop() {
 	poisoned := false
-	for idx := range s.in {
-		s.srv.met.queued.Add(-1)
-		if poisoned {
-			s.ring.free <- idx
-			s.progress.Add(1)
-			continue
-		}
-		s.busy.Store(1)
-		bits, err := s.sd.Push(s.ring.slots[idx])
-		s.ring.free <- idx
-		if err != nil {
-			if s.setErr(err) {
-				s.srv.met.poisoned.Add(1)
+	slots := s.ring.slots
+	n := int64(len(slots))
+	var head int64
+	for {
+		pub := s.pub.Load()
+		if pub == head {
+			if s.awaitInput(head) {
+				continue
 			}
-			poisoned = true
+			break
+		}
+		if !poisoned {
+			s.busy.Store(1)
+			for p := head; p < pub; p++ {
+				bits, err := s.sd.Push(slots[p%n])
+				if err != nil {
+					if s.setErr(err) {
+						s.srv.met.poisoned.Add(1)
+					}
+					poisoned = true
+					break
+				}
+				if len(bits) > 0 {
+					s.returnSlots(head, p+1)
+					head = p + 1
+					if s.emitBits(bits) != nil {
+						poisoned = true
+						break
+					}
+				}
+			}
 			s.busy.Store(0)
-			s.progress.Add(1)
-			continue
 		}
-		if len(bits) == 0 {
-			s.busy.Store(0)
-			s.progress.Add(1)
-			continue
-		}
-		if s.emitBits(bits) != nil {
-			poisoned = true
-		}
-		s.busy.Store(0)
-		s.progress.Add(1)
+		s.returnSlots(head, pub)
+		head = pub
 	}
-	// The input is closed and every producer has left (Finish closes in
-	// under pmu), so nothing touches the slots again.
+	// The input is closed and every filled slot was published before it
+	// closed (Finish closes it under pmu), so nothing touches the slots
+	// again.
 	s.releaseRing()
 	s.busy.Store(1)
 	s.finalize()
+}
+
+// returnSlots hands the positions from head to end back to the producer
+// in one step, waking it if it waits for a free slot.
+func (s *Session) returnSlots(head, end int64) {
+	if end == head {
+		return
+	}
+	s.head.Store(end)
+	if s.full.Load() && s.full.Swap(false) {
+		select {
+		case s.ring.space <- struct{}{}:
+		default:
+		}
+	}
+	s.srv.met.queued.Add(head - end)
+	s.progress.Add(end - head)
+}
+
+// awaitInput sleeps the worker until a producer publishes past head or
+// closes the input. It reports false once the input is closed and every
+// slot is consumed.
+func (s *Session) awaitInput(head int64) bool {
+	s.idle.Store(true)
+	// closed first: every publish precedes the close, so a pub read after
+	// seeing it closed is final.
+	closed := s.closed.Load()
+	if s.pub.Load() != head {
+		s.idle.Store(false)
+		return true
+	}
+	if closed {
+		return false
+	}
+	<-s.ring.wake
+	return true
 }
 
 // emitBits delivers a decoded frame's bits on the sink; a sink error

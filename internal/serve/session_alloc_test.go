@@ -38,8 +38,9 @@ func cycleCost(runs int, f func()) (allocs, bytes uint64) {
 
 // TestSessionCycleAllocs pins the slot ring as pooled: a warmed Open →
 // Push×N → Finish → Result cycle allocates as many times with 1024 slots
-// as with 16, and its bytes grow only by the session's own index channel
-// (4 bytes a slot), not by a ring's slots and floats.
+// as with 16. The session holds nothing per slot of its own (the ring
+// carries the slots and the hand-off's channels), so its bytes do not
+// grow with the ring's slots and floats either.
 func TestSessionCycleAllocs(t *testing.T) {
 	const payloadLen = 8
 	series := synthSeries(t, randomPayload(payloadLen, 7), 7)

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/csi"
 	"repro/internal/uplink"
 )
 
@@ -189,16 +188,20 @@ func (srv *Server) handleResume(conn net.Conn, sink *connSink, lr *lineReader, l
 }
 
 // serveSession is the measurement loop shared by the hello and resume
-// paths. The idle deadline is stamped only when the next line is not
-// already buffered: a scan that finds its line in the buffer never reads
-// the connection, and every scan that does read runs under a deadline
-// stamped at its start, so a client still gets one line per IdleTimeout
-// however slowly its bytes arrive.
+// paths. It parses each m line straight into a ring slot and publishes
+// the filled slots as one batch before the next read could block, when
+// the batch is full, before it waits for a free slot, and at flush, EOF
+// or an error line (wireInput). The idle deadline is stamped only when
+// the next line is not already buffered: a scan that finds its line in
+// the buffer never reads the connection, and every scan that does read
+// runs under a deadline stamped at its start, so a client still gets one
+// line per IdleTimeout however slowly its bytes arrive.
 func (srv *Server) serveSession(conn net.Conn, sink *connSink, lr *lineReader, sess *Session, gen uint32) {
-	scratch := newScratch(sess.Params())
+	in := wireInput{s: sess, gen: gen}
 	resumable := sess.rs != nil
 	for {
 		if !lr.lineBuffered() {
+			in.publish()
 			srv.stampReadDeadline(conn)
 		}
 		if !lr.scan() {
@@ -209,19 +212,16 @@ func (srv *Server) serveSession(conn net.Conn, sink *connSink, lr *lineReader, s
 			continue
 		}
 		if len(line) == 5 && string(line) == "flush" {
+			in.publish()
 			finishAndWait(sess)
 			return
 		}
-		if err := ParseMeasurement(line, &scratch); err != nil {
-			sink.control("error ", err.Error())
-			finishAndWait(sess)
-			return
-		}
-		if err := sess.pushAs(gen, scratch); err != nil {
+		m, err := in.next()
+		if err != nil {
 			if resumable && sess.stolen(gen) {
-				// A newer connection resumed this session mid-push; it is
-				// not ours to finish, and waiting for its result would
-				// hold this dead transport's handler hostage.
+				// A newer connection resumed this session; it is not ours
+				// to finish, and waiting for its result would hold this
+				// dead transport's handler hostage.
 				return
 			}
 			// Poisoned or aborted: the worker delivers the error on the
@@ -229,8 +229,18 @@ func (srv *Server) serveSession(conn net.Conn, sink *connSink, lr *lineReader, s
 			finishAndWait(sess)
 			return
 		}
+		if err := ParseMeasurement(line, m); err != nil {
+			in.publish()
+			sink.control("error ", err.Error())
+			finishAndWait(sess)
+			return
+		}
+		in.commit()
 	}
-	// EOF, read error, or idle timeout.
+	// EOF, read error, or idle timeout. Everything parsed was published
+	// before the read that ended the input, so the resume cursor counts
+	// every complete line that arrived.
+	in.publish()
 	if resumable {
 		if !sess.stolen(gen) {
 			// The cut is what resume exists for: park the checkpoint and
@@ -257,15 +267,6 @@ func (srv *Server) stampReadDeadline(conn net.Conn) {
 		return
 	}
 	_ = conn.SetReadDeadline(srv.cfg.Now().Add(srv.cfg.IdleTimeout))
-}
-
-// newScratch builds one measurement of the session's declared shape, laid
-// out like a ring slot, for the handler to parse into; Push copies it, so
-// one scratch per connection suffices.
-func newScratch(p SessionParams) csi.Measurement {
-	r := slotRing{slots: make([]csi.Measurement, 1)}
-	r.shape(p.Antennas, p.Subchannels)
-	return r.slots[0]
 }
 
 // connSink writes a session's responses to its connection. Two

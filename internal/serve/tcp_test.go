@@ -17,7 +17,7 @@ import (
 
 // startTCP brings up a server on a loopback listener and tears both down
 // with the test.
-func startTCP(t *testing.T, cfg serve.Config) (*serve.Server, string) {
+func startTCP(t testing.TB, cfg serve.Config) (*serve.Server, string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

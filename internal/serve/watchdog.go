@@ -82,9 +82,9 @@ func (srv *Server) WatchdogSweep() { srv.watchdogSweep() }
 // noteWatchdogTick folds one watchdog observation into the session and
 // reports whether the session just crossed the stall deadline. Only the
 // watchdog sweep touches wdProgress/wdIdle. A session is eligible
-// only while work is pending: queued slots in the ring, or the worker
-// parked inside a sink call (busy) — an idle session waiting for its
-// client is not stalled, it is just quiet.
+// only while work is pending: published slots the worker has not
+// returned, or the worker parked inside a sink call (busy) — an idle
+// session waiting for its client is not stalled, it is just quiet.
 func (s *Session) noteWatchdogTick(limit int) bool {
 	prog := s.progress.Load()
 	if prog != s.wdProgress {
@@ -92,7 +92,7 @@ func (s *Session) noteWatchdogTick(limit int) bool {
 		s.wdIdle = 0
 		return false
 	}
-	if len(s.in) == 0 && s.busy.Load() == 0 {
+	if s.pub.Load() == s.head.Load() && s.busy.Load() == 0 {
 		s.wdIdle = 0
 		return false
 	}
